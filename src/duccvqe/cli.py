@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .amplitudes import (ClusterAmplitudes, ConvergenceError,
                          load_amplitudes, mp2_amplitudes, mp2_energy,
                          save_amplitudes, top_amplitudes)
 from .fermion import (ActiveSpace, SectorError, SpaceError, build_hamiltonian,
-                      exact_ground_state, hf_energy)
+                      exact_ground_state, hf_determinant, hf_energy)
 from .mapping import jordan_wigner
 
 EXIT_OK = 0
@@ -42,29 +41,25 @@ class _CliDataError(Exception):
     pass
 
 
-def _load_spin(args):
-    """Resolve --fixture/--integrals into (SpinIntegralSet, nelec, ms2)."""
-    if args.fixture:
-        spin = integrals_mod.builtin_fixture(args.fixture).to_spin_orbital()
-        path = integrals_mod.fixture_path(args.fixture)
-    else:
-        path = args.integrals
-        if integrals_mod.is_spin_resolved(path):
-            spin = integrals_mod.load_spin_fcidump(path)
-        else:
-            spin = integrals_mod.load_fcidump(path).to_spin_orbital()
-    header, _ = integrals_mod._read_lines(path)
-    nelec = args.nelec if args.nelec is not None \
-        else int(header.get("NELEC", 0))
-    ms2 = args.ms2 if args.ms2 is not None else int(header.get("MS2", 0))
+def _load_spin(path, nelec=None, ms2=None):
+    """Read one integral file into (SpinIntegralSet, nelec, ms2); the
+    header's NELEC and MS2 stand in for counts left unset."""
+    ints, file_nelec, file_ms2 = integrals_mod.read_fcidump(path)
+    spin = ints if isinstance(ints, integrals_mod.SpinIntegralSet) \
+        else ints.to_spin_orbital()
+    nelec = file_nelec if nelec is None else nelec
+    ms2 = file_ms2 if ms2 is None else ms2
     if nelec < 1 or nelec > spin.n_spin_orbitals:
         raise _CliDataError(f"bad electron count {nelec} for "
                             f"{spin.n_spin_orbitals} spin orbitals")
     return spin, nelec, ms2
 
 
-def _reference_det(nelec):
-    return (1 << nelec) - 1
+def _load_input(args):
+    """_load_spin on the --fixture or --integrals input."""
+    path = integrals_mod.fixture_path(args.fixture) if args.fixture \
+        else args.integrals
+    return _load_spin(path, args.nelec, args.ms2)
 
 
 def _emit(args, text):
@@ -93,8 +88,8 @@ def cmd_resources(args):
         "depth": report.depth,
     }
     if args.integrals:
-        spin = integrals_mod.load_fcidump(args.integrals).to_spin_orbital()
-        t_mp2 = mp2_amplitudes(spin, _reference_det(args.electrons))
+        spin, _, _ = _load_spin(args.integrals, args.electrons)
+        t_mp2 = mp2_amplitudes(spin, hf_determinant(args.electrons))
         screened = ansatz_mod.screen_excitations(exc, t_mp2,
                                                  args.mp2_threshold)
         srep = ansatz_mod.resource_report(screened, space)
@@ -111,7 +106,7 @@ def cmd_resources(args):
 
 
 def cmd_eig(args):
-    spin, nelec, ms2 = _load_spin(args)
+    spin, nelec, ms2 = _load_input(args)
     h = build_hamiltonian(spin)
     energy, _ = exact_ground_state(h, nelec, ms2)
     _emit(args, json.dumps({"energy": energy, "nelec": nelec, "ms2": ms2}))
@@ -119,8 +114,8 @@ def cmd_eig(args):
 
 
 def cmd_mp2(args):
-    spin, nelec, _ = _load_spin(args)
-    ref = _reference_det(nelec)
+    spin, nelec, _ = _load_input(args)
+    ref = hf_determinant(nelec)
     t = mp2_amplitudes(spin, ref)
     if args.amplitudes_out:
         save_amplitudes(t, args.amplitudes_out)
@@ -133,8 +128,8 @@ def cmd_mp2(args):
 
 
 def cmd_ccsd(args):
-    spin, nelec, _ = _load_spin(args)
-    ref = _reference_det(nelec)
+    spin, nelec, _ = _load_input(args)
+    ref = hf_determinant(nelec)
     t, e_corr = ccsd_solve(spin, ref)
     if args.amplitudes_out:
         save_amplitudes(t, args.amplitudes_out)
@@ -157,11 +152,11 @@ def _parse_active(spec, n_orbitals, nelec):
 
 
 def cmd_downfold(args):
-    spin, nelec, _ = _load_spin(args)
+    spin, nelec, _ = _load_input(args)
     if nelec % 2:
         raise _CliDataError("downfolding assumes a closed-shell reference")
     space = _parse_active(args.active, spin.n_spin_orbitals // 2, nelec)
-    ref = _reference_det(nelec)
+    ref = hf_determinant(nelec)
     if args.amplitudes:
         m = spin.n_spin_orbitals
         occ = [p for p in range(m) if (ref >> p) & 1]
@@ -176,12 +171,12 @@ def cmd_downfold(args):
     return EXIT_OK
 
 
-def _vqe_run(spin, nelec, seed, warm, screen_threshold=None,
+def _vqe_run(spin, nelec, warm, screen_threshold=None,
              max_evaluations=None):
     n_orbitals = spin.n_spin_orbitals // 2
     space = ActiveSpace.build(n_orbitals, tuple(range(1, nelec // 2 + 1)))
     exc = ansatz_mod.enumerate_excitations(space, nelec)
-    ref = _reference_det(nelec)
+    ref = hf_determinant(nelec)
     if warm == "mp2" or screen_threshold is not None:
         t_mp2 = mp2_amplitudes(spin, ref)
     if screen_threshold is not None:
@@ -190,18 +185,18 @@ def _vqe_run(spin, nelec, seed, warm, screen_threshold=None,
     x0 = vqe.warm_start(t_mp2, exc) if warm == "mp2" \
         else np.zeros(len(exc))
     hp = jordan_wigner(build_hamiltonian(spin)).real()
-    problem = vqe.VqeProblem(hp, circ, tuple(range(nelec)), x0, seed=seed)
+    problem = vqe.VqeProblem(hp, circ, tuple(range(nelec)), x0)
     if max_evaluations is not None:
         problem.max_evaluations = max_evaluations
     return vqe.minimize(problem)
 
 
 def cmd_vqe(args):
-    spin, nelec, _ = _load_spin(args)
+    spin, nelec, _ = _load_input(args)
     if nelec % 2:
         raise _CliDataError("the UCCSD reference here is closed-shell")
-    result = _vqe_run(spin, nelec, args.seed, args.warm_start,
-                      args.screen_threshold, args.max_evaluations)
+    result = _vqe_run(spin, nelec, args.warm_start, args.screen_threshold,
+                      args.max_evaluations)
     _emit(args, result.to_json())
     return EXIT_OK if result.converged else EXIT_CONVERGENCE
 
@@ -223,18 +218,16 @@ def _read_manifest(path):
     return rows
 
 
-def _pes_point(source, methods, nelec_flag, ms2_flag, seed):
-    ns = argparse.Namespace(
-        fixture=source if source in integrals_mod.FIXTURE_NAMES else None,
-        integrals=None if source in integrals_mod.FIXTURE_NAMES else source,
-        nelec=nelec_flag, ms2=ms2_flag)
-    spin, nelec, ms2 = _load_spin(ns)
+def _pes_point(source, methods, nelec, ms2):
+    if source in integrals_mod.FIXTURE_NAMES:
+        source = integrals_mod.fixture_path(source)
+    spin, nelec, ms2 = _load_spin(source, nelec, ms2)
     out = {}
     if "eig" in methods:
         out["eig"], _ = exact_ground_state(build_hamiltonian(spin),
                                            nelec, ms2)
     if "vqe" in methods:
-        out["vqe"] = _vqe_run(spin, nelec, seed, "mp2").energy
+        out["vqe"] = _vqe_run(spin, nelec, "mp2").energy
     return out
 
 
@@ -244,11 +237,8 @@ def cmd_pes(args):
     if not methods or any(m not in ("eig", "vqe") for m in methods):
         raise _CliDataError(f"--methods must name eig and/or vqe, "
                             f"got {args.methods!r}")
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [pool.submit(_pes_point, src, methods, args.nelec,
-                               args.ms2, args.seed)
-                   for _, src in rows]
-        energies = [f.result() for f in futures]
+    energies = [_pes_point(src, methods, args.nelec, args.ms2)
+                for _, src in rows]
     header = ["label"] + [f"E_{m}" for m in methods]
     if args.reference in methods:
         header += [f"err_{m}" for m in methods]
@@ -305,7 +295,6 @@ def build_parser():
 
     p = sub.add_parser("vqe", help="simulated VQE on the UCCSD ansatz")
     _add_input_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warm-start", choices=("mp2", "zero"), default="mp2")
     p.add_argument("--screen-threshold", type=float, default=None)
     p.add_argument("--max-evaluations", type=int, default=None)
@@ -328,8 +317,6 @@ def build_parser():
     p.add_argument("--reference", default=None)
     p.add_argument("--nelec", type=int, default=None)
     p.add_argument("--ms2", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pes)
     return parser

@@ -16,12 +16,11 @@ import numpy as np
 
 from . import integrals as integrals_mod
 from .amplitudes import AmplitudePartition, ClusterAmplitudes, partition
-from .fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
-                      commutator, fock_operator, normal_order,
-                      ph_normal_order)
+from .fermion import (PRUNE_THRESHOLD, ActiveSpace, FermionOperator,
+                      build_hamiltonian, commutator, fock_operator,
+                      normal_order, ph_normal_order)
 
 TERM_CAP = 100_000_000
-PRUNE_THRESHOLD = 1e-12
 
 
 @dataclass

@@ -137,11 +137,7 @@ class FermionOperator:
 
     def __mul__(self, factor):
         if isinstance(factor, FermionOperator):
-            out = FermionOperator.zero(self.n_modes)
-            for ops1, c1 in self.terms.items():
-                for ops2, c2 in factor.terms.items():
-                    out.add_term(ops1 + ops2, c1 * c2)
-            return out
+            return NotImplemented  # operator products go through multiply
         return FermionOperator(
             self.n_modes, {ops: c * factor for ops, c in self.terms.items()})
 
@@ -243,11 +239,9 @@ def normal_order_relative(op: FermionOperator, ref: int):
 def multiply(a: FermionOperator, b: FermionOperator, term_cap=None,
              threshold=PRUNE_THRESHOLD) -> FermionOperator:
     out = {}
-    count = 0
     for ops1, c1 in a.terms.items():
         for ops2, c2 in b.terms.items():
             _normal_order_string(ops1 + ops2, c1 * c2, out)
-            count += 1
             if term_cap is not None and len(out) > term_cap:
                 raise TermExplosionError(
                     f"term count {len(out)} exceeds cap {term_cap}")

@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
-
-try:
-    from importlib import resources as _resources
-except ImportError:  # pragma: no cover
-    _resources = None
 
 DUPLICATE_TOL = 1e-12
 
@@ -181,7 +177,9 @@ def _read_lines(path):
     return header, body
 
 
-def _header_int(header, key, path):
+def _header_int(header, key, path, default=None):
+    if key not in header and default is not None:
+        return default
     try:
         return int(header[key])
     except KeyError:
@@ -190,18 +188,16 @@ def _header_int(header, key, path):
         raise IntegralError(f"{path}: bad {key}={header[key]!r}") from None
 
 
-def is_spin_resolved(path):
-    """True when the file header carries a UHF=.TRUE.-style flag."""
-    header, _ = _read_lines(path)
+def _is_uhf(header):
     return header.get("UHF", "").upper().strip(".") in ("TRUE", "T")
 
 
-def load_fcidump(path) -> IntegralSet:
-    """Parse a spatial-orbital FCIDUMP-style file."""
-    header, body = _read_lines(path)
-    if header.get("UHF", "").upper().strip(".") in ("TRUE", "T"):
-        raise IntegralError(
-            f"{path}: spin-resolved file; use load_spin_fcidump")
+def is_spin_resolved(path):
+    """True when the file header carries a UHF=.TRUE.-style flag."""
+    return _is_uhf(_read_lines(path)[0])
+
+
+def _spatial(header, body, path) -> IntegralSet:
     n = _header_int(header, "NORB", path)
     ints = IntegralSet(n_orbitals=n, label=str(path))
     for i, j, k, l, value in body:
@@ -212,6 +208,15 @@ def load_fcidump(path) -> IntegralSet:
         else:
             ints.set_h2(i, j, k, l, value)
     return ints
+
+
+def load_fcidump(path) -> IntegralSet:
+    """Parse a spatial-orbital FCIDUMP-style file."""
+    header, body = _read_lines(path)
+    if _is_uhf(header):
+        raise IntegralError(
+            f"{path}: spin-resolved file; use load_spin_fcidump")
+    return _spatial(header, body, path)
 
 
 def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
@@ -226,9 +231,7 @@ def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
             fh.write(f"0 0 0 0 {ints.scalar_shift:.16e}\n")
 
 
-def load_spin_fcidump(path) -> SpinIntegralSet:
-    """Parse a spin-resolved (UHF=.TRUE.) file; indices are spin orbitals."""
-    header, body = _read_lines(path)
+def _spin(header, body, path) -> SpinIntegralSet:
     m = _header_int(header, "NORB", path)
     h1 = np.zeros((m, m))
     h2 = np.zeros((m, m, m, m))
@@ -237,15 +240,23 @@ def load_spin_fcidump(path) -> SpinIntegralSet:
         if i == j == k == l == 0:
             scalar = value
             continue
-        if max(i, j, k, l) > m:
-            raise IntegralError(f"{path}: spin-orbital index above NORB={m}")
-        if k == 0 and l == 0:
+        one_body = k == 0 and l == 0
+        indices = (i, j) if one_body else (i, j, k, l)
+        if not all(1 <= p <= m for p in indices):
+            raise IntegralError(f"{path}: spin-orbital index in "
+                                f"{i} {j} {k} {l} outside 1..{m}")
+        if one_body:
             h1[i - 1, j - 1] = value
             h1[j - 1, i - 1] = value
         else:
             for (a, b, c, d) in _h2_orbit(i, j, k, l):
                 h2[a - 1, b - 1, c - 1, d - 1] = value
     return SpinIntegralSet(m, h1, h2, scalar, str(path))
+
+
+def load_spin_fcidump(path) -> SpinIntegralSet:
+    """Parse a spin-resolved (UHF=.TRUE.) file; indices are spin orbitals."""
+    return _spin(*_read_lines(path), path)
 
 
 def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0,
@@ -270,6 +281,18 @@ def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0,
             fh.write(f"0 0 0 0 {spin_ints.scalar_shift:.16e}\n")
 
 
+def read_fcidump(path):
+    """Parse any FCIDUMP-style file once: (integrals, nelec, ms2).
+
+    The integrals are a SpinIntegralSet for a UHF=.TRUE. file and an
+    IntegralSet otherwise; NELEC and MS2 read 0 when the header lacks them.
+    """
+    header, body = _read_lines(path)
+    build = _spin if _is_uhf(header) else _spatial
+    return (build(header, body, path), _header_int(header, "NELEC", path, 0),
+            _header_int(header, "MS2", path, 0))
+
+
 def fixture_path(name):
     if name not in FIXTURE_NAMES:
         raise IntegralError(
@@ -277,7 +300,7 @@ def fixture_path(name):
     override = os.environ.get(DATA_DIR_ENV)
     if override:
         return os.path.join(override, f"{name}.fcidump")
-    return str(_resources.files("duccvqe").joinpath(f"data/{name}.fcidump"))
+    return str(resources.files("duccvqe").joinpath(f"data/{name}.fcidump"))
 
 
 def builtin_fixture(name) -> IntegralSet:

@@ -11,14 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PRUNE_THRESHOLD = 1e-12
+from .fermion import PRUNE_THRESHOLD
 
-# per-qubit code: x + 2z -> 0=I, 1=X, 2=Z, 3=Y
-_MUL_PHASE = {
-    (1, 3): 1j, (3, 1): -1j,   # X*Y = iZ
-    (3, 2): 1j, (2, 3): -1j,   # Y*Z = iX
-    (2, 1): 1j, (1, 2): -1j,   # Z*X = iY
-}
+# powers of i, indexed by the exponent mod 4
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _PAULI_MATS = {
     0: np.eye(2, dtype=complex),
@@ -91,18 +87,15 @@ IDENTITY = PauliString()
 
 
 def pauli_multiply(a: PauliString, b: PauliString):
-    """Product in the Pauli group: returns (phase, string), phase in {±1,±i}."""
-    phase = 1 + 0j
-    overlap = (a.x | a.z) & (b.x | b.z)
-    q = 0
-    while overlap:
-        if overlap & 1:
-            ca, cb = a.code(q), b.code(q)
-            if ca != cb:
-                phase *= _MUL_PHASE[(ca, cb)]
-        overlap >>= 1
-        q += 1
-    return phase, PauliString(a.x ^ b.x, a.z ^ b.z)
+    """Product in the Pauli group: returns (phase, string), phase in {±1,±i}.
+
+    With Y = iXZ each string is i^|x&z| X^x Z^z, and moving Z^za past X^xb
+    gives (-1)^|za&xb|, so the phase is i to the power below.
+    """
+    x, z = a.x ^ b.x, a.z ^ b.z
+    k = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count()
+         - (x & z).bit_count() + 2 * (a.z & b.x).bit_count())
+    return _I_POWERS[k % 4], PauliString(x, z)
 
 
 @dataclass

@@ -51,7 +51,7 @@ def prepare_reference(n_qubits, occupied, max_qubits=QUBIT_CAP) -> StateVector:
     return StateVector(n_qubits, amp)
 
 
-def _apply_single(amp, n, q, mat):
+def _apply_single(amp, q, mat):
     a = amp.reshape(-1, 2, 1 << q)
     a0 = a[:, 0, :].copy()
     a1 = a[:, 1, :]
@@ -59,7 +59,7 @@ def _apply_single(amp, n, q, mat):
     a[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
 
 
-def _apply_rz(amp, n, q, angle):
+def _apply_rz(amp, q, angle):
     a = amp.reshape(-1, 2, 1 << q)
     a[:, 0, :] *= np.exp(-0.5j * angle)
     a[:, 1, :] *= np.exp(0.5j * angle)
@@ -95,11 +95,11 @@ def apply(circuit, params, state: StateVector) -> StateVector:
     n = state.n_qubits
     for g in circuit.gates:
         if g.name == "H":
-            _apply_single(amp, n, g.qubits[0], _H_MATRIX)
+            _apply_single(amp, g.qubits[0], _H_MATRIX)
         elif g.name == "RX":
-            _apply_single(amp, n, g.qubits[0], _rx_matrix(g.angle))
+            _apply_single(amp, g.qubits[0], _rx_matrix(g.angle))
         elif g.name == "RZ":
-            _apply_rz(amp, n, g.qubits[0], g.resolved_angle(params))
+            _apply_rz(amp, g.qubits[0], g.resolved_angle(params))
         elif g.name == "CNOT":
             _apply_cnot(amp, n, *g.qubits)
         else:

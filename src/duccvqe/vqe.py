@@ -37,7 +37,6 @@ class VqeProblem:
     rhobeg: float = RHOBEG
     tol: float = PARAM_TOL
     max_evaluations: int = MAX_EVALUATIONS
-    seed: int = 0
 
     def __post_init__(self):
         self.initial_params = np.asarray(self.initial_params, dtype=float)
@@ -85,15 +84,13 @@ class _Tracker:
 
     def __init__(self, problem):
         self.problem = problem
-        self.reference = problem.reference_state()
         self.n_evaluations = 0
         self.best_energy = np.inf
         self.best_params = None
         self.trace = []
 
     def __call__(self, params):
-        state = simulator.apply(self.problem.circuit, params, self.reference)
-        energy = simulator.expectation(self.problem.hamiltonian, state)
+        energy = objective(self.problem, params)
         self.n_evaluations += 1
         if energy < self.best_energy:
             self.best_energy = energy

@@ -62,6 +62,12 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "resources", "--orbitals", "4")
     assert code == EXIT_USAGE
+    # COBYLA is deterministic and the sweep is serial: no such flags
+    code, _, _ = run(capsys, "vqe", "--fixture", "h2_ducc_0.8",
+                     "--seed", "1")
+    assert code == EXIT_USAGE
+    code, _, _ = run(capsys, "pes", "--manifest", "m", "--jobs", "2")
+    assert code == EXIT_USAGE
 
 
 def test_data_errors(capsys, tmp_path):
@@ -91,8 +97,7 @@ def test_mp2_and_ccsd_pipeline(capsys, tmp_path):
 
 
 def test_vqe_matches_eig(capsys):
-    code, out, _ = run(capsys, "vqe", "--fixture", "h2_ducc_1.4008",
-                       "--seed", "7")
+    code, out, _ = run(capsys, "vqe", "--fixture", "h2_ducc_1.4008")
     assert code == EXIT_OK
     blob = json.loads(out)
     assert blob["converged"]
@@ -129,6 +134,28 @@ def test_downfold_identity_and_reduced(capsys, tmp_path):
     assert abs(e_red - -1.8811068840) < 0.02  # active-space truncation error
 
 
+def test_header_counts_and_file_sources(capsys, tmp_path):
+    dressed = tmp_path / "red.fcidump"
+    code, _, _ = run(capsys, "downfold", "--fixture", "h2_ducc_1.4008",
+                     "--active", "1,2", "--out", str(dressed))
+    assert code == EXIT_OK
+    # NELEC and MS2 come from the spin-resolved header when not given
+    code, out, _ = run(capsys, "eig", "--integrals", str(dressed))
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert (blob["nelec"], blob["ms2"]) == (2, 0)
+    code, out, _ = run(capsys, "eig", "--integrals", str(dressed),
+                       "--nelec", "2")
+    assert json.loads(out)["energy"] == blob["energy"]
+
+    manifest = tmp_path / "files.manifest"
+    manifest.write_text(f"dressed {dressed}\nfull h2_ducc_1.4008\n")
+    code, out, _ = run(capsys, "pes", "--manifest", str(manifest))
+    assert code == EXIT_OK
+    rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
+    assert float(rows["dressed"]) == pytest.approx(blob["energy"], abs=1e-9)
+
+
 def test_downfold_requires_occupied_in_active(capsys):
     code, _, err = run(capsys, "downfold", "--fixture", "h2_ducc_0.8",
                        "--nelec", "2", "--active", "2,3", "--out", "/tmp/x")
@@ -143,8 +170,7 @@ def test_pes_manifest(capsys, tmp_path):
                         "4.0 h2_ducc_4.0\n10.0 h2_ducc_10.0\n")
     out_csv = tmp_path / "pes.csv"
     code, _, err = run(capsys, "pes", "--manifest", str(manifest),
-                       "--methods", "eig", "--jobs", "2",
-                       "--out", str(out_csv))
+                       "--methods", "eig", "--out", str(out_csv))
     assert code == EXIT_OK
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "label,E_eig"

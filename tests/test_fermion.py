@@ -51,6 +51,13 @@ def test_same_mode_repeats_vanish():
     assert len(normal_order(op)) == 0
 
 
+def test_star_is_scalar_product_only(rng):
+    a = random_fermion_operator(rng, 3, 3)
+    assert (2.0 * a).terms == {ops: 2.0 * c for ops, c in a.terms.items()}
+    with pytest.raises(TypeError):
+        a * a
+
+
 def test_commutator_matches_dense_oracle(rng):
     for _ in range(15):
         a = random_fermion_operator(rng, 4, 4)

@@ -40,6 +40,39 @@ def test_index_range_checked():
         IntegralSet(n_orbitals=2).set_h1(1, 3, 0.1)
 
 
+@pytest.mark.parametrize("line", ["-1 1 0 0 -1.0", "1 0 0 0 0.3",
+                                  "0 1 0 0 0.3", "1 1 0 2 0.2",
+                                  "0 0 1 1 0.2", "1 1 1 -2 0.2",
+                                  "5 1 0 0 0.1"])
+def test_spin_index_range_checked(tmp_path, line):
+    from duccvqe.cli import EXIT_DATA, main
+    path = tmp_path / "bad.fcidump"
+    path.write_text("&FCI NORB=4 NELEC=2 MS2=0 UHF=.TRUE.\n"
+                    f"1 1 0 0 -0.5\n{line}\n")
+    with pytest.raises(IntegralError, match="outside"):
+        load_spin_fcidump(path)
+    assert main(["eig", "--integrals", str(path)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("source", ["fixture", "spatial", "spin"])
+def test_cli_parses_each_input_once(tmp_path, monkeypatch, source):
+    from duccvqe.cli import EXIT_OK, main
+    path = tmp_path / "h2.fcidump"
+    ints = builtin_fixture("h2_ducc_0.8")
+    if source == "spatial":
+        save_fcidump(ints, path, nelec=2)
+    elif source == "spin":
+        save_spin_fcidump(ints.to_spin_orbital(), path, nelec=2)
+    calls = []
+    read = integrals._read_lines
+    monkeypatch.setattr(integrals, "_read_lines",
+                        lambda path: calls.append(path) or read(path))
+    argv = ["eig", "--fixture", "h2_ducc_0.8", "--nelec", "2"] \
+        if source == "fixture" else ["eig", "--integrals", str(path)]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_spatial_round_trip(tmp_path, rng):
     from conftest import random_integral_set
     ints = random_integral_set(rng, 3)
