@@ -1,6 +1,7 @@
 """Potential-energy points across bond lengths and the dissociation energy.
 
-Runs exact diagonalization and VQE at each fixture geometry and reports
+Runs exact diagonalization and an MP2-warm-started UCCSD VQE (two
+electrons in the four-orbital sector) at each fixture geometry and reports
 E_D = E(stretched) - E(minimum), the dissociation energy on this grid.
 The same workflow is exposed by the `ducc-vqe pes` subcommand for manifests
 of FCIDUMP files.
@@ -9,8 +10,7 @@ of FCIDUMP files.
 import numpy as np
 
 from duccvqe import (build_hamiltonian, builtin_fixture, enumerate_excitations,
-                     exact_ground_state, jordan_wigner, minimize,
-                     mp2_amplitudes, trotter_circuit, warm_start)
+                     exact_ground_state, minimize, mp2_amplitudes, warm_start)
 from duccvqe.fermion import ActiveSpace, hf_determinant
 from duccvqe.vqe import VqeProblem
 
@@ -19,7 +19,6 @@ GEOMETRIES = [("0.8", "h2_ducc_0.8"), ("1.4008", "h2_ducc_1.4008"),
 
 space = ActiveSpace.build(4, (1,))
 exc = enumerate_excitations(space, 2)
-circ = trotter_circuit(exc)
 
 rows = []
 print("r (bohr)   E_eig          E_vqe          |E_vqe - E_eig|")
@@ -28,7 +27,7 @@ for label, name in GEOMETRIES:
     h = build_hamiltonian(spin)
     e_eig, _ = exact_ground_state(h, 2, 0)
     x0 = warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)
-    res = minimize(VqeProblem(jordan_wigner(h).real(), circ, (0, 1), x0))
+    res = minimize(VqeProblem(h, exc, 2, x0))
     rows.append((label, e_eig, res.energy))
     print(f"{label:>8}   {e_eig:+.10f}  {res.energy:+.10f}  "
           f"{abs(res.energy - e_eig):.2e}")

@@ -2,14 +2,15 @@
 
 Pipeline: integral ingestion -> second-quantized operators -> cluster
 amplitudes (MP2/CCSD) -> double-unitary downfolding to an active space ->
-Jordan-Wigner qubit mapping -> Trotterized UCCSD circuits -> state-vector
-VQE, with exact-diagonalization oracles throughout.
+Jordan-Wigner qubit mapping -> Trotterized UCCSD circuits -> VQE in the
+(N, Sz) determinant sector, with exact-diagonalization oracles throughout.
 """
 
 from .amplitudes import (ClusterAmplitudes, ccsd_solve, mp2_amplitudes,
                          mp2_energy, partition, screen, top_amplitudes)
 from .ansatz import (Circuit, ExcitationList, Gate, enumerate_excitations,
-                     resource_report, trotter_circuit, ucc_generator)
+                     excitation_generator, resource_report, trotter_circuit,
+                     ucc_generator)
 from .ducc import DuccHamiltonian, commutator_expand, downfold, project_active
 from .fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
                       exact_ground_state, hf_energy, normal_order)

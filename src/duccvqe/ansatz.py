@@ -71,14 +71,20 @@ def enumerate_excitations(space: ActiveSpace,
     return ExcitationList(m, singles, doubles)
 
 
-def _excitation_operator(key, n_modes, coeff):
+def excitation_generator(key, n_modes) -> FermionOperator:
+    """kappa = E - E^+ for one excitation key, (i, a) or (i, j, a, b).
+
+    E is a_a^+ a_i for a single and a_a^+ a_b^+ a_j a_i for a double; the
+    parameter of the key's slot multiplies this anti-Hermitian generator.
+    """
     if len(key) == 2:
         i, a = key
         ops = ((a, 1), (i, 0))
     else:
         i, j, a, b = key
         ops = ((a, 1), (b, 1), (j, 0), (i, 0))
-    return FermionOperator.from_term(n_modes, ops, coeff)
+    e_op = FermionOperator.from_term(n_modes, ops)
+    return e_op - e_op.dagger()
 
 
 def ucc_generator(exc: ExcitationList, params) -> FermionOperator:
@@ -90,8 +96,8 @@ def ucc_generator(exc: ExcitationList, params) -> FermionOperator:
     for key, theta in zip(exc.entries, params):
         if theta == 0.0:
             continue
-        e_op = _excitation_operator(key, exc.n_spin_orbitals, float(theta))
-        out = out + (e_op - e_op.dagger())
+        out = out + excitation_generator(key, exc.n_spin_orbitals) \
+            * float(theta)
     return out.prune()
 
 
@@ -193,8 +199,7 @@ def _parse_gate_line(line):
 
 def _pauli_exponentials(key, n_modes):
     """JW strings of E - E^+ as (PauliString, w) with coefficient i*w."""
-    e_op = _excitation_operator(key, n_modes, 1.0)
-    image = jordan_wigner(e_op - e_op.dagger())
+    image = jordan_wigner(excitation_generator(key, n_modes))
     out = []
     for string, c in image.terms.items():
         c = complex(c)

@@ -16,14 +16,13 @@ import numpy as np
 from . import ansatz as ansatz_mod
 from . import ducc as ducc_mod
 from . import integrals as integrals_mod
-from . import simulator, vqe
+from . import vqe
 from .amplitudes import (ClusterAmplitudes, ConvergenceError,
                          DegenerateReferenceError, ccsd_solve,
                          load_amplitudes, mp2_amplitudes, mp2_energy,
                          save_amplitudes, top_amplitudes)
 from .fermion import (ActiveSpace, SectorError, SpaceError, build_hamiltonian,
                       exact_ground_state, hf_determinant, hf_energy)
-from .mapping import jordan_wigner
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,8 +32,8 @@ EXIT_CONVERGENCE = 4
 MP2_SCREEN_DEFAULT = 1e-5
 
 DATA_ERRORS = (OSError, ValueError, integrals_mod.IntegralError, SpaceError,
-               SectorError, DegenerateReferenceError, simulator.SimulatorError,
-               ansatz_mod.AnsatzError, vqe.VqeError)
+               SectorError, DegenerateReferenceError, ansatz_mod.AnsatzError,
+               vqe.VqeError)
 
 
 class _CliDataError(Exception):
@@ -172,7 +171,7 @@ def cmd_downfold(args):
 
 
 def _vqe_run(spin, nelec, warm, screen_threshold=None,
-             max_evaluations=None):
+             max_evaluations=vqe.MAX_EVALUATIONS):
     n_orbitals = spin.n_spin_orbitals // 2
     space = ActiveSpace.build(n_orbitals, tuple(range(1, nelec // 2 + 1)))
     exc = ansatz_mod.enumerate_excitations(space, nelec)
@@ -181,13 +180,10 @@ def _vqe_run(spin, nelec, warm, screen_threshold=None,
         t_mp2 = mp2_amplitudes(spin, ref)
     if screen_threshold is not None:
         exc = ansatz_mod.screen_excitations(exc, t_mp2, screen_threshold)
-    circ = ansatz_mod.trotter_circuit(exc)
     x0 = vqe.warm_start(t_mp2, exc) if warm == "mp2" \
         else np.zeros(len(exc))
-    hp = jordan_wigner(build_hamiltonian(spin)).real()
-    problem = vqe.VqeProblem(hp, circ, tuple(range(nelec)), x0)
-    if max_evaluations is not None:
-        problem.max_evaluations = max_evaluations
+    problem = vqe.VqeProblem(build_hamiltonian(spin), exc, nelec, x0,
+                             max_evaluations=max_evaluations)
     return vqe.minimize(problem)
 
 
@@ -297,7 +293,8 @@ def build_parser():
     _add_input_flags(p)
     p.add_argument("--warm-start", choices=("mp2", "zero"), default="mp2")
     p.add_argument("--screen-threshold", type=float, default=None)
-    p.add_argument("--max-evaluations", type=int, default=None)
+    p.add_argument("--max-evaluations", type=int,
+                   default=vqe.MAX_EVALUATIONS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_vqe)
 

@@ -24,6 +24,15 @@ class IntegralError(Exception):
     """Malformed integral file or inconsistent integral data."""
 
 
+def _set_once(table, key, value, kind):
+    """table[key] = value; an earlier value that differs is an error."""
+    old = table.get(key)
+    if old is not None and abs(old - value) > DUPLICATE_TOL:
+        raise IntegralError(
+            f"conflicting duplicate {kind} entry {key}: {old} vs {value}")
+    table[key] = value
+
+
 def _canonical_h1(i, j):
     return (i, j) if i <= j else (j, i)
 
@@ -70,21 +79,11 @@ class IntegralSet:
 
     def set_h1(self, i, j, value):
         self._check_range(i, j)
-        key = _canonical_h1(i, j)
-        old = self.h1.get(key)
-        if old is not None and abs(old - value) > DUPLICATE_TOL:
-            raise IntegralError(
-                f"conflicting duplicate one-body entry {key}: {old} vs {value}")
-        self.h1[key] = value
+        _set_once(self.h1, _canonical_h1(i, j), value, "one-body")
 
     def set_h2(self, i, j, k, l, value):
         self._check_range(i, j, k, l)
-        key = _canonical_h2(i, j, k, l)
-        old = self.h2.get(key)
-        if old is not None and abs(old - value) > DUPLICATE_TOL:
-            raise IntegralError(
-                f"conflicting duplicate two-body entry {key}: {old} vs {value}")
-        self.h2[key] = value
+        _set_once(self.h2, _canonical_h2(i, j, k, l), value, "two-body")
 
     def h1_matrix(self):
         n = self.n_orbitals
@@ -233,8 +232,7 @@ def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
 
 def _spin(header, body, path) -> SpinIntegralSet:
     m = _header_int(header, "NORB", path)
-    h1 = np.zeros((m, m))
-    h2 = np.zeros((m, m, m, m))
+    one, two = {}, {}
     scalar = 0.0
     for i, j, k, l, value in body:
         if i == j == k == l == 0:
@@ -246,17 +244,27 @@ def _spin(header, body, path) -> SpinIntegralSet:
             raise IntegralError(f"{path}: spin-orbital index in "
                                 f"{i} {j} {k} {l} outside 1..{m}")
         if one_body:
-            h1[i - 1, j - 1] = value
-            h1[j - 1, i - 1] = value
+            _set_once(one, _canonical_h1(i, j), value, "one-body")
         else:
-            for (a, b, c, d) in _h2_orbit(i, j, k, l):
-                h2[a - 1, b - 1, c - 1, d - 1] = value
+            _set_once(two, _canonical_h2(i, j, k, l), value, "two-body")
+    h1 = np.zeros((m, m))
+    for (i, j), value in one.items():
+        h1[i - 1, j - 1] = value
+        h1[j - 1, i - 1] = value
+    h2 = np.zeros((m, m, m, m))
+    for key, value in two.items():
+        for (a, b, c, d) in _h2_orbit(*key):
+            h2[a - 1, b - 1, c - 1, d - 1] = value
     return SpinIntegralSet(m, h1, h2, scalar, str(path))
 
 
 def load_spin_fcidump(path) -> SpinIntegralSet:
     """Parse a spin-resolved (UHF=.TRUE.) file; indices are spin orbitals."""
-    return _spin(*_read_lines(path), path)
+    header, body = _read_lines(path)
+    if not _is_uhf(header):
+        raise IntegralError(
+            f"{path}: spatial-orbital file; use load_fcidump")
+    return _spin(header, body, path)
 
 
 def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0,

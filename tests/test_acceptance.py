@@ -84,13 +84,11 @@ def vqe_runs():
     """MP2-warm-started UCCSD VQE on every bundled geometry."""
     space = ActiveSpace.build(4, (1,))
     exc = enumerate_excitations(space, 2)
-    circ = trotter_circuit(exc)
     runs = {}
     for name in GEOMETRIES:
         spin = builtin_fixture(name).to_spin_orbital()
-        hp = jordan_wigner(build_hamiltonian(spin)).real()
         x0 = warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)
-        problem = VqeProblem(hp, circ, (0, 1), x0)
+        problem = VqeProblem(build_hamiltonian(spin), exc, 2, x0)
         t0 = time.time()
         result = minimize(problem)
         e_exact, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
@@ -149,8 +147,8 @@ def test_criterion_3_published_parameters(vqe_runs, name):
 def test_criterion_4_warm_start_evaluation_counts(vqe_runs):
     run = vqe_runs["h2_ducc_1.4008"]
     warm_evals = run["result"].n_evaluations
-    zero = VqeProblem(run["problem"].hamiltonian, run["problem"].circuit,
-                      (0, 1), np.zeros(15))
+    zero = VqeProblem(run["problem"].hamiltonian, run["problem"].excitations,
+                      2, np.zeros(15))
     zero_evals = minimize(zero).n_evaluations
     ok = 100 <= warm_evals < 5000 and zero_evals > warm_evals
     _check(4, ok, f"warm start {warm_evals} evaluations "

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -110,6 +111,22 @@ def test_vqe_convergence_exit_code(capsys):
                        "--max-evaluations", "5")
     assert code == EXIT_CONVERGENCE
     assert json.loads(out)["converged"] is False
+
+
+def test_vqe_evaluation_budget_honoured(capsys):
+    # 5 is below COBYLA's smallest budget (15 parameters + 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "vqe", "--fixture", "h2_ducc_0.8",
+                           "--max-evaluations", "5")
+    assert code == EXIT_CONVERGENCE
+    blob = json.loads(out)
+    assert blob["n_evaluations"] == 5
+    assert blob["energy"] == min(e for _, e in blob["trace"])
+    code, _, err = run(capsys, "vqe", "--fixture", "h2_ducc_0.8",
+                       "--max-evaluations", "0")
+    assert code == EXIT_DATA
+    assert "budget" in err
 
 
 def test_downfold_identity_and_reduced(capsys, tmp_path):

@@ -54,6 +54,28 @@ def test_spin_index_range_checked(tmp_path, line):
     assert main(["eig", "--integrals", str(path)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("lines", [
+    "1 1 0 0 -1.0\n1 1 0 0 -2.0", "1 2 0 0 0.1\n2 1 0 0 0.2",
+    "1 2 3 4 0.5\n2 1 4 3 0.7", "1 2 3 4 0.5\n3 4 1 2 0.6"],
+    ids=["h1_same", "h1_transposed", "h2_spin_swap", "h2_pair_swap"])
+def test_spin_conflicting_duplicate_rejected(tmp_path, lines):
+    from duccvqe.cli import EXIT_DATA, main
+    path = tmp_path / "dup.fcidump"
+    path.write_text(f"&FCI NORB=4 NELEC=2 MS2=0 UHF=.TRUE.\n{lines}\n")
+    with pytest.raises(IntegralError, match="duplicate"):
+        load_spin_fcidump(path)
+    assert main(["eig", "--integrals", str(path)]) == EXIT_DATA
+    # the same entry repeated with the same value is accepted
+    path.write_text("&FCI NORB=4 NELEC=2 MS2=0 UHF=.TRUE.\n"
+                    f"{lines.splitlines()[0]}\n{lines.splitlines()[0]}\n")
+    assert load_spin_fcidump(path).n_spin_orbitals == 4
+
+
+def test_spatial_file_rejected_by_spin_loader():
+    with pytest.raises(IntegralError, match="spatial"):
+        load_spin_fcidump(fixture_path("h2_ducc_0.8"))
+
+
 @pytest.mark.parametrize("source", ["fixture", "spatial", "spin"])
 def test_cli_parses_each_input_once(tmp_path, monkeypatch, source):
     from duccvqe.cli import EXIT_OK, main
