@@ -377,18 +377,40 @@ def save_amplitudes(t: ClusterAmplitudes, path):
 
 
 def load_amplitudes(path, occupied, virtual) -> ClusterAmplitudes:
+    """Read a ``save_amplitudes`` file; ValueError names ``path:line``.
+
+    Each line is ``T1 i a value`` or ``T2 i j a b value`` with i, j in
+    ``occupied``, a, b in ``virtual`` and a finite value; a key may appear
+    once (a doubles key up to the order of its pairs).
+    """
     t = ClusterAmplitudes.empty(occupied, virtual)
+    occ, virt = set(occupied), set(virtual)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if parts[0] == "T1" and len(parts) == 4:
-                t.set_t1(int(parts[1]), int(parts[2]), float(parts[3]))
-            elif parts[0] == "T2" and len(parts) == 6:
-                t.set_t2(int(parts[1]), int(parts[2]), int(parts[3]),
-                         int(parts[4]), float(parts[5]))
-            else:
-                raise ValueError(f"{path}:{lineno}: bad amplitude line {line!r}")
+            try:
+                _load_line(t, line.split(), occ, virt)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}: {line!r}") from None
     return t
+
+
+def _load_line(t, parts, occ, virt):
+    n_idx = {"T1": 2, "T2": 4}.get(parts[0])
+    if n_idx is None or len(parts) != n_idx + 2:
+        raise ValueError("bad amplitude line")
+    idx = [int(tok) for tok in parts[1:-1]]
+    value = float(parts[-1])
+    if not np.isfinite(value):
+        raise ValueError("non-finite amplitude")
+    half = n_idx // 2
+    if any(p not in occ for p in idx[:half]) \
+            or any(p not in virt for p in idx[half:]):
+        raise ValueError("index outside the occupied/virtual modes")
+    table = t.t1 if n_idx == 2 else t.t2
+    size = len(table)
+    (t.set_t1 if n_idx == 2 else t.set_t2)(*idx, value)
+    if len(table) == size:
+        raise ValueError("duplicate amplitude")

@@ -18,9 +18,7 @@ from . import integrals as integrals_mod
 from .amplitudes import AmplitudePartition, ClusterAmplitudes, partition
 from .fermion import (PRUNE_THRESHOLD, ActiveSpace, FermionOperator,
                       build_hamiltonian, commutator, fock_operator,
-                      normal_order, ph_normal_order)
-
-TERM_CAP = 100_000_000
+                      normal_order, ph_normal_order, restrict)
 
 
 @dataclass
@@ -88,20 +86,23 @@ def _n_modes(t: ClusterAmplitudes):
 
 
 def commutator_expand(h: FermionOperator, f: FermionOperator,
-                      sigma: FermionOperator, term_cap=TERM_CAP,
+                      sigma: FermionOperator, keep=None,
                       threshold=PRUNE_THRESHOLD) -> FermionOperator:
     """H + [H_N, s] + 1/2 [[F_N, s], s], normal ordered and merged.
 
     Scalar parts of H and F commute away, so plain operators are accepted;
     the scalar normalization keeps full-space eigenvalues of the output
     identical to those of H when the active space is the whole space.
+    With ``keep``, a set of modes, only strings over ``keep`` are formed;
+    the inner [F_N, s] stays whole because the outer commutator can
+    contract its outside modes away.
     """
-    h_bar = normal_order(h, threshold)
+    h_bar = restrict(normal_order(h, threshold), keep)
     if len(sigma) == 0:
         return h_bar
-    h_bar = h_bar + commutator(h, sigma, term_cap, threshold)
-    inner = commutator(f, sigma, term_cap, threshold)
-    h_bar = h_bar + 0.5 * commutator(inner, sigma, term_cap, threshold)
+    h_bar = h_bar + commutator(h, sigma, keep, threshold)
+    inner = commutator(f, sigma, None, threshold)
+    h_bar = h_bar + 0.5 * commutator(inner, sigma, keep, threshold)
     return normal_order(h_bar, threshold)
 
 
@@ -145,8 +146,13 @@ def project_active(h_bar: FermionOperator, space: ActiveSpace,
 
 
 def downfold(spin_ints, space: ActiveSpace, t: ClusterAmplitudes,
-             term_cap=TERM_CAP, threshold=PRUNE_THRESHOLD) -> DuccHamiltonian:
-    """Full pipeline: partition, external rotation, expansion, projection."""
+             threshold=PRUNE_THRESHOLD) -> DuccHamiltonian:
+    """Full pipeline: partition, external rotation, expansion, projection.
+
+    Strings with a frozen-external mode are never formed: every such mode
+    is a virtual, which particle-hole reordering never contracts, so
+    ``project_active`` would drop them all.
+    """
     ref = _reference_determinant(space)
     h = build_hamiltonian(spin_ints)
     f = fock_operator(spin_ints, ref)
@@ -154,7 +160,8 @@ def downfold(spin_ints, space: ActiveSpace, t: ClusterAmplitudes,
     sigma = sigma_ext_operator(part)
     if sigma.n_modes < h.n_modes:
         sigma = FermionOperator(h.n_modes, sigma.terms)
-    h_bar = commutator_expand(h, f, sigma, term_cap, threshold)
+    h_bar = commutator_expand(h, f, sigma, frozenset(space.active_spin),
+                              threshold)
     return project_active(h_bar, space, ref)
 
 

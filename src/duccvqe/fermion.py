@@ -24,10 +24,6 @@ class SpaceError(Exception):
     """Inconsistent active-space partition."""
 
 
-class TermExplosionError(Exception):
-    """Intermediate term count exceeded the configured cap."""
-
-
 class SectorError(Exception):
     """Empty or oversized particle-number/Sz sector."""
 
@@ -236,22 +232,65 @@ def normal_order_relative(op: FermionOperator, ref: int):
     return scalar, ordered
 
 
-def multiply(a: FermionOperator, b: FermionOperator, term_cap=None,
+def _string_pieces(op: FermionOperator):
+    """Each string of ``op`` in normal form, strings not merged.
+
+    Unmerged pieces add into a product in the same order as the raw
+    strings, so a pruned product is bitwise equal to the filtered full one.
+    """
+    for ops, c in op.terms.items():
+        pieces = {}
+        _normal_order_string(ops, c, pieces)
+        yield from pieces.items()
+
+
+def restrict(op: FermionOperator, keep) -> FermionOperator:
+    """The strings of ``op`` whose modes all lie in ``keep`` (None: all)."""
+    if keep is None:
+        return op
+    return FermionOperator(op.n_modes, {
+        ops: c for ops, c in op.terms.items()
+        if all(m in keep for m, _ in ops)})
+
+
+def multiply(a: FermionOperator, b: FermionOperator, keep=None,
              threshold=PRUNE_THRESHOLD) -> FermionOperator:
+    """Normal-ordered product a b.
+
+    With ``keep``, a set of modes, only the output strings whose modes all
+    lie in ``keep`` are formed. Each operand string is first brought to
+    creators-first form, where only the annihilators of a string of ``a``
+    contract with the creators of a string of ``b``. So a pair of strings
+    can yield a string over ``keep`` only if the left one has no outside
+    creator, the right one no outside annihilator, and the left's outside
+    annihilators are exactly the right's outside creators; each string of
+    ``a`` meets only those partners.
+    """
     out = {}
-    for ops1, c1 in a.terms.items():
-        for ops2, c2 in b.terms.items():
+    if keep is None:
+        for ops1, c1 in a.terms.items():
+            for ops2, c2 in b.terms.items():
+                _normal_order_string(ops1 + ops2, c1 * c2, out)
+        return FermionOperator(a.n_modes, out).prune(threshold)
+    partners = {}
+    for ops2, c2 in _string_pieces(b):
+        if all(m in keep for m, d in ops2 if not d):
+            key = tuple(m for m, d in ops2 if d and m not in keep)
+            partners.setdefault(key, []).append((ops2, c2))
+    for ops1, c1 in _string_pieces(a):
+        if any(d and m not in keep for m, d in ops1):
+            continue
+        key = tuple(m for m, d in ops1 if m not in keep)
+        for ops2, c2 in partners.get(key, ()):
             _normal_order_string(ops1 + ops2, c1 * c2, out)
-            if term_cap is not None and len(out) > term_cap:
-                raise TermExplosionError(
-                    f"term count {len(out)} exceeds cap {term_cap}")
-    return FermionOperator(a.n_modes, out).prune(threshold)
+    return restrict(FermionOperator(a.n_modes, out), keep).prune(threshold)
 
 
-def commutator(a: FermionOperator, b: FermionOperator, term_cap=None,
+def commutator(a: FermionOperator, b: FermionOperator, keep=None,
                threshold=PRUNE_THRESHOLD) -> FermionOperator:
-    ab = multiply(a, b, term_cap, threshold)
-    ba = multiply(b, a, term_cap, threshold)
+    """[a, b], restricted to strings over ``keep`` as in ``multiply``."""
+    ab = multiply(a, b, keep, threshold)
+    ba = multiply(b, a, keep, threshold)
     return (ab - ba).prune(threshold)
 
 

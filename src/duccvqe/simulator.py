@@ -29,12 +29,6 @@ class StateVector:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self):
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
-    def overlap(self, other):
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def prepare_reference(n_qubits, occupied, max_qubits=QUBIT_CAP) -> StateVector:
     """Computational-basis state with 1s on the occupied qubits."""

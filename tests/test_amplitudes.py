@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_integral_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duccvqe import amplitudes
 from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
@@ -8,6 +10,7 @@ from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
                                 mp2_amplitudes, mp2_energy, partition,
                                 recombine, save_amplitudes, screen,
                                 top_amplitudes)
+from duccvqe.cli import EXIT_DATA, EXIT_OK, main
 from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
                              exact_ground_state, hf_determinant, hf_energy)
 from duccvqe.integrals import builtin_fixture
@@ -132,6 +135,58 @@ def test_amplitude_file_rejects_garbage(tmp_path):
     path.write_text("T3 0 1 2 0.5\n")
     with pytest.raises(ValueError, match="bad amplitude line"):
         load_amplitudes(path, (0, 1), (2, 3))
+
+
+# h2_ducc_1.4008 with two electrons: occupied modes 0-1, virtual modes 2-7
+DOWNFOLD_H2 = ["downfold", "--fixture", "h2_ducc_1.4008", "--active", "1,2"]
+
+
+@pytest.mark.parametrize("line", ["T1 0 99 0.1", "T1 2 0 0.1",
+                                  "T2 0 1 4 -3 0.1"],
+                         ids=["beyond_modes", "de_excitation", "negative"])
+def test_amplitude_file_index_range_checked(tmp_path, line):
+    path = tmp_path / "bad.amps"
+    path.write_text(f"T1 0 2 0.01\n{line}\n")
+    with pytest.raises(ValueError, match=f"{path}:2: index outside"):
+        load_amplitudes(path, range(2), range(2, 8))
+    out = tmp_path / "dressed.fcidump"
+    assert main([*DOWNFOLD_H2, "--amplitudes", str(path),
+                 "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+
+
+_VALUE = st.one_of(st.floats(-1.0, 1.0), st.floats()).map(repr)
+_ANY_MODE = st.integers(-1, 9)
+_TOKEN = st.one_of(st.sampled_from(["T1", "T2", "T3", "t1", "#", "x"]),
+                   _ANY_MODE.map(str), _VALUE,
+                   st.text("0123456789.-+eE", max_size=4))
+
+
+def _amplitude_lines(hole, particle):
+    return st.one_of(
+        st.tuples(st.just("T1"), hole, particle, _VALUE),
+        st.tuples(st.just("T2"), hole, hole, particle, particle, _VALUE))
+
+
+_LINE = st.one_of(
+    _amplitude_lines(st.sampled_from([0, 1]), st.integers(2, 7)),
+    _amplitude_lines(_ANY_MODE, _ANY_MODE),
+    st.lists(_TOKEN, max_size=7)).map(lambda fields: " ".join(map(str, fields)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINE, max_size=4))
+def test_amplitude_file_fuzz(tmp_path_factory, lines):
+    workdir = tmp_path_factory.mktemp("amps")
+    path = workdir / "fuzz.amps"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        load_amplitudes(path, range(2), range(2, 8))
+    except ValueError:
+        pass
+    code = main([*DOWNFOLD_H2, "--amplitudes", str(path),
+                 "--out", str(workdir / "dressed.fcidump")])
+    assert code in (EXIT_OK, EXIT_DATA)
 
 
 def test_ccsd_matches_fci_on_random_systems(rng):

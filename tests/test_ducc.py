@@ -7,7 +7,7 @@ from duccvqe import ducc
 from duccvqe.amplitudes import ccsd_solve, partition
 from duccvqe.ducc import (DuccHamiltonian, bare_restriction, commutator_expand,
                           downfold, project_active, sigma_ext_operator)
-from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
+from duccvqe.fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
                              exact_ground_state, fock_operator,
                              hf_determinant, normal_order)
 from duccvqe.integrals import (builtin_fixture, is_spin_resolved,
@@ -138,6 +138,45 @@ def test_downfold_random_systems_improve(rng):
         errors.append((abs(e_ducc - e_fci), abs(e_bare - e_fci)))
     med = np.median(np.array(errors), axis=0)
     assert med[0] < med[1]
+
+
+def _unpruned_downfold(spin, space, t):
+    """downfold with every string of both commutators formed (the oracle)."""
+    ref = hf_determinant(2 * len(space.occupied))
+    h = build_hamiltonian(spin)
+    sigma = FermionOperator(h.n_modes, sigma_ext_operator(
+        partition(t, space)).terms)
+    h_bar = commutator_expand(h, fock_operator(spin, ref), sigma)
+    return project_active(h_bar, space, ref)
+
+
+def test_downfold_matches_unpruned_expansion(rng):
+    cases = [(*_fixture_setup(name), HALF_SPACE)
+             for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0",
+                          "h2_ducc_10.0")]
+    for n_orbitals in (4, 5):
+        spin = random_integral_set(rng, n_orbitals,
+                                   noise=0.15).to_spin_orbital()
+        t, _ = ccsd_solve(spin, hf_determinant(2))
+        cases.append((spin, t, ActiveSpace.build(n_orbitals, (1,), (2,))))
+    for spin, t, space in cases:
+        dh = downfold(spin, space, t)
+        oracle = _unpruned_downfold(spin, space, t)
+        np.testing.assert_allclose(dh.chi1, oracle.chi1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dh.chi2, oracle.chi2, rtol=0, atol=1e-12)
+        assert dh.scalar == pytest.approx(oracle.scalar, abs=1e-12)
+
+
+def test_six_orbital_four_electron_downfold_improves(rng):
+    space = ActiveSpace.build(6, (1, 2), (3,))
+    spin = random_integral_set(rng, 6, noise=0.15).to_spin_orbital()
+    t, _ = ccsd_solve(spin, hf_determinant(4))
+    e_fci, _ = exact_ground_state(build_hamiltonian(spin), 4, 0)
+    e_ducc, _ = exact_ground_state(
+        downfold(spin, space, t).to_fermion_operator(), 4, 0)
+    e_bare, _ = exact_ground_state(
+        bare_restriction(spin, space).to_fermion_operator(), 4, 0)
+    assert abs(e_ducc - e_fci) < abs(e_bare - e_fci)
 
 
 def test_dressed_hamiltonian_metadata():

@@ -7,9 +7,9 @@ from duccvqe import fermion
 from duccvqe.fermion import (ActiveSpace, FermionOperator, SectorError,
                              SpaceError, apply_string, build_hamiltonian,
                              commutator, exact_ground_state, hf_determinant,
-                             hf_energy, normal_order, normal_order_relative,
-                             ph_normal_order, sector_determinants,
-                             sector_matrix)
+                             hf_energy, multiply, normal_order,
+                             normal_order_relative, ph_normal_order, restrict,
+                             sector_determinants, sector_matrix)
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
 FIXTURE_FCI = {
@@ -66,6 +66,22 @@ def test_commutator_matches_dense_oracle(rng):
         da, db = dense_operator(a), dense_operator(b)
         np.testing.assert_allclose(dense_operator(c), da @ db - db @ da,
                                    atol=1e-9)
+
+
+def test_pruned_product_matches_filtered_full_product(rng):
+    # unordered strings: the pruned path must bring them to creators-first
+    for _ in range(60):
+        n = int(rng.integers(3, 7))
+        a = random_fermion_operator(rng, n, 6)
+        b = random_fermion_operator(rng, n, 6)
+        keep = frozenset(int(m) for m in np.flatnonzero(rng.random(n) < 0.6))
+        for product in (multiply, commutator):
+            full = restrict(product(a, b), keep).terms
+            pruned = product(a, b, keep).terms
+            for ops in set(full) | set(pruned):
+                assert all(m in keep for m, _ in ops)
+                assert abs(pruned.get(ops, 0.0) - full.get(ops, 0.0)) \
+                    <= 1e-12
 
 
 def test_ph_normal_order_preserves_operator(rng):
