@@ -9,11 +9,11 @@ Jordan-Wigner qubit mapping -> Trotterized UCCSD circuits -> VQE in the
 from .amplitudes import (ClusterAmplitudes, ccsd_solve, mp2_amplitudes,
                          mp2_energy, partition, screen, top_amplitudes)
 from .ansatz import (Circuit, ExcitationList, Gate, enumerate_excitations,
-                     excitation_generator, resource_report, trotter_circuit,
-                     ucc_generator)
-from .ducc import DuccHamiltonian, commutator_expand, downfold, project_active
+                     resource_report, trotter_circuit, ucc_generator)
+from .ducc import commutator_expand, downfold, project_active
 from .fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
-                      exact_ground_state, hf_energy, normal_order)
+                      exact_ground_state, excitation_generator, hf_energy,
+                      normal_order)
 from .integrals import (IntegralSet, SpinIntegralSet, builtin_fixture,
                         load_fcidump, load_spin_fcidump, save_fcidump,
                         save_spin_fcidump)

@@ -85,10 +85,6 @@ class ClusterAmplitudes:
         vals = list(self.t1.values()) + list(self.t2.values())
         return max(map(abs, vals), default=0.0)
 
-    def copy(self):
-        return ClusterAmplitudes(self.occupied, self.virtual,
-                                 dict(self.t1), dict(self.t2))
-
 
 @dataclass
 class AmplitudePartition:
@@ -168,23 +164,6 @@ def _arrays_to_amplitudes(t1arr, t2arr, occ, virt, threshold=0.0):
             if abs(v) > threshold:
                 t.set_t2(occ[i], occ[j], virt[a], virt[b], float(v))
     return t
-
-
-def _amplitudes_to_arrays(t: ClusterAmplitudes):
-    occ, virt = list(t.occupied), list(t.virtual)
-    io = {p: k for k, p in enumerate(occ)}
-    iv = {p: k for k, p in enumerate(virt)}
-    t1arr = np.zeros((len(virt), len(occ)))
-    t2arr = np.zeros((len(virt), len(virt), len(occ), len(occ)))
-    for (i, a), v in t.t1.items():
-        t1arr[iv[a], io[i]] = v
-    for (i, j, a, b), v in t.t2.items():
-        ai, bi, ii, ji = iv[a], iv[b], io[i], io[j]
-        t2arr[ai, bi, ii, ji] = v
-        t2arr[bi, ai, ii, ji] = -v
-        t2arr[ai, bi, ji, ii] = -v
-        t2arr[bi, ai, ji, ii] = v
-    return t1arr, t2arr
 
 
 def correlation_energy(f, g, t1, t2, o, v):
@@ -349,13 +328,6 @@ def partition(t: ClusterAmplitudes, space: ActiveSpace) -> AmplitudePartition:
         dest = internal if (a in active_virt and b in active_virt) else external
         dest.t2[(i, j, a, b)] = val
     return AmplitudePartition(internal, external)
-
-
-def recombine(part: AmplitudePartition) -> ClusterAmplitudes:
-    out = part.internal.copy()
-    out.t1.update(part.external.t1)
-    out.t2.update(part.external.t2)
-    return out
 
 
 def screen(t: ClusterAmplitudes, threshold: float) -> ClusterAmplitudes:

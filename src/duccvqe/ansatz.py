@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .fermion import ActiveSpace, FermionOperator
+from .fermion import ActiveSpace, FermionOperator, excitation_generator
 from .mapping import jordan_wigner
 
 RX_PLUS = math.pi / 2
@@ -69,22 +69,6 @@ def enumerate_excitations(space: ActiveSpace,
                     for a, b in combinations(virt, 2)
                     if i % 2 + j % 2 == a % 2 + b % 2)
     return ExcitationList(m, singles, doubles)
-
-
-def excitation_generator(key, n_modes) -> FermionOperator:
-    """kappa = E - E^+ for one excitation key, (i, a) or (i, j, a, b).
-
-    E is a_a^+ a_i for a single and a_a^+ a_b^+ a_j a_i for a double; the
-    parameter of the key's slot multiplies this anti-Hermitian generator.
-    """
-    if len(key) == 2:
-        i, a = key
-        ops = ((a, 1), (i, 0))
-    else:
-        i, j, a, b = key
-        ops = ((a, 1), (b, 1), (j, 0), (i, 0))
-    e_op = FermionOperator.from_term(n_modes, ops)
-    return e_op - e_op.dagger()
 
 
 def ucc_generator(exc: ExcitationList, params) -> FermionOperator:

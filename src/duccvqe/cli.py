@@ -21,8 +21,9 @@ from .amplitudes import (ClusterAmplitudes, ConvergenceError,
                          DegenerateReferenceError, ccsd_solve,
                          load_amplitudes, mp2_amplitudes, mp2_energy,
                          save_amplitudes, top_amplitudes)
-from .fermion import (ActiveSpace, SectorError, SpaceError, build_hamiltonian,
-                      exact_ground_state, hf_determinant, hf_energy)
+from .fermion import (ActiveSpace, NonFiniteError, SectorError, SpaceError,
+                      build_hamiltonian, exact_ground_state, hf_determinant,
+                      hf_energy)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,8 +33,8 @@ EXIT_CONVERGENCE = 4
 MP2_SCREEN_DEFAULT = 1e-5
 
 DATA_ERRORS = (OSError, ValueError, integrals_mod.IntegralError, SpaceError,
-               SectorError, DegenerateReferenceError, ansatz_mod.AnsatzError,
-               vqe.VqeError)
+               SectorError, NonFiniteError, DegenerateReferenceError,
+               ansatz_mod.AnsatzError, vqe.VqeError)
 
 
 class _CliDataError(Exception):
@@ -164,9 +165,9 @@ def cmd_downfold(args):
     else:
         t, _ = ccsd_solve(spin, ref)
     dh = ducc_mod.downfold(spin, space, t)
-    dh.save(args.out)
-    print(json.dumps({"out": args.out, "n_active_spin": dh.n_active_spin,
-                      "scalar": dh.scalar}))
+    integrals_mod.save_spin_fcidump(dh, args.out, nelec)
+    print(json.dumps({"out": args.out, "n_active_spin": dh.n_spin_orbitals,
+                      "scalar": dh.scalar_shift}))
     return EXIT_OK
 
 

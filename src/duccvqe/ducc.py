@@ -4,85 +4,29 @@ The external cluster rotation is folded in through the truncated
 similarity transform  H + [H_N, s] + 1/2 [[F_N, s], s]  with s the
 anti-Hermitian external cluster operator; the result is normal ordered
 relative to the Hartree-Fock reference, cut to one- and two-body strings
-with all indices active, and re-expressed as dressed chi tensors over the
+with all indices active, and returned as a SpinIntegralSet over the
 compact active spin orbitals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import integrals as integrals_mod
 from .amplitudes import AmplitudePartition, ClusterAmplitudes, partition
 from .fermion import (PRUNE_THRESHOLD, ActiveSpace, FermionOperator,
-                      build_hamiltonian, commutator, fock_operator,
-                      normal_order, ph_normal_order, restrict)
+                      build_hamiltonian, commutator, excitation_generator,
+                      fock_operator, normal_order, ph_normal_order, restrict)
+from .integrals import SpinIntegralSet
 
 
-@dataclass
-class DuccHamiltonian:
-    """Dressed scalar/one-/two-body coefficients over active spin orbitals.
-
-    chi2 is antisymmetrized: the operator reads
-    scalar + sum chi1[P,Q] a_P^+ a_Q
-           + 1/4 sum chi2[P,Q,R,S] a_P^+ a_Q^+ a_S a_R
-    with P,Q,R,S compact active spin-orbital indices (occupied first).
-    """
-
-    chi1: np.ndarray
-    chi2: np.ndarray
-    scalar: float
-    active: ActiveSpace
-
-    @property
-    def n_active_spin(self):
-        return self.chi1.shape[0]
-
-    @property
-    def n_electrons(self):
-        return 2 * len(self.active.occupied)
-
-    def to_fermion_operator(self) -> FermionOperator:
-        m = self.n_active_spin
-        op = FermionOperator.zero(m)
-        if self.scalar:
-            op.add_term((), self.scalar)
-        for p, q in np.argwhere(np.abs(self.chi1) > PRUNE_THRESHOLD):
-            op.add_term(((int(p), 1), (int(q), 0)), float(self.chi1[p, q]))
-        for p, q, r, s in np.argwhere(np.abs(self.chi2) > PRUNE_THRESHOLD):
-            op.add_term(((int(p), 1), (int(q), 1), (int(s), 0), (int(r), 0)),
-                        0.25 * float(self.chi2[p, q, r, s]))
-        return op
-
-    def to_spin_integral_set(self) -> integrals_mod.SpinIntegralSet:
-        """Chemists'-order spin-orbital storage: (pq|rs) = chi2[p,r,q,s]/2."""
-        g = 0.5 * np.einsum("prqs->pqrs", self.chi2)
-        return integrals_mod.SpinIntegralSet(
-            self.n_active_spin, self.chi1.copy(), g, self.scalar,
-            label="ducc")
-
-    def save(self, path):
-        integrals_mod.save_spin_fcidump(
-            self.to_spin_integral_set(), path, nelec=self.n_electrons, ms2=0)
-
-
-def sigma_ext_operator(part: AmplitudePartition) -> FermionOperator:
-    """Anti-Hermitian T_ext - T_ext^+ from the external amplitudes."""
+def sigma_ext_operator(part: AmplitudePartition, n_modes) -> FermionOperator:
+    """Anti-Hermitian sum t_k kappa_k over the external amplitudes."""
     ext = part.external
-    n_modes = _n_modes(ext)
-    t_op = FermionOperator.zero(n_modes)
-    for (i, a), v in ext.t1.items():
-        t_op.add_term(((a, 1), (i, 0)), v)
-    for (i, j, a, b), v in ext.t2.items():
-        t_op.add_term(((a, 1), (b, 1), (j, 0), (i, 0)), v)
-    return (t_op - t_op.dagger()).prune()
-
-
-def _n_modes(t: ClusterAmplitudes):
-    modes = tuple(t.occupied) + tuple(t.virtual)
-    return max(modes) + 1 if modes else 0
+    sigma = FermionOperator.zero(n_modes)
+    for key, t in (*ext.t1.items(), *ext.t2.items()):
+        for ops, c in excitation_generator(key, n_modes).terms.items():
+            sigma.add_term(ops, t * c)
+    return sigma.prune()
 
 
 def commutator_expand(h: FermionOperator, f: FermionOperator,
@@ -107,11 +51,16 @@ def commutator_expand(h: FermionOperator, f: FermionOperator,
 
 
 def project_active(h_bar: FermionOperator, space: ActiveSpace,
-                   ref: int) -> DuccHamiltonian:
+                   ref: int) -> SpinIntegralSet:
     """Keep active-index strings of rank <= 2 in particle-hole normal form.
 
     The survivors are mapped back to plain creation/annihilation form with
-    Wick contraction constants folded into chi1 and the scalar.
+    Wick contraction constants folded into chi1 and the scalar. The result
+    reads  scalar + sum chi1[P,Q] a_P^+ a_Q
+                  + 1/4 sum chi2[P,Q,R,S] a_P^+ a_Q^+ a_S a_R
+    over compact active spin orbitals P, Q, R, S (occupied first), with
+    chi2 antisymmetric; it is stored with h1 = chi1 and chemists'
+    (pq|rs) = chi2[p,r,q,s]/2, so ``antisymmetrized()`` gives chi2 back.
     """
     active = set(space.active_spin)
     compact = space.compact_index()
@@ -142,11 +91,12 @@ def project_active(h_bar: FermionOperator, space: ActiveSpace,
             for (pp, qq, s1) in ((p, q, 1.0), (q, p, -1.0)):
                 for (rr, ss, s2) in ((s, r, 1.0), (r, s, -1.0)):
                     chi2[pp, qq, rr, ss] += s1 * s2 * c
-    return DuccHamiltonian(chi1, chi2, scalar, space)
+    return SpinIntegralSet(m, chi1, 0.5 * np.einsum("prqs->pqrs", chi2),
+                           scalar, label="ducc")
 
 
 def downfold(spin_ints, space: ActiveSpace, t: ClusterAmplitudes,
-             threshold=PRUNE_THRESHOLD) -> DuccHamiltonian:
+             threshold=PRUNE_THRESHOLD) -> SpinIntegralSet:
     """Full pipeline: partition, external rotation, expansion, projection.
 
     Strings with a frozen-external mode are never formed: every such mode
@@ -157,9 +107,7 @@ def downfold(spin_ints, space: ActiveSpace, t: ClusterAmplitudes,
     h = build_hamiltonian(spin_ints)
     f = fock_operator(spin_ints, ref)
     part = partition(t, space)
-    sigma = sigma_ext_operator(part)
-    if sigma.n_modes < h.n_modes:
-        sigma = FermionOperator(h.n_modes, sigma.terms)
+    sigma = sigma_ext_operator(part, h.n_modes)
     h_bar = commutator_expand(h, f, sigma, frozenset(space.active_spin),
                               threshold)
     return project_active(h_bar, space, ref)
@@ -169,7 +117,7 @@ def _reference_determinant(space: ActiveSpace) -> int:
     return sum(1 << m for m in space.occupied_spin)
 
 
-def bare_restriction(spin_ints, space: ActiveSpace) -> DuccHamiltonian:
+def bare_restriction(spin_ints, space: ActiveSpace) -> SpinIntegralSet:
     """Active-space cut of the untransformed Hamiltonian (sigma_ext = 0)."""
     ref = _reference_determinant(space)
     h = normal_order(build_hamiltonian(spin_ints))

@@ -28,6 +28,10 @@ class SectorError(Exception):
     """Empty or oversized particle-number/Sz sector."""
 
 
+class NonFiniteError(Exception):
+    """An operator coefficient overflowed to inf or NaN."""
+
+
 @dataclass(frozen=True)
 class ActiveSpace:
     """Partition of 1-based spatial orbitals.
@@ -108,10 +112,6 @@ class FermionOperator:
         return cls(n_modes, {})
 
     @classmethod
-    def identity(cls, n_modes, coeff=1.0):
-        return cls(n_modes, {(): coeff})
-
-    @classmethod
     def from_term(cls, n_modes, ops, coeff=1.0):
         return cls(n_modes, {tuple(ops): coeff})
 
@@ -147,8 +147,9 @@ class FermionOperator:
         return out
 
     def prune(self, threshold=PRUNE_THRESHOLD):
+        # written so that a NaN coefficient is kept, never dropped
         self.terms = {ops: c for ops, c in self.terms.items()
-                      if abs(c) > threshold}
+                      if not abs(c) <= threshold}
         return self
 
     def max_coeff(self):
@@ -225,13 +226,6 @@ def ph_normal_order(op: FermionOperator, ref: int,
         {_flip_occupied(ops, occ): c for ops, c in ordered.terms.items()})
 
 
-def normal_order_relative(op: FermionOperator, ref: int):
-    """Return (<ref|op|ref>, op - <ref|op|ref>) in particle-hole form."""
-    ordered = ph_normal_order(op, ref)
-    scalar = ordered.terms.pop((), 0.0)
-    return scalar, ordered
-
-
 def _string_pieces(op: FermionOperator):
     """Each string of ``op`` in normal form, strings not merged.
 
@@ -253,9 +247,17 @@ def restrict(op: FermionOperator, keep) -> FermionOperator:
         if all(m in keep for m, _ in ops)})
 
 
+def _finite(op: FermionOperator) -> FermionOperator:
+    if not np.isfinite(list(op.terms.values())).all():
+        raise NonFiniteError(
+            "operator product overflowed: a coefficient is inf or NaN")
+    return op
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def multiply(a: FermionOperator, b: FermionOperator, keep=None,
              threshold=PRUNE_THRESHOLD) -> FermionOperator:
-    """Normal-ordered product a b.
+    """Normal-ordered product a b; NonFiniteError if a coefficient overflows.
 
     With ``keep``, a set of modes, only the output strings whose modes all
     lie in ``keep`` are formed. Each operand string is first brought to
@@ -271,7 +273,7 @@ def multiply(a: FermionOperator, b: FermionOperator, keep=None,
         for ops1, c1 in a.terms.items():
             for ops2, c2 in b.terms.items():
                 _normal_order_string(ops1 + ops2, c1 * c2, out)
-        return FermionOperator(a.n_modes, out).prune(threshold)
+        return _finite(FermionOperator(a.n_modes, out)).prune(threshold)
     partners = {}
     for ops2, c2 in _string_pieces(b):
         if all(m in keep for m, d in ops2 if not d):
@@ -283,15 +285,33 @@ def multiply(a: FermionOperator, b: FermionOperator, keep=None,
         key = tuple(m for m, d in ops1 if m not in keep)
         for ops2, c2 in partners.get(key, ()):
             _normal_order_string(ops1 + ops2, c1 * c2, out)
-    return restrict(FermionOperator(a.n_modes, out), keep).prune(threshold)
+    product = _finite(FermionOperator(a.n_modes, out))
+    return restrict(product, keep).prune(threshold)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def commutator(a: FermionOperator, b: FermionOperator, keep=None,
                threshold=PRUNE_THRESHOLD) -> FermionOperator:
     """[a, b], restricted to strings over ``keep`` as in ``multiply``."""
     ab = multiply(a, b, keep, threshold)
     ba = multiply(b, a, keep, threshold)
-    return (ab - ba).prune(threshold)
+    return _finite(ab - ba).prune(threshold)
+
+
+def excitation_generator(key, n_modes) -> FermionOperator:
+    """kappa = E - E^+ for one excitation key, (i, a) or (i, j, a, b).
+
+    E is a_a^+ a_i for a single and a_a^+ a_b^+ a_j a_i for a double; the
+    parameter of the key's slot multiplies this anti-Hermitian generator.
+    """
+    if len(key) == 2:
+        i, a = key
+        ops = ((a, 1), (i, 0))
+    else:
+        i, j, a, b = key
+        ops = ((a, 1), (b, 1), (j, 0), (i, 0))
+    e_op = FermionOperator.from_term(n_modes, ops)
+    return e_op - e_op.dagger()
 
 
 def build_hamiltonian(spin_ints, threshold=PRUNE_THRESHOLD) -> FermionOperator:

@@ -7,6 +7,7 @@ assumed; dressed integrals need not carry the full 8-fold real symmetry.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -170,7 +171,10 @@ def _read_lines(path):
                 value = float(parts[4])
             except ValueError as exc:
                 raise IntegralError(f"{path}:{lineno}: {exc}") from None
-            body.append((i, j, k, l, value))
+            if not math.isfinite(value):
+                raise IntegralError(
+                    f"{path}:{lineno}: non-finite value {parts[4]!r}")
+            body.append((lineno, i, j, k, l, value))
     if header is None:
         raise IntegralError(f"{path}: missing &FCI header")
     return header, body
@@ -199,13 +203,16 @@ def is_spin_resolved(path):
 def _spatial(header, body, path) -> IntegralSet:
     n = _header_int(header, "NORB", path)
     ints = IntegralSet(n_orbitals=n, label=str(path))
-    for i, j, k, l, value in body:
-        if i == j == k == l == 0:
-            ints.scalar_shift = value
-        elif k == 0 and l == 0:
-            ints.set_h1(i, j, value)
-        else:
-            ints.set_h2(i, j, k, l, value)
+    for lineno, i, j, k, l, value in body:
+        try:
+            if i == j == k == l == 0:
+                ints.scalar_shift = value
+            elif k == 0 and l == 0:
+                ints.set_h1(i, j, value)
+            else:
+                ints.set_h2(i, j, k, l, value)
+        except IntegralError as exc:
+            raise IntegralError(f"{path}:{lineno}: {exc}") from None
     return ints
 
 
@@ -231,31 +238,10 @@ def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
 
 
 def _spin(header, body, path) -> SpinIntegralSet:
-    m = _header_int(header, "NORB", path)
-    one, two = {}, {}
-    scalar = 0.0
-    for i, j, k, l, value in body:
-        if i == j == k == l == 0:
-            scalar = value
-            continue
-        one_body = k == 0 and l == 0
-        indices = (i, j) if one_body else (i, j, k, l)
-        if not all(1 <= p <= m for p in indices):
-            raise IntegralError(f"{path}: spin-orbital index in "
-                                f"{i} {j} {k} {l} outside 1..{m}")
-        if one_body:
-            _set_once(one, _canonical_h1(i, j), value, "one-body")
-        else:
-            _set_once(two, _canonical_h2(i, j, k, l), value, "two-body")
-    h1 = np.zeros((m, m))
-    for (i, j), value in one.items():
-        h1[i - 1, j - 1] = value
-        h1[j - 1, i - 1] = value
-    h2 = np.zeros((m, m, m, m))
-    for key, value in two.items():
-        for (a, b, c, d) in _h2_orbit(*key):
-            h2[a - 1, b - 1, c - 1, d - 1] = value
-    return SpinIntegralSet(m, h1, h2, scalar, str(path))
+    """The spatial parse, with NORB counting spin orbitals."""
+    ints = _spatial(header, body, path)
+    return SpinIntegralSet(ints.n_orbitals, ints.h1_matrix(), ints.h2_tensor(),
+                           ints.scalar_shift, str(path))
 
 
 def load_spin_fcidump(path) -> SpinIntegralSet:

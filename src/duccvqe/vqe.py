@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .ansatz import ExcitationList, excitation_generator
+from .ansatz import ExcitationList
 from .fermion import (DENSE_SECTOR_LIMIT, SECTOR_DIM_CAP, FermionOperator,
-                      SectorError, hf_determinant, sector_determinants,
-                      sector_matrix)
+                      SectorError, excitation_generator, hf_determinant,
+                      sector_determinants, sector_matrix)
 
 RHOBEG = 0.1
 PARAM_TOL = 1e-6

@@ -180,18 +180,18 @@ def test_criterion_6_downfolding_identities(rng):
     internal_only = ducc.downfold(
         spin, ActiveSpace.build(4, (1,)), t)  # external side empty
     bare_full = ducc.bare_restriction(spin, ActiveSpace.build(4, (1,)))
-    term_exact = (np.allclose(internal_only.chi1, bare_full.chi1,
-                              atol=1e-12)
-                  and np.allclose(internal_only.chi2, bare_full.chi2,
-                                  atol=1e-12)
-                  and abs(internal_only.scalar - bare_full.scalar) < 1e-12)
+    term_exact = (np.allclose(internal_only.h1, bare_full.h1, atol=1e-12)
+                  and np.allclose(internal_only.antisymmetrized(),
+                                  bare_full.antisymmetrized(), atol=1e-12)
+                  and abs(internal_only.scalar_shift
+                          - bare_full.scalar_shift) < 1e-12)
     # (b) full-space active -> spectrum identical
     spec_ok = True
     for name in GEOMETRIES:
         sp = builtin_fixture(name).to_spin_orbital()
         tt, _ = ccsd_solve(sp, hf_determinant(2))
         dh = ducc.downfold(sp, ActiveSpace.build(4, (1,)), tt)
-        e_down, _ = exact_ground_state(dh.to_fermion_operator(), 2, 0)
+        e_down, _ = exact_ground_state(build_hamiltonian(dh), 2, 0)
         e_fci, _ = exact_ground_state(build_hamiltonian(sp), 2, 0)
         spec_ok &= abs(e_down - e_fci) <= 1e-9
     # (c) commutator expansion vs dense oracle, 100 randomized instances
@@ -222,9 +222,9 @@ def test_criterion_7_downfolding_improvement(rng):
         t, _ = ccsd_solve(spin, hf_determinant(2))
         e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
         e_ducc, _ = exact_ground_state(
-            ducc.downfold(spin, half, t).to_fermion_operator(), 2, 0)
+            build_hamiltonian(ducc.downfold(spin, half, t)), 2, 0)
         e_bare, _ = exact_ground_state(
-            ducc.bare_restriction(spin, half).to_fermion_operator(), 2, 0)
+            build_hamiltonian(ducc.bare_restriction(spin, half)), 2, 0)
         ducc_err.append(abs(e_ducc - e_fci))
         bare_err.append(abs(e_bare - e_fci))
     med_ducc, med_bare = np.median(ducc_err), np.median(bare_err)

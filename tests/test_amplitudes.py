@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_integral_set
@@ -8,8 +10,7 @@ from duccvqe import amplitudes
 from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
                                 ccsd_solve, excitation_label, load_amplitudes,
                                 mp2_amplitudes, mp2_energy, partition,
-                                recombine, save_amplitudes, screen,
-                                top_amplitudes)
+                                save_amplitudes, screen, top_amplitudes)
 from duccvqe.cli import EXIT_DATA, EXIT_OK, main
 from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
                              exact_ground_state, hf_determinant, hf_energy)
@@ -105,7 +106,9 @@ def test_partition_and_recombine():
     assert part.external.t1 == {(0, 4): 0.2}
     assert set(part.internal.t2) == {(0, 1, 2, 3)}
     assert set(part.external.t2) == {(0, 1, 2, 5)}
-    merged = recombine(part)
+    merged = ClusterAmplitudes(t.occupied, t.virtual,
+                               {**part.internal.t1, **part.external.t1},
+                               {**part.internal.t2, **part.external.t2})
     assert merged.t1 == t.t1 and merged.t2 == t.t2
 
 
@@ -152,6 +155,17 @@ def test_amplitude_file_index_range_checked(tmp_path, line):
     out = tmp_path / "dressed.fcidump"
     assert main([*DOWNFOLD_H2, "--amplitudes", str(path),
                  "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+
+
+def test_overflowing_amplitude_is_a_data_error(tmp_path):
+    path = tmp_path / "huge.amps"
+    path.write_text("T1 0 4 1e200\n")
+    out = tmp_path / "dressed.fcidump"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*DOWNFOLD_H2, "--amplitudes", str(path),
+                     "--out", str(out)]) == EXIT_DATA
     assert not out.exists()
 
 

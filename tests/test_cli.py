@@ -1,10 +1,17 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
+from conftest import random_integral_set
 
+from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
+from duccvqe.ducc import downfold
+from duccvqe.fermion import ActiveSpace, hf_determinant
+from duccvqe.integrals import (builtin_fixture, load_fcidump,
+                               load_spin_fcidump, save_fcidump)
 
 
 def run(capsys, *argv):
@@ -171,6 +178,30 @@ def test_header_counts_and_file_sources(capsys, tmp_path):
     assert code == EXIT_OK
     rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
     assert float(rows["dressed"]) == pytest.approx(blob["energy"], abs=1e-9)
+
+
+@pytest.mark.parametrize("source", ["fixture", "seeded_5_orbitals"])
+def test_library_and_cli_give_the_same_dressed_hamiltonian(capsys, tmp_path,
+                                                           rng, source):
+    if source == "fixture":
+        ints = builtin_fixture("h2_ducc_1.4008")
+        argv = ["--fixture", "h2_ducc_1.4008"]
+    else:
+        path = tmp_path / "rand5.fcidump"
+        save_fcidump(random_integral_set(rng, 5, noise=0.15), path, nelec=2)
+        ints = load_fcidump(path)
+        argv = ["--integrals", str(path)]
+    dressed = tmp_path / "dressed.fcidump"
+    code, _, _ = run(capsys, "downfold", *argv, "--active", "1,2",
+                     "--out", str(dressed))
+    assert code == EXIT_OK
+    spin = ints.to_spin_orbital()
+    t, _ = ccsd_solve(spin, hf_determinant(2))
+    dh = downfold(spin, ActiveSpace.build(ints.n_orbitals, (1,), (2,)), t)
+    back = load_spin_fcidump(dressed)
+    np.testing.assert_allclose(back.h1, dh.h1, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(back.h2, dh.h2, rtol=0, atol=1e-14)
+    assert back.scalar_shift == pytest.approx(dh.scalar_shift, abs=1e-14)
 
 
 def test_downfold_requires_occupied_in_active(capsys):

@@ -1,15 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (dense_operator, random_fermion_operator,
                       random_integral_set)
 
 from duccvqe import fermion
-from duccvqe.fermion import (ActiveSpace, FermionOperator, SectorError,
-                             SpaceError, apply_string, build_hamiltonian,
-                             commutator, exact_ground_state, hf_determinant,
-                             hf_energy, multiply, normal_order,
-                             normal_order_relative, ph_normal_order, restrict,
-                             sector_determinants, sector_matrix)
+from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
+                             SectorError, SpaceError, apply_string,
+                             build_hamiltonian, commutator,
+                             exact_ground_state, hf_determinant, hf_energy,
+                             multiply, normal_order, ph_normal_order,
+                             restrict, sector_determinants, sector_matrix)
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
 FIXTURE_FCI = {
@@ -84,6 +86,18 @@ def test_pruned_product_matches_filtered_full_product(rng):
                     <= 1e-12
 
 
+def test_overflow_raises_and_nan_survives_prune():
+    big = FermionOperator.from_term(2, ((0, 1), (1, 0)), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            multiply(big, big.dagger())
+        with pytest.raises(NonFiniteError):
+            commutator(big, big.dagger())
+    op = FermionOperator(2, {((0, 1),): float("nan"), ((1, 1),): 1e-15})
+    assert list(op.prune().terms) == [((0, 1),)]
+
+
 def test_ph_normal_order_preserves_operator(rng):
     op = random_fermion_operator(rng, 4, 6)
     ref = 0b0011
@@ -96,7 +110,8 @@ def test_ph_scalar_is_reference_expectation(rng):
     spin = ints.to_spin_orbital()
     h = build_hamiltonian(spin)
     ref = hf_determinant(2)
-    scalar, remainder = normal_order_relative(h, ref)
+    remainder = ph_normal_order(h, ref)
+    scalar = remainder.terms.pop((), 0.0)
     assert scalar == pytest.approx(hf_energy(spin, ref), abs=1e-10)
     # the remainder annihilates nothing from the scalar: no empty string
     assert () not in remainder.terms
@@ -157,7 +172,7 @@ def test_fixture_ground_energies(name, energy):
 
 
 def test_empty_sector_raises():
-    op = FermionOperator.identity(4)
+    op = FermionOperator.from_term(4, ())
     with pytest.raises(SectorError, match="empty sector"):
         exact_ground_state(op, 3, 0)
 

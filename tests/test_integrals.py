@@ -71,6 +71,41 @@ def test_spin_conflicting_duplicate_rejected(tmp_path, lines):
     assert load_spin_fcidump(path).n_spin_orbitals == 4
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("layout", ["spatial", "spin"])
+def test_non_finite_values_rejected(tmp_path, layout, value):
+    from duccvqe.cli import EXIT_DATA, main
+    good = tmp_path / "good.fcidump"
+    if layout == "spatial":
+        save_fcidump(builtin_fixture("h2_ducc_1.4008"), good, nelec=2)
+    else:
+        save_spin_fcidump(builtin_fixture("h2_ducc_1.4008").to_spin_orbital(),
+                          good, nelec=2)
+    text = good.read_text()
+    head, sep, tail = text.partition("\n1 1 0 0 ")
+    path = tmp_path / "bad.fcidump"
+    path.write_text(head + sep + value + "\n" + tail.split("\n", 1)[1])
+    lineno = (head + sep).count("\n") + 1
+    load = load_fcidump if layout == "spatial" else load_spin_fcidump
+    with pytest.raises(IntegralError, match=f"{path}:{lineno}: non-finite"):
+        load(path)
+    for command in (["eig"], ["ccsd"], ["downfold", "--active", "1,2",
+                                        "--out", str(tmp_path / "d")]):
+        assert main([*command, "--integrals", str(path)]) == EXIT_DATA
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("layout", ["spatial", "spin"])
+def test_range_errors_name_the_file(tmp_path, layout):
+    path = tmp_path / "bad.fcidump"
+    uhf = " UHF=.TRUE." if layout == "spin" else ""
+    path.write_text(f"&FCI NORB=2 NELEC=2 MS2=0{uhf}\n1 1 0 0 -1.0\n"
+                    "1 3 0 0 0.1\n")
+    load = load_fcidump if layout == "spatial" else load_spin_fcidump
+    with pytest.raises(IntegralError, match=f"{path}:3: .*outside 1..2"):
+        load(path)
+
+
 def test_spatial_file_rejected_by_spin_loader():
     with pytest.raises(IntegralError, match="spatial"):
         load_spin_fcidump(fixture_path("h2_ducc_0.8"))
