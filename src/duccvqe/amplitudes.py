@@ -81,10 +81,6 @@ class ClusterAmplitudes:
                 for i, j in combinations(self.occupied, 2)
                 for a, b in combinations(self.virtual, 2)]
 
-    def max_abs(self):
-        vals = list(self.t1.values()) + list(self.t2.values())
-        return max(map(abs, vals), default=0.0)
-
 
 @dataclass
 class AmplitudePartition:
@@ -124,11 +120,11 @@ def _occ_virt(spin_ints, ref):
     return occ, virt
 
 
-def _denominators(eps_o, eps_v, floor, occ, virt):
+def _denominators(eps_o, eps_v, occ, virt):
     e_ai = eps_o[None, :] - eps_v[:, None]
     e_abij = (eps_o[None, None, :, None] + eps_o[None, None, None, :]
               - eps_v[:, None, None, None] - eps_v[None, :, None, None])
-    bad = np.argwhere(np.abs(e_abij) < floor)
+    bad = np.argwhere(np.abs(e_abij) < DENOMINATOR_FLOOR)
     if bad.size:
         a, b, i, j = bad[0]
         raise DegenerateReferenceError(
@@ -138,30 +134,30 @@ def _denominators(eps_o, eps_v, floor, occ, virt):
     return e_ai, e_abij
 
 
-def mp2_amplitudes(spin_ints, ref, floor=DENOMINATOR_FLOOR):
+def mp2_amplitudes(spin_ints, ref):
     """t2_ijab = <ij||ab> / (e_i + e_j - e_a - e_b); singles are zero."""
     occ, virt = _occ_virt(spin_ints, ref)
     f = fock_matrix(spin_ints, ref)
     g = spin_ints.antisymmetrized()
     eps = np.diag(f)
-    _, e_abij = _denominators(eps[occ], eps[virt], floor, occ, virt)
+    _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
     vten = g[np.ix_(virt, virt, occ, occ)]
     t2arr = vten / e_abij
     return _arrays_to_amplitudes(None, t2arr, occ, virt)
 
 
-def _arrays_to_amplitudes(t1arr, t2arr, occ, virt, threshold=0.0):
+def _arrays_to_amplitudes(t1arr, t2arr, occ, virt):
     t = ClusterAmplitudes.empty(occ, virt)
     if t1arr is not None:
         for a in range(len(virt)):
             for i in range(len(occ)):
                 v = t1arr[a, i]
-                if abs(v) > threshold:
+                if v != 0.0:  # keeps NaN
                     t.set_t1(occ[i], virt[a], float(v))
     for a, b in combinations(range(len(virt)), 2):
         for i, j in combinations(range(len(occ)), 2):
             v = t2arr[a, b, i, j]
-            if abs(v) > threshold:
+            if v != 0.0:
                 t.set_t2(occ[i], occ[j], virt[a], virt[b], float(v))
     return t
 
@@ -251,15 +247,14 @@ def _doubles_residual(t1, t2, f, g, o, v):
 class _Diis:
     """Pulay mixing over flattened amplitude vectors."""
 
-    def __init__(self, size=DIIS_SIZE):
-        self.size = size
+    def __init__(self):
         self.vecs = []
         self.errs = []
 
     def update(self, vec, err):
         self.vecs.append(vec)
         self.errs.append(err)
-        if len(self.vecs) > self.size:
+        if len(self.vecs) > DIIS_SIZE:
             self.vecs.pop(0)
             self.errs.pop(0)
         n = len(self.vecs)
@@ -279,8 +274,7 @@ class _Diis:
         return sum(c * v for c, v in zip(coeffs, self.vecs))
 
 
-def ccsd_solve(spin_ints, ref, tol=CCSD_TOL, max_iter=CCSD_MAX_ITER,
-               floor=DENOMINATOR_FLOOR, diis_size=DIIS_SIZE):
+def ccsd_solve(spin_ints, ref):
     """Solve the projected CCSD equations; returns (amplitudes, E_corr)."""
     occ, virt = _occ_virt(spin_ints, ref)
     f = fock_matrix(spin_ints, ref)
@@ -292,17 +286,17 @@ def ccsd_solve(spin_ints, ref, tol=CCSD_TOL, max_iter=CCSD_MAX_ITER,
     g = g[np.ix_(order, order, order, order)]
     o = slice(0, no)
     v = slice(no, no + nv)
-    e_ai, e_abij = _denominators(eps[occ], eps[virt], floor, occ, virt)
+    e_ai, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
 
     t1 = np.zeros((nv, no))
     t2 = g[v, v, o, o] / e_abij
-    diis = _Diis(diis_size)
-    for _ in range(max_iter):
+    diis = _Diis()
+    for _ in range(CCSD_MAX_ITER):
         r1 = _singles_residual(t1, t2, f, g, o, v)
         r2 = _doubles_residual(t1, t2, f, g, o, v)
         res_norm = max(np.abs(r1).max(initial=0.0),
                        np.abs(r2).max(initial=0.0))
-        if res_norm <= tol:
+        if res_norm <= CCSD_TOL:
             ecorr = correlation_energy(f, g, t1, t2, o, v)
             return _arrays_to_amplitudes(t1, t2, occ, virt), ecorr
         t1 = t1 + r1 / e_ai
@@ -313,7 +307,7 @@ def ccsd_solve(spin_ints, ref, tol=CCSD_TOL, max_iter=CCSD_MAX_ITER,
         t1 = mixed[:t1.size].reshape(t1.shape)
         t2 = mixed[t1.size:].reshape(t2.shape)
     raise ConvergenceError(
-        f"CCSD not converged after {max_iter} iterations; "
+        f"CCSD not converged after {CCSD_MAX_ITER} iterations; "
         f"residual max-norm {res_norm:.3e}")
 
 

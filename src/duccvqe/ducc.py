@@ -2,10 +2,18 @@
 
 The external cluster rotation is folded in through the truncated
 similarity transform  H + [H_N, s] + 1/2 [[F_N, s], s]  with s the
-anti-Hermitian external cluster operator; the result is normal ordered
-relative to the Hartree-Fock reference, cut to one- and two-body strings
-with all indices active, and returned as a SpinIntegralSet over the
-compact active spin orbitals.
+anti-Hermitian external cluster operator (Bauman et al., J. Chem. Phys.
+151, 014107 (2019)). The result is cut to one- and two-body parts with all
+indices active and returned as a SpinIntegralSet over the compact active
+spin orbitals.
+
+``downfold`` works on tensors (scalar, X1, X2), normal ordered relative to
+the Hartree-Fock reference with X2 antisymmetric; each commutator keeps
+its zero-, one- and two-body parts (the IMSRG(2) commutator, Hergert et
+al., Phys. Rep. 621, 165 (2016)). That cut is exact here: [F_N, s] has no
+higher part, and the projection drops the three-body parts anyway.
+``commutator_expand`` followed by ``project_active`` does the same on
+operator strings, every string formed, and is the oracle for the tensors.
 """
 
 from __future__ import annotations
@@ -13,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import AmplitudePartition, ClusterAmplitudes, partition
-from .fermion import (PRUNE_THRESHOLD, ActiveSpace, FermionOperator,
-                      build_hamiltonian, commutator, excitation_generator,
-                      fock_operator, normal_order, ph_normal_order, restrict)
+from .fermion import (ActiveSpace, FermionOperator, NonFiniteError,
+                      commutator, excitation_generator, fock_matrix,
+                      hf_energy, normal_order, ph_normal_order)
 from .integrals import SpinIntegralSet
 
 
@@ -30,24 +38,51 @@ def sigma_ext_operator(part: AmplitudePartition, n_modes) -> FermionOperator:
 
 
 def commutator_expand(h: FermionOperator, f: FermionOperator,
-                      sigma: FermionOperator, keep=None,
-                      threshold=PRUNE_THRESHOLD) -> FermionOperator:
+                      sigma: FermionOperator) -> FermionOperator:
     """H + [H_N, s] + 1/2 [[F_N, s], s], normal ordered and merged.
 
     Scalar parts of H and F commute away, so plain operators are accepted;
     the scalar normalization keeps full-space eigenvalues of the output
     identical to those of H when the active space is the whole space.
-    With ``keep``, a set of modes, only strings over ``keep`` are formed;
-    the inner [F_N, s] stays whole because the outer commutator can
-    contract its outside modes away.
     """
-    h_bar = restrict(normal_order(h, threshold), keep)
+    h_bar = normal_order(h)
     if len(sigma) == 0:
         return h_bar
-    h_bar = h_bar + commutator(h, sigma, keep, threshold)
-    inner = commutator(f, sigma, None, threshold)
-    h_bar = h_bar + 0.5 * commutator(inner, sigma, keep, threshold)
-    return normal_order(h_bar, threshold)
+    h_bar = h_bar + commutator(h, sigma)
+    h_bar = h_bar + 0.5 * commutator(commutator(f, sigma), sigma)
+    return normal_order(h_bar)
+
+
+def _tensors(op: FermionOperator, m):
+    """(scalar, X1, X2) of a creators-first operator of rank <= 2.
+
+    The operator reads  scalar + sum X1[P,Q] a_P^+ a_Q
+    + 1/4 sum X2[P,Q,R,S] a_P^+ a_Q^+ a_S a_R  with X2 antisymmetric.
+    """
+    x1 = np.zeros((m, m))
+    x2 = np.zeros((m, m, m, m))
+    scalar = 0.0
+    for ops, c in op.terms.items():
+        c = float(np.real_if_close(c))
+        if len(ops) == 0:
+            scalar += c
+        elif len(ops) == 2:
+            (p, _), (q, _) = ops
+            x1[p, q] += c
+        else:
+            # a+_p a+_q a_r a_s => X2[p,q,s,r] = c
+            (p, _), (q, _), (r, _), (s, _) = ops
+            for (pp, qq, s1) in ((p, q, 1.0), (q, p, -1.0)):
+                for (rr, ss, s2) in ((s, r, 1.0), (r, s, -1.0)):
+                    x2[pp, qq, rr, ss] += s1 * s2 * c
+    return scalar, x1, x2
+
+
+def _integral_set(scalar, chi1, chi2) -> SpinIntegralSet:
+    """Plain-form tensors as h1 = chi1, (pq|rs) = chi2[p,r,q,s] / 2."""
+    return SpinIntegralSet(len(chi1), chi1,
+                           0.5 * np.einsum("prqs->pqrs", chi2), scalar,
+                           label="ducc")
 
 
 def project_active(h_bar: FermionOperator, space: ActiveSpace,
@@ -55,70 +90,95 @@ def project_active(h_bar: FermionOperator, space: ActiveSpace,
     """Keep active-index strings of rank <= 2 in particle-hole normal form.
 
     The survivors are mapped back to plain creation/annihilation form with
-    Wick contraction constants folded into chi1 and the scalar. The result
-    reads  scalar + sum chi1[P,Q] a_P^+ a_Q
-                  + 1/4 sum chi2[P,Q,R,S] a_P^+ a_Q^+ a_S a_R
-    over compact active spin orbitals P, Q, R, S (occupied first), with
-    chi2 antisymmetric; it is stored with h1 = chi1 and chemists'
-    (pq|rs) = chi2[p,r,q,s]/2, so ``antisymmetrized()`` gives chi2 back.
+    Wick contraction constants folded into chi1 and the scalar, over
+    compact active spin orbitals (occupied first); ``antisymmetrized()``
+    of the result gives chi2.
     """
     active = set(space.active_spin)
     compact = space.compact_index()
-    ordered = ph_normal_order(h_bar, ref)
     kept = FermionOperator.zero(space.n_active_spin)
-    for ops, c in ordered.terms.items():
-        if len(ops) > 4:
-            continue
-        if any(mode not in active for mode, _ in ops):
-            continue
-        kept.add_term(tuple((compact[mode], dag) for mode, dag in ops), c)
-    plain = normal_order(kept)
-
-    m = space.n_active_spin
-    chi1 = np.zeros((m, m))
-    chi2 = np.zeros((m, m, m, m))
-    scalar = 0.0
-    for ops, c in plain.terms.items():
-        c = float(np.real_if_close(c))
-        if len(ops) == 0:
-            scalar += c
-        elif len(ops) == 2:
-            (p, _), (q, _) = ops
-            chi1[p, q] += c
-        else:
-            # canonical a+_p a+_q a_r a_s with p<q, r<s => chi[p,q,s,r] = c
-            (p, _), (q, _), (r, _), (s, _) = ops
-            for (pp, qq, s1) in ((p, q, 1.0), (q, p, -1.0)):
-                for (rr, ss, s2) in ((s, r, 1.0), (r, s, -1.0)):
-                    chi2[pp, qq, rr, ss] += s1 * s2 * c
-    return SpinIntegralSet(m, chi1, 0.5 * np.einsum("prqs->pqrs", chi2),
-                           scalar, label="ducc")
+    for ops, c in ph_normal_order(h_bar, ref).terms.items():
+        if len(ops) <= 4 and all(mode in active for mode, _ in ops):
+            kept.add_term(tuple((compact[mode], dag) for mode, dag in ops), c)
+    return _integral_set(*_tensors(normal_order(kept), space.n_active_spin))
 
 
-def downfold(spin_ints, space: ActiveSpace, t: ClusterAmplitudes,
-             threshold=PRUNE_THRESHOLD) -> SpinIntegralSet:
-    """Full pipeline: partition, external rotation, expansion, projection.
+def _half(a, b, n):
+    """The IMSRG(2) commutator terms with A on the left; n: occupations.
 
-    Strings with a frozen-external mode are never formed: every such mode
-    is a virtual, which particle-hole reordering never contracts, so
-    ``project_active`` would drop them all.
+    Each term of the rank <= 2 part of [A, B] is written once as a product
+    A B, so that [A, B] = _half(A, B) - _half(B, A).
     """
-    ref = _reference_determinant(space)
-    h = build_hamiltonian(spin_ints)
-    f = fock_operator(spin_ints, ref)
-    part = partition(t, space)
-    sigma = sigma_ext_operator(part, h.n_modes)
-    h_bar = commutator_expand(h, f, sigma, frozenset(space.active_spin),
-                              threshold)
-    return project_active(h_bar, space, ref)
+    _, a1, a2 = a
+    _, b1, b2 = b
+    h = 1.0 - n
+    nn = np.subtract.outer(n, n)
+
+    def e(*args):
+        return np.einsum(*args, optimize=True)
+
+    c0 = e("p,pq,qp", n, a1, b1) \
+        + 0.25 * e("p,q,r,s,pqrs,rspq", n, n, h, h, a2, b2)
+    c1 = a1 @ b1 + e("rs,sprq->pq", nn * a1, b2) \
+        + 0.5 * e("rst,tprs,rstq->pq",
+                  np.multiply.outer(np.outer(n, n), h)
+                  + np.multiply.outer(np.outer(h, h), n), a2, b2)
+    # the terms in z take (1 - P_pq)(1 - P_rs); each A1 term already has
+    # one of the two antisymmetries, hence its factor 1/2
+    z = 0.5 * (e("pt,tqrs->pqrs", a1, b2) - e("tr,pqts->pqrs", a1, b2)) \
+        - e("t,uqts,tpur->pqrs", n, a2, b2)
+    z = z - z.transpose(1, 0, 2, 3)
+    c2 = z - z.transpose(0, 1, 3, 2) \
+        + 0.5 * e("pqtu,tu,turs->pqrs", a2, 1.0 - n[:, None] - n, b2)
+    return c0, c1, c2
 
 
-def _reference_determinant(space: ActiveSpace) -> int:
-    return sum(1 << m for m in space.occupied_spin)
+def _bracket(a, b, n):
+    """Zero-, one- and two-body parts of [A, B] for normal-ordered tensors."""
+    return tuple(x - y for x, y in zip(_half(a, b, n), _half(b, a, n)))
+
+
+def _reference(spin_ints, space: ActiveSpace):
+    """Occupations of the reference and H_N = (E_HF, f, <pq||rs>)."""
+    n = np.zeros(spin_ints.n_spin_orbitals)
+    n[space.occupied_spin] = 1.0
+    ref = sum(1 << p for p in space.occupied_spin)
+    return n, (hf_energy(spin_ints, ref), fock_matrix(spin_ints, ref),
+               spin_ints.antisymmetrized())
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _active_block(x, space: ActiveSpace) -> SpinIntegralSet:
+    """Active part of normal-ordered (X0, X1, X2), in plain form."""
+    x0, x1, x2 = x
+    act = space.active_spin
+    o = slice(0, len(space.occupied_spin))
+    x1 = x1[np.ix_(act, act)]
+    x2 = x2[np.ix_(act, act, act, act)]
+    chi1 = x1 - np.einsum("piqi->pq", x2[:, o, :, o])
+    scalar = x0 - np.trace(x1[o, o]) \
+        + 0.5 * np.einsum("ijij->", x2[o, o, o, o])
+    if not (np.isfinite(scalar) and np.isfinite(chi1).all()
+            and np.isfinite(x2).all()):
+        raise NonFiniteError(
+            "downfold overflowed: a dressed integral is inf or NaN")
+    return _integral_set(float(scalar), chi1, x2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def downfold(spin_ints, space: ActiveSpace,
+             t: ClusterAmplitudes) -> SpinIntegralSet:
+    """Full pipeline: partition, external rotation, expansion, projection."""
+    m = spin_ints.n_spin_orbitals
+    n, h_n = _reference(spin_ints, space)
+    sigma = _tensors(sigma_ext_operator(partition(t, space), m), m)
+    f_n = (0.0, h_n[1], np.zeros((m, m, m, m)))
+    once = _bracket(h_n, sigma, n)
+    twice = _bracket(_bracket(f_n, sigma, n), sigma, n)
+    return _active_block(
+        [x + y + 0.5 * z for x, y, z in zip(h_n, once, twice)], space)
 
 
 def bare_restriction(spin_ints, space: ActiveSpace) -> SpinIntegralSet:
     """Active-space cut of the untransformed Hamiltonian (sigma_ext = 0)."""
-    ref = _reference_determinant(space)
-    h = normal_order(build_hamiltonian(spin_ints))
-    return project_active(h, space, ref)
+    return _active_block(_reference(spin_ints, space)[1], space)

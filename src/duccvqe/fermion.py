@@ -64,10 +64,6 @@ class ActiveSpace:
         return cls(occupied, active_virtual, frozen)
 
     @property
-    def active_spatial(self):
-        return self.occupied + self.active_virtual
-
-    @property
     def n_orbitals(self):
         return len(self.occupied) + len(self.active_virtual) \
             + len(self.frozen_external)
@@ -193,23 +189,20 @@ def _normal_order_string(ops, coeff, out):
             out[key] = out.get(key, 0.0) + c
 
 
-def normal_order(op: FermionOperator,
-                 threshold=PRUNE_THRESHOLD) -> FermionOperator:
+def normal_order(op: FermionOperator) -> FermionOperator:
     """Canonical vacuum normal form; equals the input as an operator."""
     out = {}
     for ops, c in op.terms.items():
         if c != 0.0:
             _normal_order_string(ops, c, out)
-    result = FermionOperator(op.n_modes, out)
-    return result.prune(threshold)
+    return FermionOperator(op.n_modes, out).prune()
 
 
 def _flip_occupied(ops, occ_set):
     return tuple((m, 1 - d) if m in occ_set else (m, d) for m, d in ops)
 
 
-def ph_normal_order(op: FermionOperator, ref: int,
-                    threshold=PRUNE_THRESHOLD) -> FermionOperator:
+def ph_normal_order(op: FermionOperator, ref: int) -> FermionOperator:
     """Normal order relative to the Fermi vacuum of determinant ``ref``.
 
     Occupied-mode operators are hole-relabeled (a_i^+ <-> a_i), vacuum
@@ -220,31 +213,10 @@ def ph_normal_order(op: FermionOperator, ref: int,
     flipped = FermionOperator(
         op.n_modes,
         {_flip_occupied(ops, occ): c for ops, c in op.terms.items()})
-    ordered = normal_order(flipped, threshold)
+    ordered = normal_order(flipped)
     return FermionOperator(
         op.n_modes,
         {_flip_occupied(ops, occ): c for ops, c in ordered.terms.items()})
-
-
-def _string_pieces(op: FermionOperator):
-    """Each string of ``op`` in normal form, strings not merged.
-
-    Unmerged pieces add into a product in the same order as the raw
-    strings, so a pruned product is bitwise equal to the filtered full one.
-    """
-    for ops, c in op.terms.items():
-        pieces = {}
-        _normal_order_string(ops, c, pieces)
-        yield from pieces.items()
-
-
-def restrict(op: FermionOperator, keep) -> FermionOperator:
-    """The strings of ``op`` whose modes all lie in ``keep`` (None: all)."""
-    if keep is None:
-        return op
-    return FermionOperator(op.n_modes, {
-        ops: c for ops, c in op.terms.items()
-        if all(m in keep for m, _ in ops)})
 
 
 def _finite(op: FermionOperator) -> FermionOperator:
@@ -255,47 +227,19 @@ def _finite(op: FermionOperator) -> FermionOperator:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def multiply(a: FermionOperator, b: FermionOperator, keep=None,
-             threshold=PRUNE_THRESHOLD) -> FermionOperator:
-    """Normal-ordered product a b; NonFiniteError if a coefficient overflows.
-
-    With ``keep``, a set of modes, only the output strings whose modes all
-    lie in ``keep`` are formed. Each operand string is first brought to
-    creators-first form, where only the annihilators of a string of ``a``
-    contract with the creators of a string of ``b``. So a pair of strings
-    can yield a string over ``keep`` only if the left one has no outside
-    creator, the right one no outside annihilator, and the left's outside
-    annihilators are exactly the right's outside creators; each string of
-    ``a`` meets only those partners.
-    """
+def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    """Normal-ordered product a b; NonFiniteError if a coefficient overflows."""
     out = {}
-    if keep is None:
-        for ops1, c1 in a.terms.items():
-            for ops2, c2 in b.terms.items():
-                _normal_order_string(ops1 + ops2, c1 * c2, out)
-        return _finite(FermionOperator(a.n_modes, out)).prune(threshold)
-    partners = {}
-    for ops2, c2 in _string_pieces(b):
-        if all(m in keep for m, d in ops2 if not d):
-            key = tuple(m for m, d in ops2 if d and m not in keep)
-            partners.setdefault(key, []).append((ops2, c2))
-    for ops1, c1 in _string_pieces(a):
-        if any(d and m not in keep for m, d in ops1):
-            continue
-        key = tuple(m for m, d in ops1 if m not in keep)
-        for ops2, c2 in partners.get(key, ()):
+    for ops1, c1 in a.terms.items():
+        for ops2, c2 in b.terms.items():
             _normal_order_string(ops1 + ops2, c1 * c2, out)
-    product = _finite(FermionOperator(a.n_modes, out))
-    return restrict(product, keep).prune(threshold)
+    return _finite(FermionOperator(a.n_modes, out)).prune()
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def commutator(a: FermionOperator, b: FermionOperator, keep=None,
-               threshold=PRUNE_THRESHOLD) -> FermionOperator:
-    """[a, b], restricted to strings over ``keep`` as in ``multiply``."""
-    ab = multiply(a, b, keep, threshold)
-    ba = multiply(b, a, keep, threshold)
-    return _finite(ab - ba).prune(threshold)
+def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    """[a, b], normal ordered; NonFiniteError as in ``multiply``."""
+    return _finite(multiply(a, b) - multiply(b, a)).prune()
 
 
 def excitation_generator(key, n_modes) -> FermionOperator:
@@ -314,15 +258,17 @@ def excitation_generator(key, n_modes) -> FermionOperator:
     return e_op - e_op.dagger()
 
 
-def build_hamiltonian(spin_ints, threshold=PRUNE_THRESHOLD) -> FermionOperator:
+def build_hamiltonian(spin_ints) -> FermionOperator:
     """H = sum h_pq a_p^+ a_q + 1/2 sum (pq|rs) a_p^+ a_r^+ a_s a_q."""
     m = spin_ints.n_spin_orbitals
     op = FermionOperator.zero(m)
     if spin_ints.scalar_shift:
         op.add_term((), spin_ints.scalar_shift)
-    for p, q in np.argwhere(np.abs(spin_ints.h1) > threshold):
+    # written as ~(|x| <= cut) so that a NaN entry is kept, never dropped
+    for p, q in np.argwhere(~(np.abs(spin_ints.h1) <= PRUNE_THRESHOLD)):
         op.add_term(((int(p), 1), (int(q), 0)), float(spin_ints.h1[p, q]))
-    for p, q, r, s in np.argwhere(np.abs(spin_ints.h2) > threshold):
+    kept = ~(np.abs(spin_ints.h2) <= PRUNE_THRESHOLD)
+    for p, q, r, s in np.argwhere(kept):
         op.add_term(((int(p), 1), (int(r), 1), (int(s), 0), (int(q), 0)),
                     0.5 * float(spin_ints.h2[p, q, r, s]))
     return op
@@ -341,14 +287,6 @@ def fock_matrix(spin_ints, ref: int) -> np.ndarray:
     for i in occ:
         f += g[:, i, :, i]
     return f
-
-
-def fock_operator(spin_ints, ref: int) -> FermionOperator:
-    f = fock_matrix(spin_ints, ref)
-    op = FermionOperator.zero(spin_ints.n_spin_orbitals)
-    for p, q in np.argwhere(np.abs(f) > PRUNE_THRESHOLD):
-        op.add_term(((int(p), 1), (int(q), 0)), float(f[p, q]))
-    return op
 
 
 def hf_energy(spin_ints, ref: int) -> float:
@@ -415,15 +353,15 @@ def sector_matrix(op: FermionOperator, dets):
     return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def exact_ground_state(op: FermionOperator, n_electrons: int, ms2: int = 0,
-                       dim_cap=SECTOR_DIM_CAP):
+def exact_ground_state(op: FermionOperator, n_electrons: int, ms2: int = 0):
     """Lowest eigenpair of ``op`` in the (N, Sz) determinant sector."""
     dets = sector_determinants(op.n_modes, n_electrons, ms2)
     if not dets:
         raise SectorError(
             f"empty sector: N={n_electrons}, MS2={ms2}, modes={op.n_modes}")
-    if len(dets) > dim_cap:
-        raise SectorError(f"sector dimension {len(dets)} exceeds cap {dim_cap}")
+    if len(dets) > SECTOR_DIM_CAP:
+        raise SectorError(
+            f"sector dimension {len(dets)} exceeds cap {SECTOR_DIM_CAP}")
     mat = sector_matrix(op, dets)
     if len(dets) == 1:
         return float(np.real(mat[0, 0])), np.ones(1)

@@ -55,8 +55,6 @@ class VqeProblem:
     excitations: ExcitationList
     n_electrons: int
     initial_params: np.ndarray
-    rhobeg: float = RHOBEG
-    tol: float = PARAM_TOL
     max_evaluations: int = MAX_EVALUATIONS
 
     def __post_init__(self):
@@ -175,7 +173,7 @@ def minimize(problem: VqeProblem) -> VqeResult:
             tracker, problem.initial_params, method="COBYLA",
             # COBYLA raises a smaller budget to n + 2 with a warning; the
             # tracker enforces the problem's own budget instead
-            options={"rhobeg": problem.rhobeg, "tol": problem.tol,
+            options={"rhobeg": RHOBEG, "tol": PARAM_TOL,
                      "maxiter": max(problem.max_evaluations, n_params + 2)})
         converged = bool(res.success) \
             and tracker.n_evaluations < problem.max_evaluations

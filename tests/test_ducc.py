@@ -7,11 +7,12 @@ from duccvqe import ducc
 from duccvqe.amplitudes import ccsd_solve, partition
 from duccvqe.ducc import (bare_restriction, commutator_expand, downfold,
                           project_active, sigma_ext_operator)
-from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
-                             exact_ground_state, fock_operator,
-                             hf_determinant, normal_order)
-from duccvqe.integrals import (builtin_fixture, is_spin_resolved,
-                               load_spin_fcidump, save_spin_fcidump)
+from duccvqe.fermion import (ActiveSpace, build_hamiltonian, commutator,
+                             exact_ground_state, fock_matrix, hf_determinant,
+                             normal_order)
+from duccvqe.integrals import (SpinIntegralSet, builtin_fixture,
+                               is_spin_resolved, load_spin_fcidump,
+                               save_spin_fcidump)
 
 FULL_SPACE = ActiveSpace.build(4, (1,))
 HALF_SPACE = ActiveSpace.build(4, (1,), (2,))
@@ -57,7 +58,9 @@ def test_sigma_zero_reduces_to_bare_restriction():
     empty = partition(t, FULL_SPACE)  # external side is empty
     sigma = sigma_ext_operator(empty, spin.n_spin_orbitals)
     h = build_hamiltonian(spin)
-    f = fock_operator(spin, hf_determinant(2))
+    m = spin.n_spin_orbitals
+    f = build_hamiltonian(SpinIntegralSet(
+        m, fock_matrix(spin, hf_determinant(2)), np.zeros((m,) * 4)))
     h_bar = commutator_expand(h, f, sigma)
     dh = project_active(h_bar, HALF_SPACE, hf_determinant(2))
     bare = bare_restriction(spin, HALF_SPACE)
@@ -144,20 +147,25 @@ def _unpruned_downfold(spin, space, t):
     """downfold with every string of both commutators formed (the oracle)."""
     ref = hf_determinant(2 * len(space.occupied))
     h = build_hamiltonian(spin)
-    sigma = sigma_ext_operator(partition(t, space), h.n_modes)
-    h_bar = commutator_expand(h, fock_operator(spin, ref), sigma)
-    return project_active(h_bar, space, ref)
+    m = spin.n_spin_orbitals
+    f = build_hamiltonian(SpinIntegralSet(m, fock_matrix(spin, ref),
+                                          np.zeros((m,) * 4)))
+    sigma = sigma_ext_operator(partition(t, space), m)
+    return project_active(commutator_expand(h, f, sigma), space, ref)
 
 
 def test_downfold_matches_unpruned_expansion(rng):
     cases = [(*_fixture_setup(name), HALF_SPACE)
              for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0",
                           "h2_ducc_10.0")]
-    for n_orbitals in (4, 5):
+    for n_orbitals, n_electrons, occupied, active_virtual in (
+            (4, 2, (1,), (2,)), (5, 2, (1,), (2,)), (4, 4, (1, 2), (3,)),
+            (5, 2, (1,), (3, 5)), (5, 4, (1, 2), (3, 4))):
         spin = random_integral_set(rng, n_orbitals,
                                    noise=0.15).to_spin_orbital()
-        t, _ = ccsd_solve(spin, hf_determinant(2))
-        cases.append((spin, t, ActiveSpace.build(n_orbitals, (1,), (2,))))
+        t, _ = ccsd_solve(spin, hf_determinant(n_electrons))
+        cases.append((spin, t, ActiveSpace.build(n_orbitals, occupied,
+                                                 active_virtual)))
     for spin, t, space in cases:
         dh = downfold(spin, space, t)
         oracle = _unpruned_downfold(spin, space, t)
@@ -166,6 +174,34 @@ def test_downfold_matches_unpruned_expansion(rng):
                                    oracle.antisymmetrized(), rtol=0,
                                    atol=1e-12)
         assert dh.scalar_shift == pytest.approx(oracle.scalar_shift, abs=1e-12)
+
+
+def _random_operator(rng, m):
+    """Dense random non-Hermitian one- plus two-body operator."""
+    x2 = rng.normal(size=(m,) * 4)
+    x2 = x2 - x2.transpose(1, 0, 2, 3)
+    x2 = x2 - x2.transpose(0, 1, 3, 2)
+    return SpinIntegralSet(m, rng.normal(size=(m, m)),
+                           0.5 * np.einsum("prqs->pqrs", x2), rng.normal())
+
+
+def test_bracket_matches_string_commutator(rng):
+    # general operators, not only the sigma_ext shapes downfold meets
+    for n_orbitals, occupied in ((2, (1,)), (2, (1, 2))):
+        space = ActiveSpace.build(n_orbitals, occupied)
+        a, b = (_random_operator(rng, 2 * n_orbitals) for _ in range(2))
+        n, a_n = ducc._reference(a, space)
+        got = ducc._active_block(
+            ducc._bracket(a_n, ducc._reference(b, space)[1], n), space)
+        oracle = project_active(
+            commutator(build_hamiltonian(a), build_hamiltonian(b)), space,
+            hf_determinant(2 * len(occupied)))
+        np.testing.assert_allclose(got.h1, oracle.h1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.antisymmetrized(),
+                                   oracle.antisymmetrized(), rtol=0,
+                                   atol=1e-12)
+        assert got.scalar_shift == pytest.approx(oracle.scalar_shift,
+                                                 abs=1e-12)
 
 
 def test_six_orbital_four_electron_downfold_improves(rng):

@@ -11,7 +11,8 @@ from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
                              build_hamiltonian, commutator,
                              exact_ground_state, hf_determinant, hf_energy,
                              multiply, normal_order, ph_normal_order,
-                             restrict, sector_determinants, sector_matrix)
+                             sector_determinants, sector_matrix)
+from duccvqe.integrals import SpinIntegralSet
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
 FIXTURE_FCI = {
@@ -70,22 +71,6 @@ def test_commutator_matches_dense_oracle(rng):
                                    atol=1e-9)
 
 
-def test_pruned_product_matches_filtered_full_product(rng):
-    # unordered strings: the pruned path must bring them to creators-first
-    for _ in range(60):
-        n = int(rng.integers(3, 7))
-        a = random_fermion_operator(rng, n, 6)
-        b = random_fermion_operator(rng, n, 6)
-        keep = frozenset(int(m) for m in np.flatnonzero(rng.random(n) < 0.6))
-        for product in (multiply, commutator):
-            full = restrict(product(a, b), keep).terms
-            pruned = product(a, b, keep).terms
-            for ops in set(full) | set(pruned):
-                assert all(m in keep for m, _ in ops)
-                assert abs(pruned.get(ops, 0.0) - full.get(ops, 0.0)) \
-                    <= 1e-12
-
-
 def test_overflow_raises_and_nan_survives_prune():
     big = FermionOperator.from_term(2, ((0, 1), (1, 0)), 1e200)
     with warnings.catch_warnings():
@@ -96,6 +81,13 @@ def test_overflow_raises_and_nan_survives_prune():
             commutator(big, big.dagger())
     op = FermionOperator(2, {((0, 1),): float("nan"), ((1, 1),): 1e-15})
     assert list(op.prune().terms) == [((0, 1),)]
+
+
+def test_nan_integral_survives_into_hamiltonian():
+    h1 = np.zeros((4, 4))
+    h1[0, 2] = np.nan
+    op = build_hamiltonian(SpinIntegralSet(4, h1, np.zeros((4,) * 4)))
+    assert np.isnan(op.terms[((0, 1), (2, 0))])
 
 
 def test_ph_normal_order_preserves_operator(rng):
