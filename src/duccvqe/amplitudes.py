@@ -9,18 +9,32 @@ index orders carries the transposition sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .fermion import ActiveSpace, fock_matrix
 
-einsum = np.einsum
-
 DENOMINATOR_FLOOR = 1e-8
 CCSD_TOL = 1e-8
 CCSD_MAX_ITER = 200
 DIIS_SIZE = 6
+
+
+@lru_cache(maxsize=None)
+def _contraction_path(subscripts, shapes):
+    """Optimal pairwise contraction order, found on shape-only stand-ins."""
+    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *stand_ins, optimize="optimal")[0]
+
+
+def einsum(subscripts, *operands):
+    """np.einsum; terms of 3 or more operands follow a cached path."""
+    if len(operands) < 3:
+        return np.einsum(subscripts, *operands)
+    path = _contraction_path(subscripts, tuple(x.shape for x in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 class DegenerateReferenceError(Exception):

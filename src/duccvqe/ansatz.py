@@ -19,6 +19,8 @@ from .mapping import jordan_wigner
 
 RX_PLUS = math.pi / 2
 
+_GATE_ARITY = {"H": 1, "RX": 1, "RZ": 1, "CNOT": 2}
+
 
 class AnsatzError(Exception):
     """Inconsistent excitation/parameter/circuit data."""
@@ -130,6 +132,14 @@ class Circuit:
                               f"-qubit register: {gate.qubits}")
         if gate.slot is not None and not 0 <= gate.slot < self.n_params:
             raise AnsatzError(f"parameter slot {gate.slot} out of range")
+        if gate.slot is not None and gate.name != "RZ":
+            raise AnsatzError(f"gate {gate.name} cannot take a parameter slot")
+        arity = _GATE_ARITY.get(gate.name)
+        if len(gate.qubits) != arity or len(set(gate.qubits)) != arity:
+            raise AnsatzError(f"gate {gate.name} needs {arity} distinct "
+                              f"qubits, got {gate.qubits}")
+        if not (math.isfinite(gate.angle) and math.isfinite(gate.scale)):
+            raise AnsatzError(f"gate {gate.name} has a non-finite angle")
 
     def add(self, gate):
         self._check(gate)
@@ -153,6 +163,7 @@ class Circuit:
 
     @classmethod
     def from_text(cls, n_qubits, n_params, text):
+        """Parse ``to_text`` output; AnsatzError on the first bad line."""
         out = cls(n_qubits, n_params)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -160,25 +171,25 @@ class Circuit:
                 continue
             try:
                 out.add(_parse_gate_line(line))
-            except (ValueError, IndexError):
-                raise AnsatzError(f"line {lineno}: bad gate {line!r}") from None
+            except (ValueError, AnsatzError) as exc:
+                raise AnsatzError(
+                    f"line {lineno}: bad gate {line!r}: {exc}") from None
         return out
 
 
 def _parse_gate_line(line):
-    parts = line.split()
-    name = parts[0].upper()
+    name, *args = line.split()
+    name = name.upper()
     if name in ("H", "CNOT"):
-        return Gate(name, tuple(int(q) for q in parts[1:]))
+        return Gate(name, tuple(int(q) for q in args))
     if name not in ("RX", "RZ"):
         raise ValueError(name)
-    qubits = (int(parts[2]),)
-    spec = parts[1]
+    spec, qubit = args
     if spec.startswith("p"):
         slot_txt, _, scale_txt = spec[1:].partition("*")
-        return Gate(name, qubits, slot=int(slot_txt),
+        return Gate(name, (int(qubit),), slot=int(slot_txt),
                     scale=float(scale_txt) if scale_txt else 1.0)
-    return Gate(name, qubits, angle=float(spec))
+    return Gate(name, (int(qubit),), angle=float(spec))
 
 
 def _pauli_exponentials(key, n_modes):

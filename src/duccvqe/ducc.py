@@ -107,7 +107,8 @@ def _half(a, b, n):
     """The IMSRG(2) commutator terms with A on the left; n: occupations.
 
     Each term of the rank <= 2 part of [A, B] is written once as a product
-    A B, so that [A, B] = _half(A, B) - _half(B, A).
+    A B, so that [A, B] = _half(A, B) - _half(B, A). A two-body slot of
+    None is a zero tensor: the terms it multiplies are skipped.
     """
     _, a1, a2 = a
     _, b1, b2 = b
@@ -117,20 +118,24 @@ def _half(a, b, n):
     def e(*args):
         return np.einsum(*args, optimize=True)
 
-    c0 = e("p,pq,qp", n, a1, b1) \
-        + 0.25 * e("p,q,r,s,pqrs,rspq", n, n, h, h, a2, b2)
-    c1 = a1 @ b1 + e("rs,sprq->pq", nn * a1, b2) \
-        + 0.5 * e("rst,tprs,rstq->pq",
-                  np.multiply.outer(np.outer(n, n), h)
-                  + np.multiply.outer(np.outer(h, h), n), a2, b2)
+    c0 = e("p,pq,qp", n, a1, b1)
+    c1 = a1 @ b1
+    if b2 is None:
+        return c0, c1, 0.0
+    c1 = c1 + e("rs,sprq->pq", nn * a1, b2)
     # the terms in z take (1 - P_pq)(1 - P_rs); each A1 term already has
     # one of the two antisymmetries, hence its factor 1/2
-    z = 0.5 * (e("pt,tqrs->pqrs", a1, b2) - e("tr,pqts->pqrs", a1, b2)) \
-        - e("t,uqts,tpur->pqrs", n, a2, b2)
+    z = 0.5 * (e("pt,tqrs->pqrs", a1, b2) - e("tr,pqts->pqrs", a1, b2))
+    c2 = 0.0
+    if a2 is not None:
+        c0 = c0 + 0.25 * e("p,q,r,s,pqrs,rspq", n, n, h, h, a2, b2)
+        c1 = c1 + 0.5 * e("rst,tprs,rstq->pq",
+                          np.multiply.outer(np.outer(n, n), h)
+                          + np.multiply.outer(np.outer(h, h), n), a2, b2)
+        z = z - e("t,uqts,tpur->pqrs", n, a2, b2)
+        c2 = 0.5 * e("pqtu,tu,turs->pqrs", a2, 1.0 - n[:, None] - n, b2)
     z = z - z.transpose(1, 0, 2, 3)
-    c2 = z - z.transpose(0, 1, 3, 2) \
-        + 0.5 * e("pqtu,tu,turs->pqrs", a2, 1.0 - n[:, None] - n, b2)
-    return c0, c1, c2
+    return c0, c1, c2 + (z - z.transpose(0, 1, 3, 2))
 
 
 def _bracket(a, b, n):
@@ -172,7 +177,7 @@ def downfold(spin_ints, space: ActiveSpace,
     m = spin_ints.n_spin_orbitals
     n, h_n = _reference(spin_ints, space)
     sigma = _tensors(sigma_ext_operator(partition(t, space), m), m)
-    f_n = (0.0, h_n[1], np.zeros((m, m, m, m)))
+    f_n = (0.0, h_n[1], None)
     once = _bracket(h_n, sigma, n)
     twice = _bracket(_bracket(f_n, sigma, n), sigma, n)
     return _active_block(

@@ -14,6 +14,8 @@ from importlib import resources
 
 import numpy as np
 
+from .fermion import PRUNE_THRESHOLD, NonFiniteError
+
 DUPLICATE_TOL = 1e-12
 
 FIXTURE_NAMES = ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0")
@@ -130,8 +132,12 @@ class SpinIntegralSet:
     scalar_shift: float = 0.0
     label: str = ""
 
+    @np.errstate(over="ignore", invalid="ignore")
     def antisymmetrized(self):
-        """<pq||rs> = (pr|qs) - (ps|qr) in physicists' notation."""
+        """<pq||rs> = (pr|qs) - (ps|qr) in physicists' notation.
+
+        An overflow leaves inf, for the operators built on it to report.
+        """
         g = self.h2
         return np.einsum("prqs->pqrs", g) - np.einsum("psqr->pqrs", g)
 
@@ -202,6 +208,8 @@ def is_spin_resolved(path):
 
 def _spatial(header, body, path) -> IntegralSet:
     n = _header_int(header, "NORB", path)
+    if n < 1:
+        raise IntegralError(f"{path}: NORB={n} is not positive")
     ints = IntegralSet(n_orbitals=n, label=str(path))
     for lineno, i, j, k, l, value in body:
         try:
@@ -253,13 +261,21 @@ def load_spin_fcidump(path) -> SpinIntegralSet:
     return _spin(header, body, path)
 
 
-def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0,
-                      threshold=1e-12):
+def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0):
+    """Write a UHF=.TRUE. file of the integrals above PRUNE_THRESHOLD.
+
+    NonFiniteError, before the file is opened, when an integral or the
+    scalar is inf or NaN.
+    """
+    if not (np.isfinite(spin_ints.h1).all() and np.isfinite(spin_ints.h2).all()
+            and math.isfinite(spin_ints.scalar_shift)):
+        raise NonFiniteError(
+            f"{path}: not written: an integral is inf or NaN")
     m = spin_ints.n_spin_orbitals
     with open(path, "w") as fh:
         fh.write(f"&FCI NORB={m} NELEC={nelec} MS2={ms2} UHF=.TRUE.\n")
         seen = set()
-        it = np.argwhere(np.abs(spin_ints.h2) > threshold)
+        it = np.argwhere(np.abs(spin_ints.h2) > PRUNE_THRESHOLD)
         for p, q, r, s in it:
             key = _canonical_h2(p + 1, q + 1, r + 1, s + 1)
             if key in seen:
@@ -269,7 +285,7 @@ def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0,
                      % (*key, spin_ints.h2[p, q, r, s]))
         for p in range(m):
             for q in range(p, m):
-                if abs(spin_ints.h1[p, q]) > threshold:
+                if abs(spin_ints.h1[p, q]) > PRUNE_THRESHOLD:
                     fh.write(f"{p + 1} {q + 1} 0 0 {spin_ints.h1[p, q]:.16e}\n")
         if spin_ints.scalar_shift:
             fh.write(f"0 0 0 0 {spin_ints.scalar_shift:.16e}\n")

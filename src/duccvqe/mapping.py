@@ -120,8 +120,9 @@ class PauliSum:
         self.terms[string] = self.terms.get(string, 0.0) + coeff
 
     def prune(self, threshold=PRUNE_THRESHOLD):
+        # written so that a NaN coefficient is kept, never dropped
         self.terms = {s: c for s, c in self.terms.items()
-                      if abs(c) > threshold}
+                      if not abs(c) <= threshold}
         return self
 
     def __add__(self, other):

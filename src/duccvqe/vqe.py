@@ -24,8 +24,8 @@ import numpy as np
 from scipy import optimize
 
 from .ansatz import ExcitationList
-from .fermion import (DENSE_SECTOR_LIMIT, SECTOR_DIM_CAP, FermionOperator,
-                      SectorError, excitation_generator, hf_determinant,
+from .fermion import (DENSE_SECTOR_LIMIT, FermionOperator, NonFiniteError,
+                      excitation_generator, hf_determinant,
                       sector_determinants, sector_matrix)
 
 RHOBEG = 0.1
@@ -48,7 +48,8 @@ class VqeProblem:
     ``objective`` then only multiplies sector vectors. The Hamiltonian is
     dense below ``DENSE_SECTOR_LIMIT`` determinants and CSR above, as in
     ``exact_ground_state``; each kappa_k has at most one non-zero per
-    column and stays CSR.
+    column and stays CSR. A sector above ``SECTOR_DIM_CAP`` determinants
+    raises SectorError, an inf or NaN Hamiltonian entry NonFiniteError.
     """
 
     hamiltonian: FermionOperator
@@ -73,9 +74,6 @@ class VqeProblem:
                 f"{self.hamiltonian.n_modes}-mode Hamiltonian for "
                 f"{n_modes}-mode excitations")
         dets = sector_determinants(n_modes, self.n_electrons, 0)
-        if len(dets) > SECTOR_DIM_CAP:
-            raise SectorError(
-                f"sector dimension {len(dets)} exceeds cap {SECTOR_DIM_CAP}")
         hf = hf_determinant(self.n_electrons) if dets else None
         if hf not in dets:
             raise VqeError(
@@ -83,6 +81,9 @@ class VqeProblem:
                 f"outside the Sz = 0 sector of {n_modes} modes")
         self._reference = dets.index(hf)
         h = sector_matrix(self.hamiltonian, dets)
+        if not np.isfinite(h.data).all():
+            raise NonFiniteError("Hamiltonian has an inf or NaN entry in "
+                                 "the sector")
         if max(abs(h - h.T).max(), abs(h.imag).max()) > SYMMETRY_TOL:
             raise VqeError("Hamiltonian is not real-symmetric in the sector")
         h = h.real

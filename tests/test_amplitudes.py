@@ -210,3 +210,19 @@ def test_ccsd_matches_fci_on_random_systems(rng):
         _, e_corr = ccsd_solve(spin, ref)
         e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
         assert hf_energy(spin, ref) + e_corr == pytest.approx(e_fci, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_orbitals,n_electrons", [(3, 2), (5, 4), (6, 6)])
+def test_ccsd_contraction_paths_match_plain_einsum(monkeypatch, n_orbitals,
+                                                   n_electrons):
+    spin = random_integral_set(np.random.default_rng(n_orbitals), n_orbitals,
+                               gap=3.0).to_spin_orbital()
+    ref = hf_determinant(n_electrons)
+    t, e_corr = ccsd_solve(spin, ref)
+    monkeypatch.setattr(amplitudes, "einsum", np.einsum)
+    t_plain, e_plain = ccsd_solve(spin, ref)
+    assert e_corr == pytest.approx(e_plain, abs=1e-12)
+    for mine, oracle in ((t.t1, t_plain.t1), (t.t2, t_plain.t2)):
+        assert mine.keys() == oracle.keys()
+        for key, value in oracle.items():
+            assert mine[key] == pytest.approx(value, abs=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import dense_operator
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duccvqe import simulator
 from duccvqe.ansatz import (AnsatzError, Circuit, ExcitationList, Gate,
@@ -171,3 +173,33 @@ def test_screen_excitations():
     kept = screen_excitations(exc, t, 1e-5)
     assert kept.doubles == ((0, 1, 2, 3),)
     assert kept.singles == exc.singles
+
+
+_ANGLE = st.one_of(st.floats(-4.0, 4.0), st.floats()).map(repr)
+_QUBIT = st.integers(-1, 3).map(str)
+_SLOT = st.tuples(st.integers(-1, 2), st.one_of(st.just(""), _ANGLE)).map(
+    lambda sv: f"p{sv[0]}*{sv[1]}" if sv[1] else f"p{sv[0]}")
+_GATE_TOKEN = st.one_of(
+    st.sampled_from(["H", "CNOT", "RX", "RZ", "rz", "FOO", "#", "p", "p*"]),
+    _QUBIT, _ANGLE, _SLOT, st.text("0123456789.-+eEp*", max_size=5))
+_GATE_LINE = st.one_of(
+    st.tuples(st.sampled_from(["H", "CNOT"]), _QUBIT, _QUBIT),
+    st.tuples(st.sampled_from(["H"]), _QUBIT),
+    st.tuples(st.sampled_from(["RX", "RZ"]), st.one_of(_ANGLE, _SLOT), _QUBIT),
+    st.lists(_GATE_TOKEN, max_size=5)).map(lambda fields: " ".join(fields))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_GATE_LINE, max_size=5))
+@example(["CNOT 0 0"])  # accepted once, then failed in the simulator
+@example(["RX p0 0"])   # parsed with a slot that to_text dropped
+def test_circuit_text_fuzz(lines):
+    try:
+        circ = Circuit.from_text(3, 2, "\n".join(lines))
+    except AnsatzError:
+        return
+    assert Circuit.from_text(3, 2, circ.to_text()).gates == circ.gates
+    assert circ.depth() <= len(circ.gates)
+    state = simulator.apply(circ, [0.3, -0.7],
+                            simulator.prepare_reference(3, {0}))
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)

@@ -258,3 +258,14 @@ def test_pes_bad_manifest(capsys, tmp_path):
     manifest.write_text("")
     code, _, _ = run(capsys, "pes", "--manifest", str(manifest))
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("command", [["eig"], ["vqe", "--warm-start", "zero"]])
+def test_sector_above_cap_is_a_data_error(capsys, tmp_path, command):
+    # 10 orbitals, 8 electrons: 210^2 = 44,100 determinants
+    path = tmp_path / "big.fcidump"
+    path.write_text("&FCI NORB=10 NELEC=8 MS2=0\n"
+                    + "".join(f"{p} {p} 0 0 {p}.0\n" for p in range(1, 11)))
+    code, _, err = run(capsys, *command, "--integrals", str(path))
+    assert code == EXIT_DATA
+    assert "44100 exceeds cap" in err

@@ -2,16 +2,20 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import (dense_operator, random_fermion_operator,
                       random_integral_set)
 
 from duccvqe import fermion
+from duccvqe.ansatz import enumerate_excitations
 from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
                              SectorError, SpaceError, apply_string,
                              build_hamiltonian, commutator,
-                             exact_ground_state, hf_determinant, hf_energy,
-                             multiply, normal_order, ph_normal_order,
-                             sector_determinants, sector_matrix)
+                             exact_ground_state, excitation_generator,
+                             hf_determinant, hf_energy, multiply,
+                             normal_order, ph_normal_order,
+                             sector_determinants, sector_dimension,
+                             sector_matrix)
 from duccvqe.integrals import SpinIntegralSet
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
@@ -189,3 +193,104 @@ def test_fock_diagonal_dominates(rng):
     # orbital energies follow the engineered gap ordering
     eps = np.diag(f)
     assert eps[0] < eps[2] < eps[4] < eps[6]
+
+
+def _sector_matrix_oracle(op, dets):
+    """Every string applied to every determinant, in term order."""
+    index = {d: i for i, d in enumerate(dets)}
+    rows, cols, vals = [], [], []
+    for col, det in enumerate(dets):
+        for ops, c in op.terms.items():
+            hit = apply_string(ops, det)
+            if hit is None:
+                continue
+            sign, new_det = hit
+            row = index.get(new_det)
+            if row is not None:
+                rows.append(row)
+                cols.append(col)
+                vals.append(sign * c)
+    dim = len(dets)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def _assert_same_csr(op, dets):
+    fast, oracle = sector_matrix(op, dets), _sector_matrix_oracle(op, dets)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast, part), getattr(oracle, part))
+
+
+@pytest.mark.parametrize("n_orbitals,n_electrons", [(3, 4), (6, 6)])
+def test_sector_matrix_of_h_is_the_double_loop(rng, n_orbitals, n_electrons):
+    h = build_hamiltonian(random_integral_set(rng, n_orbitals)
+                          .to_spin_orbital())
+    _assert_same_csr(h, sector_determinants(2 * n_orbitals, n_electrons, 0))
+
+
+def test_sector_matrix_of_generators_is_the_double_loop():
+    exc = enumerate_excitations(ActiveSpace.build(3, (1, 2)), 4)
+    dets = sector_determinants(6, 4, 0)
+    for key in exc.entries:
+        _assert_same_csr(excitation_generator(key, 6), dets)
+
+
+def test_sector_matrix_of_random_strings_is_the_double_loop():
+    # general order, repeated modes and empty strings, in every sector
+    rng = np.random.default_rng(8)
+    sectors = [sector_determinants(6, n, ms2)
+               for n in range(7) for ms2 in range(-n, n + 1, 2)]
+    for _ in range(200):
+        op = random_fermion_operator(rng, 6, 12, max_len=6)
+        for dets in sectors:
+            _assert_same_csr(op, dets)
+
+
+def _hamiltonian_oracle(spin_ints):
+    """1/2 sum (pq|rs) a_p^+ a_r^+ a_s a_q over every index order."""
+    op = FermionOperator.zero(spin_ints.n_spin_orbitals)
+    op.add_term((), spin_ints.scalar_shift)
+    for (p, q), c in np.ndenumerate(spin_ints.h1):
+        op.add_term(((p, 1), (q, 0)), c)
+    for (p, q, r, s), c in np.ndenumerate(spin_ints.h2):
+        if c:
+            op.add_term(((p, 1), (r, 1), (s, 0), (q, 0)), 0.5 * c)
+    return op
+
+
+def test_build_hamiltonian_is_the_normal_ordered_expansion(rng):
+    for n_orbitals in (2, 3, 4):
+        spin = random_integral_set(rng, n_orbitals).to_spin_orbital()
+        h = build_hamiltonian(spin)
+        oracle = normal_order(_hamiltonian_oracle(spin))
+        assert normal_order(h).terms == h.terms  # one canonical string each
+        for key in h.terms.keys() | oracle.terms.keys():
+            assert h.terms.get(key, 0.0) == pytest.approx(
+                oracle.terms.get(key, 0.0), abs=1e-12)
+        if n_orbitals == 3:
+            np.testing.assert_allclose(
+                dense_operator(h), dense_operator(_hamiltonian_oracle(spin)),
+                atol=1e-12)
+
+
+def test_build_hamiltonian_string_count(rng):
+    h = build_hamiltonian(random_integral_set(rng, 6).to_spin_orbital())
+    assert len(h) == 1818
+
+
+def test_sector_cap_checked_before_enumerating():
+    assert sector_dimension(56, 28, 0) == 40116600 ** 2
+    with pytest.raises(SectorError, match="exceeds cap"):
+        sector_determinants(56, 28, 0)
+    with pytest.raises(SectorError, match="exceeds cap"):
+        exact_ground_state(FermionOperator.zero(20), 10, 0)
+
+
+def test_non_finite_sector_matrix_is_a_data_error():
+    # two strings with the same matrix element sum past the float range
+    n_0 = ((0, 1), (0, 0))
+    h = FermionOperator(2, {n_0: 1e308, n_0 + n_0: 1e308})
+    with pytest.raises(NonFiniteError):
+        exact_ground_state(h, 1, 1)
+    h.terms[n_0] = np.nan
+    with pytest.raises(NonFiniteError):
+        exact_ground_state(h, 1, 1)

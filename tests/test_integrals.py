@@ -1,9 +1,13 @@
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duccvqe import integrals
+from duccvqe.fermion import NonFiniteError
 from duccvqe.integrals import (IntegralError, IntegralSet, builtin_fixture,
                                fixture_path, load_fcidump, load_spin_fcidump,
                                save_fcidump, save_spin_fcidump)
@@ -224,3 +228,58 @@ def test_spin_expansion_blocks(rng):
     np.testing.assert_allclose(spin.h2[0::2, 0::2, 1::2, 1::2], h2)
     assert np.all(spin.h2[0::2, 1::2] == 0.0)
     np.testing.assert_allclose(spin.h1[1::2, 1::2], ints.h1_matrix())
+
+
+@pytest.mark.parametrize("entry", ["h1", "h2", "scalar"])
+def test_non_finite_integrals_are_not_saved(tmp_path, entry):
+    spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
+    if entry == "h1":
+        spin.h1[0, 0] = np.nan
+    elif entry == "h2":
+        spin.h2[0, 0, 1, 1] = np.inf
+    else:
+        spin.scalar_shift = np.nan
+    path = tmp_path / "spin.fcidump"
+    with pytest.raises(NonFiniteError):
+        save_spin_fcidump(spin, path, nelec=2)
+    assert not path.exists()
+
+
+_VALUE = st.one_of(st.floats(-1.0, 1.0), st.floats()).map(repr)
+_INDEX = st.integers(-1, 5)
+_HEADER_FIELD = st.one_of(
+    st.tuples(st.sampled_from(["NORB", "NELEC", "MS2", "UHF", "norb", "X"]),
+              st.one_of(st.integers(-2, 5).map(str),
+                        st.sampled_from([".TRUE.", ".FALSE.", "", "2.0"]))
+              ).map("=".join),
+    st.sampled_from(["&FCI", ",", "/", "&END"]))
+_HEADER = st.lists(_HEADER_FIELD, max_size=5).map(
+    lambda fields: "&FCI " + " ".join(fields))
+_TOKEN = st.one_of(_INDEX.map(str), _VALUE,
+                   st.sampled_from(["&FCI", "/", "&END", "#", "x"]),
+                   st.text("0123456789.-+eE", max_size=4))
+_DATA = st.one_of(st.tuples(_INDEX, _INDEX, _INDEX, _INDEX, _VALUE),
+                  st.lists(_TOKEN, max_size=6)).map(
+    lambda fields: " ".join(map(str, fields)))
+
+
+@pytest.mark.parametrize("flag", ["", " UHF=.TRUE."])
+@settings(max_examples=200, deadline=None)
+@given(header=_HEADER, lines=st.lists(st.one_of(_DATA, _HEADER), max_size=6))
+@example(header="&FCI NORB=1 NELEC=2",  # an energy past the float range
+         lines=["1 1 0 0 -1.7e308", "1 1 1 1 1.7e308"])
+@example(header="&FCI NORB=-1", lines=[])
+def test_fcidump_fuzz(tmp_path_factory, flag, header, lines):
+    from duccvqe.cli import EXIT_DATA, EXIT_OK, main
+    workdir = tmp_path_factory.mktemp("fcidump")
+    path, out = workdir / "fuzz.fcidump", workdir / "eig.json"
+    path.write_text("\n".join([header + flag, *lines]) + "\n")
+    for load in (load_fcidump, load_spin_fcidump):
+        try:
+            load(path)
+        except IntegralError:
+            pass
+    code = main(["eig", "--integrals", str(path), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_OK:
+        assert np.isfinite(json.loads(out.read_text())["energy"])

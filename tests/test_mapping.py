@@ -3,7 +3,7 @@ import pytest
 from conftest import dense_operator, random_fermion_operator
 
 from duccvqe.fermion import FermionOperator, build_hamiltonian
-from duccvqe.integrals import builtin_fixture
+from duccvqe.integrals import SpinIntegralSet, builtin_fixture
 from duccvqe.mapping import (PauliString, PauliSum, jordan_wigner,
                              pauli_multiply)
 
@@ -122,3 +122,11 @@ def test_sum_algebra(rng):
                                a.to_dense() @ b.to_dense(), atol=1e-12)
     np.testing.assert_allclose((a - 2.0 * a).to_dense(), -a.to_dense(),
                                atol=1e-12)
+
+
+def test_nan_term_survives_jordan_wigner():
+    h1 = np.diag([np.nan, 1.0])
+    image = jordan_wigner(build_hamiltonian(
+        SpinIntegralSet(2, h1, np.zeros((2,) * 4))))
+    assert np.isnan(image.terms[PauliString()])
+    assert np.isnan(PauliSum(1, {Z: np.nan}).prune().terms[Z])

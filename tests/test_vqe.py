@@ -7,9 +7,10 @@ from duccvqe.amplitudes import mp2_amplitudes
 from duccvqe.ansatz import (ExcitationList, enumerate_excitations,
                             excitation_generator, screen_excitations,
                             trotter_circuit)
-from duccvqe.fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
-                             exact_ground_state, hf_determinant, hf_energy,
-                             sector_determinants, sector_matrix)
+from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
+                             build_hamiltonian, exact_ground_state,
+                             hf_determinant, hf_energy, sector_determinants,
+                             sector_matrix)
 from duccvqe.integrals import FIXTURE_NAMES, builtin_fixture
 from duccvqe.mapping import jordan_wigner
 from duccvqe.vqe import VqeProblem, minimize, objective, warm_start
@@ -120,6 +121,9 @@ def test_mismatched_problem_rejected():
     hop = FermionOperator.from_term(4, ((2, 1), (0, 0)))  # no h.c. partner
     with pytest.raises(vqe.VqeError, match="symmetric"):
         VqeProblem(hop, TOY_EXCITATIONS, 2, [0.0])
+    nan_h = FermionOperator.from_term(4, ((0, 1), (0, 0)), np.nan)
+    with pytest.raises(NonFiniteError):
+        VqeProblem(nan_h, TOY_EXCITATIONS, 2, [0.0])
     with pytest.raises(vqe.VqeError, match="budget"):
         VqeProblem(ham, TOY_EXCITATIONS, 2, [0.0], max_evaluations=0)
     problem = VqeProblem(ham, TOY_EXCITATIONS, 2, [0.0])
