@@ -9,7 +9,6 @@ active spaces never materialize their gate lists.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -44,10 +43,6 @@ class ExcitationList:
 
     def __len__(self):
         return len(self.singles) + len(self.doubles)
-
-    @property
-    def n_parameters(self):
-        return len(self)
 
 
 def enumerate_excitations(space: ActiveSpace,
@@ -144,10 +139,6 @@ class Circuit:
     def add(self, gate):
         self._check(gate)
         self.gates.append(gate)
-
-    @property
-    def gate_count(self):
-        return len(self.gates)
 
     def depth(self):
         """Greedy layering: gates on disjoint qubits share a layer."""
@@ -248,15 +239,6 @@ class ResourceReport:
     n_parameters: int
     gate_count: int
     depth: int
-
-    def to_json(self):
-        return json.dumps({
-            "n_qubits": self.n_qubits,
-            "n_excitations": self.n_excitations,
-            "n_parameters": self.n_parameters,
-            "gate_count": self.gate_count,
-            "depth": self.depth,
-        })
 
 
 def _excitation_blocks(key):

@@ -41,9 +41,11 @@ class _CliDataError(Exception):
     pass
 
 
-def _load_spin(path, nelec=None, ms2=None):
+def _load_spin(path, nelec=None, ms2=None, reference=False):
     """Read one integral file into (SpinIntegralSet, nelec, ms2); the
-    header's NELEC and MS2 stand in for counts left unset."""
+    header's NELEC and MS2 stand in for counts left unset. With
+    ``reference`` an MS2 other than nelec % 2, the MS2 of
+    hf_determinant(nelec), is a data error."""
     ints, file_nelec, file_ms2 = integrals_mod.read_fcidump(path)
     spin = ints if isinstance(ints, integrals_mod.SpinIntegralSet) \
         else ints.to_spin_orbital()
@@ -52,14 +54,17 @@ def _load_spin(path, nelec=None, ms2=None):
     if nelec < 1 or nelec > spin.n_spin_orbitals:
         raise _CliDataError(f"bad electron count {nelec} for "
                             f"{spin.n_spin_orbitals} spin orbitals")
+    if reference and ms2 != nelec % 2:
+        raise _CliDataError(f"MS2={ms2}, but the reference determinant of "
+                            f"{nelec} electrons has MS2={nelec % 2}")
     return spin, nelec, ms2
 
 
-def _load_input(args):
+def _load_input(args, reference=True):
     """_load_spin on the --fixture or --integrals input."""
     path = integrals_mod.fixture_path(args.fixture) if args.fixture \
         else args.integrals
-    return _load_spin(path, args.nelec, args.ms2)
+    return _load_spin(path, args.nelec, getattr(args, "ms2", None), reference)
 
 
 def _emit(args, text):
@@ -88,7 +93,7 @@ def cmd_resources(args):
         "depth": report.depth,
     }
     if args.integrals:
-        spin, _, _ = _load_spin(args.integrals, args.electrons)
+        spin, _, _ = _load_spin(args.integrals, args.electrons, reference=True)
         t_mp2 = mp2_amplitudes(spin, hf_determinant(args.electrons))
         screened = ansatz_mod.screen_excitations(exc, t_mp2,
                                                  args.mp2_threshold)
@@ -106,7 +111,7 @@ def cmd_resources(args):
 
 
 def cmd_eig(args):
-    spin, nelec, ms2 = _load_input(args)
+    spin, nelec, ms2 = _load_input(args, reference=False)
     h = build_hamiltonian(spin)
     energy, _ = exact_ground_state(h, nelec, ms2)
     _emit(args, json.dumps({"energy": energy, "nelec": nelec, "ms2": ms2}))
@@ -206,9 +211,9 @@ def _read_manifest(path):
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise _CliDataError(
-                    f"{path}:{lineno}: expected 'label fixture-or-file'")
+            if len(parts) != 2 or "," in parts[0]:
+                raise _CliDataError(f"{path}:{lineno}: expected 'label "
+                                    "fixture-or-file', a label without ','")
             rows.append(tuple(parts))
     if not rows:
         raise _CliDataError(f"{path}: empty manifest")
@@ -218,7 +223,7 @@ def _read_manifest(path):
 def _pes_point(source, methods, nelec, ms2):
     if source in integrals_mod.FIXTURE_NAMES:
         source = integrals_mod.fixture_path(source)
-    spin, nelec, ms2 = _load_spin(source, nelec, ms2)
+    spin, nelec, ms2 = _load_spin(source, nelec, ms2, "vqe" in methods)
     out = {}
     if "eig" in methods:
         out["eig"], _ = exact_ground_state(build_hamiltonian(spin),
@@ -254,12 +259,11 @@ def cmd_pes(args):
     return EXIT_OK
 
 
-def _add_input_flags(p, require=True):
-    group = p.add_mutually_exclusive_group(required=require)
+def _add_input_flags(p):
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fixture", choices=integrals_mod.FIXTURE_NAMES)
     group.add_argument("--integrals", metavar="FILE")
     p.add_argument("--nelec", type=int, default=None)
-    p.add_argument("--ms2", type=int, default=None)
 
 
 def build_parser():
@@ -279,6 +283,7 @@ def build_parser():
 
     p = sub.add_parser("eig", help="exact sector ground-state energy")
     _add_input_flags(p)
+    p.add_argument("--ms2", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eig)
 

@@ -81,8 +81,7 @@ def _tensors(op: FermionOperator, m):
 def _integral_set(scalar, chi1, chi2) -> SpinIntegralSet:
     """Plain-form tensors as h1 = chi1, (pq|rs) = chi2[p,r,q,s] / 2."""
     return SpinIntegralSet(len(chi1), chi1,
-                           0.5 * np.einsum("prqs->pqrs", chi2), scalar,
-                           label="ducc")
+                           0.5 * np.einsum("prqs->pqrs", chi2), scalar)
 
 
 def project_active(h_bar: FermionOperator, space: ActiveSpace,

@@ -17,6 +17,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 PRUNE_THRESHOLD = 1e-12
+# largest |H - H^+| entry accepted as rounding in a Hermiticity check
+HERMITIAN_TOL = 1e-10
 DENSE_SECTOR_LIMIT = 2000
 # Building a sector matrix of H holds its non-zeros in Python lists, about
 # 70 KB a determinant: measured with BLAS on 1 thread on a 2-vCPU VM, the
@@ -70,11 +72,6 @@ class ActiveSpace:
                 f"orbital lists do not partition 1..{n_orbitals}")
         return cls(occupied, active_virtual, frozen)
 
-    @property
-    def n_orbitals(self):
-        return len(self.occupied) + len(self.active_virtual) \
-            + len(self.frozen_external)
-
     def spin_orbitals(self, spatial_orbitals):
         """Global interleaved spin orbitals (0-based) for 1-based spatials."""
         out = []
@@ -118,15 +115,12 @@ class FermionOperator:
     def from_term(cls, n_modes, ops, coeff=1.0):
         return cls(n_modes, {tuple(ops): coeff})
 
-    def copy(self):
-        return FermionOperator(self.n_modes, dict(self.terms))
-
     def add_term(self, ops, coeff):
         key = tuple(ops)
         self.terms[key] = self.terms.get(key, 0.0) + coeff
 
     def __add__(self, other):
-        out = self.copy()
+        out = FermionOperator(self.n_modes, dict(self.terms))
         for ops, c in other.terms.items():
             out.add_term(ops, c)
         return out
@@ -149,14 +143,11 @@ class FermionOperator:
             out.add_term(rev, np.conjugate(c))
         return out
 
-    def prune(self, threshold=PRUNE_THRESHOLD):
+    def prune(self):
         # written so that a NaN coefficient is kept, never dropped
         self.terms = {ops: c for ops, c in self.terms.items()
-                      if not abs(c) <= threshold}
+                      if not abs(c) <= PRUNE_THRESHOLD}
         return self
-
-    def max_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __len__(self):
         return len(self.terms)
@@ -422,13 +413,17 @@ def sector_matrix(op: FermionOperator, dets):
 def exact_ground_state(op: FermionOperator, n_electrons: int, ms2: int = 0):
     """Lowest eigenpair of ``op`` in the (N, Sz) determinant sector.
 
-    NonFiniteError when a matrix entry or the energy is inf or NaN.
+    SectorError when ``op`` is not Hermitian in the sector to
+    ``HERMITIAN_TOL``; NonFiniteError when a matrix entry or the energy is
+    inf or NaN.
     """
     dets = sector_determinants(op.n_modes, n_electrons, ms2)
     if not dets:
         raise SectorError(
             f"empty sector: N={n_electrons}, MS2={ms2}, modes={op.n_modes}")
     mat = sector_matrix(op, dets)
+    if abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
+        raise SectorError("operator is not Hermitian in the sector")
     mat = (mat + mat.conj().T) / 2
     if not np.isfinite(mat.data).all():
         raise NonFiniteError("sector matrix has an inf or NaN entry")
@@ -441,6 +436,6 @@ def exact_ground_state(op: FermionOperator, n_electrons: int, ms2: int = 0):
     return float(w[0]), v[:, 0]
 
 
-def is_hermitian(op: FermionOperator, tol=1e-10) -> bool:
+def is_hermitian(op: FermionOperator) -> bool:
     diff = normal_order(op - op.dagger())
-    return diff.max_coeff() <= tol
+    return all(abs(c) <= HERMITIAN_TOL for c in diff.terms.values())

@@ -17,6 +17,12 @@ import numpy as np
 from .fermion import PRUNE_THRESHOLD, NonFiniteError
 
 DUPLICATE_TOL = 1e-12
+# Loading a file forms dense spin-orbital tensors of m^4 entries, and the
+# downfold holds several more: measured with BLAS on 1 thread on a 2-vCPU
+# VM, `ducc-vqe downfold --active 1,2,3` on a seeded 2-electron system
+# peaked at 921 MB in 17 s for 56 spin orbitals (H2/cc-pVTZ size) and at
+# 1.51 GB in 38 s for 64. The cap keeps one run within about 1.5 GB.
+SPIN_ORBITAL_CAP = 64
 
 FIXTURE_NAMES = ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0")
 
@@ -50,21 +56,16 @@ def _canonical_h2(i, j, k, l):
 
 @dataclass
 class IntegralSet:
-    """Spatial-orbital integrals in Hartree, 1-based indices."""
+    """Spatial-orbital integrals in Hartree, 1-based indices.
+
+    Entries enter through ``set_h1`` and ``set_h2``, which key them by the
+    canonical member of their symmetry orbit.
+    """
 
     n_orbitals: int
-    h1: dict = field(default_factory=dict)
-    h2: dict = field(default_factory=dict)
+    h1: dict = field(default_factory=dict, init=False)
+    h2: dict = field(default_factory=dict, init=False)
     scalar_shift: float = 0.0
-    label: str = ""
-
-    def __post_init__(self):
-        for (i, j) in self.h1:
-            self._check_range(i, j)
-        for (i, j, k, l) in self.h2:
-            self._check_range(i, j, k, l)
-        self.h1 = {_canonical_h1(*t): v for t, v in self.h1.items()}
-        self.h2 = {_canonical_h2(*t): v for t, v in self.h2.items()}
 
     def _check_range(self, *indices):
         for p in indices:
@@ -119,7 +120,7 @@ class IntegralSet:
         for sp in (0, 1):
             for sr in (0, 1):
                 h2s[sp::2, sp::2, sr::2, sr::2] = h2
-        return SpinIntegralSet(m, h1s, h2s, self.scalar_shift, self.label)
+        return SpinIntegralSet(m, h1s, h2s, self.scalar_shift)
 
 
 @dataclass
@@ -130,7 +131,6 @@ class SpinIntegralSet:
     h1: np.ndarray
     h2: np.ndarray
     scalar_shift: float = 0.0
-    label: str = ""
 
     @np.errstate(over="ignore", invalid="ignore")
     def antisymmetrized(self):
@@ -201,16 +201,17 @@ def _is_uhf(header):
     return header.get("UHF", "").upper().strip(".") in ("TRUE", "T")
 
 
-def is_spin_resolved(path):
-    """True when the file header carries a UHF=.TRUE.-style flag."""
-    return _is_uhf(_read_lines(path)[0])
-
-
-def _spatial(header, body, path) -> IntegralSet:
+def _spatial(header, body, path, spin_per_orbital=2) -> IntegralSet:
+    """The body as an IntegralSet; each of the NORB orbitals of the header
+    stands for ``spin_per_orbital`` spin orbitals."""
     n = _header_int(header, "NORB", path)
     if n < 1:
         raise IntegralError(f"{path}: NORB={n} is not positive")
-    ints = IntegralSet(n_orbitals=n, label=str(path))
+    if n * spin_per_orbital > SPIN_ORBITAL_CAP:
+        raise IntegralError(
+            f"{path}: NORB={n} gives {n * spin_per_orbital} spin orbitals, "
+            f"above the cap {SPIN_ORBITAL_CAP}")
+    ints = IntegralSet(n_orbitals=n)
     for lineno, i, j, k, l, value in body:
         try:
             if i == j == k == l == 0:
@@ -233,10 +234,10 @@ def load_fcidump(path) -> IntegralSet:
     return _spatial(header, body, path)
 
 
-def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
-    nelec = ints.n_orbitals * 2 if nelec is None else nelec
+def _write(ints: IntegralSet, path, fields):
+    """The FCIDUMP body of ``ints`` under a header of NORB and ``fields``."""
     with open(path, "w") as fh:
-        fh.write(f"&FCI NORB={ints.n_orbitals} NELEC={nelec} MS2={ms2}\n")
+        fh.write(f"&FCI NORB={ints.n_orbitals} {fields}\n")
         for (i, j, k, l), v in sorted(ints.h2.items()):
             fh.write(f"{i} {j} {k} {l} {v:.16e}\n")
         for (i, j), v in sorted(ints.h1.items()):
@@ -245,11 +246,16 @@ def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
             fh.write(f"0 0 0 0 {ints.scalar_shift:.16e}\n")
 
 
+def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
+    nelec = ints.n_orbitals * 2 if nelec is None else nelec
+    _write(ints, path, f"NELEC={nelec} MS2={ms2}")
+
+
 def _spin(header, body, path) -> SpinIntegralSet:
     """The spatial parse, with NORB counting spin orbitals."""
-    ints = _spatial(header, body, path)
+    ints = _spatial(header, body, path, spin_per_orbital=1)
     return SpinIntegralSet(ints.n_orbitals, ints.h1_matrix(), ints.h2_tensor(),
-                           ints.scalar_shift, str(path))
+                           ints.scalar_shift)
 
 
 def load_spin_fcidump(path) -> SpinIntegralSet:
@@ -262,33 +268,29 @@ def load_spin_fcidump(path) -> SpinIntegralSet:
 
 
 def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0):
-    """Write a UHF=.TRUE. file of the integrals above PRUNE_THRESHOLD.
+    """Write a UHF=.TRUE. file of the integral orbits with an entry above
+    PRUNE_THRESHOLD, each once, with the value of its canonical member.
 
-    NonFiniteError, before the file is opened, when an integral or the
-    scalar is inf or NaN.
+    Before the file is opened: NonFiniteError when an integral or the
+    scalar is inf or NaN, IntegralError when two members of an orbit
+    differ by more than DUPLICATE_TOL.
     """
     if not (np.isfinite(spin_ints.h1).all() and np.isfinite(spin_ints.h2).all()
             and math.isfinite(spin_ints.scalar_shift)):
         raise NonFiniteError(
             f"{path}: not written: an integral is inf or NaN")
-    m = spin_ints.n_spin_orbitals
-    with open(path, "w") as fh:
-        fh.write(f"&FCI NORB={m} NELEC={nelec} MS2={ms2} UHF=.TRUE.\n")
-        seen = set()
-        it = np.argwhere(np.abs(spin_ints.h2) > PRUNE_THRESHOLD)
-        for p, q, r, s in it:
-            key = _canonical_h2(p + 1, q + 1, r + 1, s + 1)
-            if key in seen:
-                continue
-            seen.add(key)
-            fh.write("%d %d %d %d %.16e\n"
-                     % (*key, spin_ints.h2[p, q, r, s]))
-        for p in range(m):
-            for q in range(p, m):
-                if abs(spin_ints.h1[p, q]) > PRUNE_THRESHOLD:
-                    fh.write(f"{p + 1} {q + 1} 0 0 {spin_ints.h1[p, q]:.16e}\n")
-        if spin_ints.scalar_shift:
-            fh.write(f"0 0 0 0 {spin_ints.scalar_shift:.16e}\n")
+    ints = IntegralSet(spin_ints.n_spin_orbitals,
+                       scalar_shift=spin_ints.scalar_shift)
+    for x, orbit, put in ((spin_ints.h2, _h2_orbit(0, 1, 2, 3), ints.set_h2),
+                          (spin_ints.h1, ((0, 1), (1, 0)), ints.set_h1)):
+        kept = np.abs(x) > PRUNE_THRESHOLD
+        kept = np.logical_or.reduce([kept.transpose(axes) for axes in orbit])
+        # in reverse, so that an orbit's smallest index tuple, the canonical
+        # member, is set last and its value is the one written
+        for idx, v in reversed(list(zip(np.argwhere(kept).tolist(),
+                                        x[kept].tolist()))):
+            put(*(p + 1 for p in idx), v)
+    _write(ints, path, f"NELEC={nelec} MS2={ms2} UHF=.TRUE.")
 
 
 def read_fcidump(path):
@@ -315,6 +317,4 @@ def fixture_path(name):
 
 def builtin_fixture(name) -> IntegralSet:
     """Bundled 4-orbital DUCC-dressed H2 integral sets."""
-    ints = load_fcidump(fixture_path(name))
-    ints.label = name
-    return ints
+    return load_fcidump(fixture_path(name))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fermion import PRUNE_THRESHOLD
+from .fermion import HERMITIAN_TOL, PRUNE_THRESHOLD
 
 # powers of i, indexed by the exponent mod 4
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -55,21 +55,6 @@ class PauliString:
     def label(self):
         parts = [f"{_CODE_CHAR[self.code(q)]}{q}" for q in self.support]
         return " ".join(parts) if parts else "I"
-
-    @classmethod
-    def from_label(cls, label):
-        x = z = 0
-        label = label.strip()
-        if label == "I":
-            return cls(0, 0)
-        for tok in label.split():
-            code = _CHAR_CODE[tok[0]]
-            q = int(tok[1:])
-            if code & 1:
-                x |= 1 << q
-            if code & 2:
-                z |= 1 << q
-        return cls(x, z)
 
     @classmethod
     def single(cls, qubit, kind):
@@ -119,10 +104,10 @@ class PauliSum:
     def add_term(self, string, coeff):
         self.terms[string] = self.terms.get(string, 0.0) + coeff
 
-    def prune(self, threshold=PRUNE_THRESHOLD):
+    def prune(self):
         # written so that a NaN coefficient is kept, never dropped
         self.terms = {s: c for s, c in self.terms.items()
-                      if not abs(c) <= threshold}
+                      if not abs(c) <= PRUNE_THRESHOLD}
         return self
 
     def __add__(self, other):
@@ -147,16 +132,16 @@ class PauliSum:
 
     __rmul__ = __mul__
 
-    def is_hermitian(self, tol=1e-10):
-        return all(abs(c.imag if isinstance(c, complex) else 0.0) <= tol
-                   for c in self.terms.values())
+    def is_hermitian(self):
+        return all(abs(c.imag if isinstance(c, complex) else 0.0)
+                   <= HERMITIAN_TOL for c in self.terms.values())
 
-    def real(self, tol=1e-10):
+    def real(self):
         """Drop sub-tolerance imaginary residue; error on larger ones."""
         out = {}
         for s, c in self.terms.items():
             c = complex(c)
-            if abs(c.imag) > tol:
+            if abs(c.imag) > HERMITIAN_TOL:
                 raise ValueError(
                     f"non-real coefficient {c} on {s.label()}")
             out[s] = c.real
@@ -167,25 +152,6 @@ class PauliSum:
         out = np.zeros((dim, dim), dtype=complex)
         for s, c in self.terms.items():
             out += c * s.to_dense(self.n_qubits)
-        return out
-
-    def to_text(self):
-        lines = []
-        for s in sorted(self.terms, key=lambda s: (s.weight(), s.x, s.z)):
-            c = complex(self.terms[s])
-            lines.append(f"{c.real:.16e} {c.imag:.16e} {s.label()}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, n_qubits, text):
-        out = cls.zero(n_qubits)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            re_, im_, label = line.split(None, 2)
-            out.add_term(PauliString.from_label(label),
-                         float(re_) + 1j * float(im_))
         return out
 
     def __len__(self):

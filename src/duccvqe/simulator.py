@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fermion import HERMITIAN_TOL
+
 QUBIT_CAP = 24
 
 
@@ -30,12 +32,10 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def prepare_reference(n_qubits, occupied, max_qubits=QUBIT_CAP) -> StateVector:
+def prepare_reference(n_qubits, occupied) -> StateVector:
     """Computational-basis state with 1s on the occupied qubits."""
-    if n_qubits > max_qubits:
-        raise SimulatorError(
-            f"{n_qubits} qubits exceed the cap {max_qubits}; "
-            "raise max_qubits explicitly for larger registers")
+    if n_qubits > QUBIT_CAP:
+        raise SimulatorError(f"{n_qubits} qubits exceed the cap {QUBIT_CAP}")
     occupied = set(occupied)
     if any(not 0 <= q < n_qubits for q in occupied):
         raise SimulatorError(f"occupied qubits {sorted(occupied)} "
@@ -110,13 +110,13 @@ def _string_expectation(string, amp):
     return (1j ** n_y) * np.dot(bra, signs * amp)
 
 
-def expectation(h, state: StateVector, imag_tol=1e-10) -> float:
+def expectation(h, state: StateVector) -> float:
     """Exact <psi|H|psi> for a Hermitian PauliSum."""
-    if not h.is_hermitian(imag_tol):
+    if not h.is_hermitian():
         raise SimulatorError("PauliSum has non-real coefficients")
     val = 0.0 + 0.0j
     for string, c in h.terms.items():
         val += c * _string_expectation(string, state.amplitudes)
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > HERMITIAN_TOL:
         raise SimulatorError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)

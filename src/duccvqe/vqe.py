@@ -24,15 +24,14 @@ import numpy as np
 from scipy import optimize
 
 from .ansatz import ExcitationList
-from .fermion import (DENSE_SECTOR_LIMIT, FermionOperator, NonFiniteError,
-                      excitation_generator, hf_determinant,
+from .fermion import (DENSE_SECTOR_LIMIT, HERMITIAN_TOL, FermionOperator,
+                      NonFiniteError, excitation_generator, hf_determinant,
                       sector_determinants, sector_matrix)
 
 RHOBEG = 0.1
 PARAM_TOL = 1e-6
 MAX_EVALUATIONS = 100_000
 CHEMICAL_ACCURACY = 1.6e-3
-SYMMETRY_TOL = 1e-10
 
 
 class VqeError(Exception):
@@ -84,7 +83,7 @@ class VqeProblem:
         if not np.isfinite(h.data).all():
             raise NonFiniteError("Hamiltonian has an inf or NaN entry in "
                                  "the sector")
-        if max(abs(h - h.T).max(), abs(h.imag).max()) > SYMMETRY_TOL:
+        if max(abs(h - h.T).max(), abs(h.imag).max()) > HERMITIAN_TOL:
             raise VqeError("Hamiltonian is not real-symmetric in the sector")
         h = h.real
         self._hamiltonian = h.toarray() if len(dets) < DENSE_SECTOR_LIMIT \

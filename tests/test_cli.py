@@ -1,16 +1,19 @@
+import contextlib
 import json
 import warnings
 
 import numpy as np
 import pytest
 from conftest import random_integral_set
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
 from duccvqe.ducc import downfold
 from duccvqe.fermion import ActiveSpace, hf_determinant
-from duccvqe.integrals import (builtin_fixture, load_fcidump,
+from duccvqe.integrals import (FIXTURE_NAMES, builtin_fixture, load_fcidump,
                                load_spin_fcidump, save_fcidump)
 
 
@@ -180,6 +183,48 @@ def test_header_counts_and_file_sources(capsys, tmp_path):
     assert float(rows["dressed"]) == pytest.approx(blob["energy"], abs=1e-9)
 
 
+@pytest.mark.parametrize("command", [["mp2"], ["ccsd"], ["vqe"],
+                                     ["downfold", "--active", "1,2"]])
+def test_reference_commands_take_ms2_from_the_reference(capsys, tmp_path,
+                                                        command):
+    out = tmp_path / "out"
+    argv = [*command, "--out", str(out)]
+    code, _, _ = run(capsys, *argv, "--fixture", "h2_ducc_0.8", "--ms2", "2")
+    assert code == EXIT_USAGE
+    # hf_determinant(2) has MS2 = 0; a header that says 2 is a data error
+    path = tmp_path / "triplet.fcidump"
+    save_fcidump(builtin_fixture("h2_ducc_0.8"), path, nelec=2, ms2=2)
+    code, _, err = run(capsys, *argv, "--integrals", str(path))
+    assert code == EXIT_DATA
+    assert "MS2=2" in err
+    assert not out.exists()
+
+
+def test_resources_screening_takes_ms2_from_the_reference(capsys, tmp_path):
+    path = tmp_path / "triplet.fcidump"
+    save_fcidump(builtin_fixture("h2_ducc_0.8"), path, nelec=2, ms2=2)
+    code, _, err = run(capsys, "resources", "--orbitals", "4",
+                       "--electrons", "2", "--integrals", str(path))
+    assert code == EXIT_DATA
+    assert "MS2=2" in err
+
+
+def test_pes_ms2_reaches_eig_only(capsys, tmp_path):
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("a h2_ducc_0.8\n")
+    code, out, _ = run(capsys, "pes", "--manifest", str(manifest),
+                       "--methods", "eig", "--ms2", "2")
+    assert code == EXIT_OK
+    code, eig, _ = run(capsys, "eig", "--fixture", "h2_ducc_0.8",
+                       "--ms2", "2")
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
+        json.loads(eig)["energy"], abs=1e-9)
+    code, _, err = run(capsys, "pes", "--manifest", str(manifest),
+                       "--methods", "eig,vqe", "--ms2", "2")
+    assert code == EXIT_DATA
+    assert "MS2=2" in err
+
+
 @pytest.mark.parametrize("source", ["fixture", "seeded_5_orbitals"])
 def test_library_and_cli_give_the_same_dressed_hamiltonian(capsys, tmp_path,
                                                            rng, source):
@@ -269,3 +314,38 @@ def test_sector_above_cap_is_a_data_error(capsys, tmp_path, command):
     code, _, err = run(capsys, *command, "--integrals", str(path))
     assert code == EXIT_DATA
     assert "44100 exceeds cap" in err
+
+
+_WORD = st.text("ab.,#_-0123456789 h2ducc", max_size=8)
+_SOURCE = st.sampled_from([*FIXTURE_NAMES, "@file", "h2_ducc_9.9",
+                           "missing.fcidump", "@manifest", "@dir"])
+_ROW = st.tuples(st.text("ab.-_0123456789", min_size=1, max_size=6),
+                 _SOURCE).map(" ".join)
+_MANIFEST_LINE = st.one_of(
+    _ROW, _ROW.map(lambda row: row + " # note"), st.just("# comment"),
+    st.just(""), st.lists(st.one_of(_SOURCE, _WORD), max_size=4).map(" ".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_MANIFEST_LINE, max_size=5))
+@example(lines=["a,b h2_ducc_0.8"])   # a label that would split its CSV row
+@example(lines=["a @dir", "b @manifest"])
+def test_pes_manifest_fuzz(tmp_path_factory, lines):
+    workdir = tmp_path_factory.mktemp("pes")
+    manifest, out = workdir / "fuzz.manifest", workdir / "pes.csv"
+    save_fcidump(builtin_fixture("h2_ducc_0.8"), workdir / "h2.fcidump",
+                 nelec=2)
+    places = {"@file": "h2.fcidump", "@manifest": manifest.name,
+              "@dir": str(workdir)}
+    manifest.write_text("".join(
+        " ".join(places.get(tok, tok) for tok in line.split(" ")) + "\n"
+        for line in lines))
+    with contextlib.chdir(workdir):
+        code = main(["pes", "--manifest", str(manifest), "--methods", "eig",
+                     "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_OK:
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["label", "E_eig"]
+        assert all(len(row) == 2 and np.isfinite(float(row[1]))
+                   for row in rows[1:])

@@ -277,6 +277,17 @@ def test_build_hamiltonian_string_count(rng):
     assert len(h) == 1818
 
 
+def test_non_hermitian_operator_rejected():
+    # n_0 and n_1 on 2 electrons in 4 modes, plus a lone a_2^+ a_0
+    op = FermionOperator(4, {((0, 1), (0, 0)): -1.0, ((1, 1), (1, 0)): -1.0,
+                             ((2, 1), (0, 0)): 0.2})
+    with pytest.raises(SectorError, match="not Hermitian"):
+        exact_ground_state(op, 2, 0)
+    op.terms[((0, 1), (2, 0))] = 0.2
+    e, _ = exact_ground_state(op, 2, 0)
+    assert e == pytest.approx(-1.5 - np.sqrt(0.29), abs=1e-12)
+
+
 def test_sector_cap_checked_before_enumerating():
     assert sector_dimension(56, 28, 0) == 40116600 ** 2
     with pytest.raises(SectorError, match="exceeds cap"):

@@ -158,11 +158,50 @@ def test_spin_round_trip(tmp_path, rng):
     spin = integrals.SpinIntegralSet(m, h1, h2, scalar_shift=-1.25)
     path = tmp_path / "s.fcidump"
     save_spin_fcidump(spin, path, nelec=2)
-    assert integrals.is_spin_resolved(path)
+    assert isinstance(integrals.read_fcidump(path)[0],
+                      integrals.SpinIntegralSet)
     back = load_spin_fcidump(path)
     np.testing.assert_allclose(back.h1, h1, atol=1e-13)
     np.testing.assert_allclose(back.h2, h2, atol=1e-13)
     assert back.scalar_shift == pytest.approx(-1.25, abs=1e-14)
+
+
+def test_spin_save_rejects_conflicting_orbit(tmp_path):
+    m = 4
+    spin = integrals.SpinIntegralSet(m, np.zeros((m, m)), np.zeros((m,) * 4))
+    spin.h2[0, 0, 2, 2], spin.h2[2, 2, 0, 0] = 0.3, 0.7
+    path = tmp_path / "s.fcidump"
+    with pytest.raises(IntegralError, match="duplicate"):
+        save_spin_fcidump(spin, path, nelec=2)
+    assert not path.exists()
+    spin.h2[2, 2, 0, 0] = 0.3
+    spin.h1[0, 1] = 0.1
+    with pytest.raises(IntegralError, match="duplicate"):
+        save_spin_fcidump(spin, path, nelec=2)
+    assert not path.exists()
+    # members within DUPLICATE_TOL: the smallest index tuple's value is kept
+    spin.h1[1, 0] = 0.1 + 1e-13
+    spin.h2[2, 2, 0, 0] = 0.3 + 1e-13
+    save_spin_fcidump(spin, path, nelec=2)
+    assert path.read_text().splitlines()[1:] == [
+        f"1 1 3 3 {0.3:.16e}", f"1 2 0 0 {0.1:.16e}"]
+
+
+@pytest.mark.parametrize("layout,norb", [("spatial", 33), ("spatial", 1000),
+                                         ("spin", 65), ("spin", 1000)])
+def test_orbital_count_above_cap_rejected(tmp_path, layout, norb):
+    from duccvqe.cli import EXIT_DATA, main
+    uhf = " UHF=.TRUE." if layout == "spin" else ""
+    load = load_fcidump if layout == "spatial" else load_spin_fcidump
+    path = tmp_path / "big.fcidump"
+    path.write_text(f"&FCI NORB={norb} NELEC=2{uhf}\n1 1 0 0 -1.0\n")
+    with pytest.raises(IntegralError, match="above the cap"):
+        load(path)
+    assert main(["eig", "--integrals", str(path)]) == EXIT_DATA
+    # the paper's H2/cc-pVTZ size, 56 spin orbitals, stays accepted
+    norb = 28 if layout == "spatial" else 56
+    path.write_text(f"&FCI NORB={norb} NELEC=2{uhf}\n1 1 0 0 -1.0\n")
+    assert isinstance(load(path), (IntegralSet, integrals.SpinIntegralSet))
 
 
 def test_spin_file_rejected_by_spatial_loader(tmp_path):
@@ -269,6 +308,7 @@ _DATA = st.one_of(st.tuples(_INDEX, _INDEX, _INDEX, _INDEX, _VALUE),
 @example(header="&FCI NORB=1 NELEC=2",  # an energy past the float range
          lines=["1 1 0 0 -1.7e308", "1 1 1 1 1.7e308"])
 @example(header="&FCI NORB=-1", lines=[])
+@example(header="&FCI NORB=1000 NELEC=2", lines=[])  # 7 TiB of tensors
 def test_fcidump_fuzz(tmp_path_factory, flag, header, lines):
     from duccvqe.cli import EXIT_DATA, EXIT_OK, main
     workdir = tmp_path_factory.mktemp("fcidump")

@@ -34,11 +34,10 @@ def test_multiply_matches_dense(rng):
 
 
 def test_label_round_trip():
-    s = PauliString.from_label("X0 Z2 Y5")
+    s = PauliString(0b100001, 0b100100)
     assert s.label() == "X0 Z2 Y5"
     assert s.weight() == 3
     assert s.support == [0, 2, 5]
-    assert PauliString.from_label("I") == PauliString()
     assert PauliString().label() == "I"
 
 
@@ -83,16 +82,6 @@ def test_real_raises_on_imaginary():
     s = PauliSum.from_terms(1, [(Z, 0.5 + 1e-3j)])
     with pytest.raises(ValueError, match="non-real"):
         s.real()
-    assert s.real(tol=1e-2).terms[Z] == 0.5
-
-
-def test_text_round_trip(rng):
-    op = random_fermion_operator(rng, 3, 4)
-    hp = jordan_wigner(op)
-    back = PauliSum.from_text(3, hp.to_text())
-    assert set(back.terms) == set(hp.terms)
-    for s, c in hp.terms.items():
-        assert back.terms[s] == pytest.approx(c, abs=1e-14)
 
 
 from hypothesis import given, settings

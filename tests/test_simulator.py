@@ -59,11 +59,6 @@ def test_prepare_reference():
         prepare_reference(30, {0})
 
 
-def test_qubit_cap_override():
-    st = prepare_reference(25, {0}, max_qubits=25)
-    assert st.n_qubits == 25
-
-
 def test_parity_phase_circuit():
     # CNOT-Rz-CNOT applies exp(-i theta Z0 Z1 / 2)
     circ = Circuit(2, 1, [Gate("CNOT", (0, 1)), Gate("RZ", (1,), slot=0),
