@@ -5,8 +5,12 @@ the downfolding transformation (demo 03), and MP2 amplitudes provide both a
 cheap importance screen for excitations and a warm start for VQE (demo 06).
 """
 
-from duccvqe import builtin_fixture, ccsd_solve, mp2_amplitudes, mp2_energy
-from duccvqe.amplitudes import screen, top_amplitudes
+import numpy as np
+
+from duccvqe import (ActiveSpace, builtin_fixture, ccsd_solve,
+                     enumerate_excitations, mp2_amplitudes, mp2_energy,
+                     top_amplitudes, warm_start)
+from duccvqe.ansatz import screen_excitations
 from duccvqe.fermion import hf_determinant
 
 spin = builtin_fixture("h2_ducc_10.0").to_spin_orbital()
@@ -25,9 +29,12 @@ print("\nlargest CCSD amplitudes (spatial-orbital labels):")
 for label, value in top_amplitudes(t_ccsd, 5):
     print(f"  {label:<18} {value:+.8f}")
 
-# Screening drops doubles below a magnitude threshold (singles are kept);
-# at a stretched geometry most of the amplitude weight sits in a few slots.
+# Screening drops the UCCSD doubles whose amplitude is below a magnitude
+# threshold and keeps every single; at a stretched geometry most of the
+# amplitude weight sits in a few slots.
+exc = enumerate_excitations(
+    ActiveSpace.build(spin.n_spin_orbitals // 2, (1,)), 2)
 for thr in (1e-5, 1e-2, 1e-1):
-    kept = screen(t_ccsd, thr)
-    n = sum(1 for _, v in top_amplitudes(kept, 100) if v != 0.0)
+    kept = screen_excitations(exc, t_ccsd, thr)
+    n = np.count_nonzero(warm_start(t_ccsd, kept))
     print(f"threshold {thr:g}: {n} nonzero amplitudes survive")

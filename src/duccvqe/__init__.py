@@ -7,7 +7,7 @@ Jordan-Wigner qubit mapping -> Trotterized UCCSD circuits -> VQE in the
 """
 
 from .amplitudes import (ClusterAmplitudes, ccsd_solve, mp2_amplitudes,
-                         mp2_energy, partition, screen, top_amplitudes)
+                         mp2_energy, top_amplitudes)
 from .ansatz import (Circuit, ExcitationList, Gate, enumerate_excitations,
                      resource_report, trotter_circuit, ucc_generator)
 from .ducc import commutator_expand, downfold, project_active

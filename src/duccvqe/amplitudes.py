@@ -1,20 +1,22 @@
-"""Cluster amplitudes: MP2 closed forms, an iterative spin-orbital CCSD
-solver with DIIS acceleration, and internal/external partitioning.
+"""Cluster amplitudes: MP2 closed forms and an iterative spin-orbital CCSD
+solver with DIIS acceleration.
 
-Amplitudes are stored sparsely over global spin-orbital indices with the
-antisymmetric doubles kept canonical (i < j, a < b); expansion to other
-index orders carries the transposition sign.
+Amplitudes are the solvers' own dense arrays, t1[a, i] and t2[a, b, i, j],
+over the occupied and virtual spin orbitals of the reference; t2 is exactly
+antisymmetric in (a, b) and in (i, j). Keys name global spin orbitals,
+(i, a) for a single and (i, j, a, b) for a double, canonical when i < j
+and a < b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from .fermion import ActiveSpace, fock_matrix
+from .fermion import fock_matrix
 
 DENOMINATOR_FLOOR = 1e-8
 CCSD_TOL = 1e-8
@@ -45,61 +47,71 @@ class ConvergenceError(Exception):
     """CCSD iterations did not reach the residual tolerance."""
 
 
-def _canonical_double(i, j, a, b, value):
-    sign = 1.0
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    if a > b:
-        a, b = b, a
-        sign = -sign
-    return (i, j, a, b), sign * value
+def _antisymmetric(t2):
+    """t2 rebuilt from its a < b, i < j entries, exactly antisymmetric."""
+    nv, _, no, _ = t2.shape
+    upper = np.triu(np.ones((nv, nv), bool), 1)[:, :, None, None] \
+        & np.triu(np.ones((no, no), bool), 1)
+    t2 = np.where(upper, t2, 0.0)
+    t2 = t2 - t2.transpose(1, 0, 2, 3)
+    return t2 - t2.transpose(0, 1, 3, 2)
 
 
 @dataclass
 class ClusterAmplitudes:
-    """Singles t_ia and antisymmetrized doubles t_ijab over spin orbitals."""
+    """Singles t1[a, i] and antisymmetric doubles t2[a, b, i, j].
+
+    Rows of t1 and the first two axes of t2 index ``virtual``; the other
+    axes index ``occupied``. Both mode tuples are ascending.
+    """
 
     occupied: tuple
     virtual: tuple
-    t1: dict = field(default_factory=dict)
-    t2: dict = field(default_factory=dict)
+    t1: np.ndarray
+    t2: np.ndarray
 
     @classmethod
     def empty(cls, occupied, virtual):
-        return cls(tuple(occupied), tuple(virtual))
+        occupied, virtual = tuple(sorted(occupied)), tuple(sorted(virtual))
+        no, nv = len(occupied), len(virtual)
+        return cls(occupied, virtual, np.zeros((nv, no)),
+                   np.zeros((nv, nv, no, no)))
+
+    def _slots(self, holes, particles):
+        """Array positions of the particle modes, then of the hole modes."""
+        roles = [(p, self.virtual, "virtual") for p in particles] \
+            + [(p, self.occupied, "occupied") for p in holes]
+        for p, modes, role in roles:
+            if p not in modes:
+                raise ValueError(f"index outside the {role} modes: {p}")
+        return tuple(modes.index(p) for p, modes, _ in roles)
 
     def set_t1(self, i, a, value):
-        self.t1[(i, a)] = value
+        self.t1[self._slots((i,), (a,))] = value
 
     def set_t2(self, i, j, a, b, value):
+        slots = self._slots((i, j), (a, b))
         if i == j or a == b:
             raise ValueError("doubles indices must be distinct pairs")
-        key, v = _canonical_double(i, j, a, b, value)
-        self.t2[key] = v
+        a, b, i, j = slots
+        self.t2[a, b, i, j] = self.t2[b, a, j, i] = value
+        self.t2[b, a, i, j] = self.t2[a, b, j, i] = -value
 
     def get_t1(self, i, a):
-        return self.t1.get((i, a), 0.0)
+        return float(self.t1[self._slots((i,), (a,))])
 
     def get_t2(self, i, j, a, b):
-        if i == j or a == b:
-            return 0.0
-        key, sign = _canonical_double(i, j, a, b, 1.0)
-        return sign * self.t2.get(key, 0.0)
+        return float(self.t2[self._slots((i, j), (a, b))])
 
-    def all_singles_keys(self):
-        return [(i, a) for i in self.occupied for a in self.virtual]
-
-    def all_doubles_keys(self):
-        return [(i, j, a, b)
-                for i, j in combinations(self.occupied, 2)
-                for a, b in combinations(self.virtual, 2)]
-
-
-@dataclass
-class AmplitudePartition:
-    internal: ClusterAmplitudes
-    external: ClusterAmplitudes
+    def items(self):
+        """(key, value) of every single, then every canonical double, in
+        key order, zeros included."""
+        for (x, i), (y, a) in product(enumerate(self.occupied),
+                                      enumerate(self.virtual)):
+            yield (i, a), float(self.t1[y, x])
+        for (x, i), (w, j) in combinations(enumerate(self.occupied), 2):
+            for (y, a), (z, b) in combinations(enumerate(self.virtual), 2):
+                yield (i, j, a, b), float(self.t2[y, z, x, w])
 
 
 def spin_orbital_label(mode):
@@ -119,10 +131,7 @@ def top_amplitudes(t: ClusterAmplitudes, k: int):
     """The k largest-magnitude amplitudes as (label, |amplitude|) pairs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    entries = [(excitation_label(key), abs(t.get_t1(*key)))
-               for key in t.all_singles_keys()]
-    entries += [(excitation_label(key), abs(t.get_t2(*key)))
-                for key in t.all_doubles_keys()]
+    entries = [(excitation_label(key), abs(v)) for key, v in t.items()]
     entries.sort(key=lambda e: (-e[1], e[0]))
     return entries[:k]
 
@@ -156,24 +165,9 @@ def mp2_amplitudes(spin_ints, ref):
     eps = np.diag(f)
     _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
     vten = g[np.ix_(virt, virt, occ, occ)]
-    t2arr = vten / e_abij
-    return _arrays_to_amplitudes(None, t2arr, occ, virt)
-
-
-def _arrays_to_amplitudes(t1arr, t2arr, occ, virt):
-    t = ClusterAmplitudes.empty(occ, virt)
-    if t1arr is not None:
-        for a in range(len(virt)):
-            for i in range(len(occ)):
-                v = t1arr[a, i]
-                if v != 0.0:  # keeps NaN
-                    t.set_t1(occ[i], virt[a], float(v))
-    for a, b in combinations(range(len(virt)), 2):
-        for i, j in combinations(range(len(occ)), 2):
-            v = t2arr[a, b, i, j]
-            if v != 0.0:
-                t.set_t2(occ[i], occ[j], virt[a], virt[b], float(v))
-    return t
+    return ClusterAmplitudes(tuple(occ), tuple(virt),
+                             np.zeros((len(virt), len(occ))),
+                             _antisymmetric(vten / e_abij))
 
 
 def correlation_energy(f, g, t1, t2, o, v):
@@ -186,7 +180,7 @@ def correlation_energy(f, g, t1, t2, o, v):
 def mp2_energy(spin_ints, ref, t: ClusterAmplitudes):
     """Sum over canonical doubles of t_ijab * <ij||ab>."""
     g = spin_ints.antisymmetrized()
-    return sum(v * g[i, j, a, b] for (i, j, a, b), v in t.t2.items())
+    return sum(v * g[key] for key, v in t.items() if len(key) == 4)
 
 
 def _singles_residual(t1, t2, f, g, o, v):
@@ -312,7 +306,8 @@ def ccsd_solve(spin_ints, ref):
                        np.abs(r2).max(initial=0.0))
         if res_norm <= CCSD_TOL:
             ecorr = correlation_energy(f, g, t1, t2, o, v)
-            return _arrays_to_amplitudes(t1, t2, occ, virt), ecorr
+            return ClusterAmplitudes(tuple(occ), tuple(virt), t1,
+                                     _antisymmetric(t2)), ecorr
         t1 = t1 + r1 / e_ai
         t2 = t2 + r2 / e_abij
         step = np.concatenate([t1.ravel(), t2.ravel()])
@@ -325,35 +320,12 @@ def ccsd_solve(spin_ints, ref):
         f"residual max-norm {res_norm:.3e}")
 
 
-def partition(t: ClusterAmplitudes, space: ActiveSpace) -> AmplitudePartition:
-    """Split by virtual indices: internal iff every virtual index is active."""
-    active_virt = set(space.active_virtual_spin)
-    internal = ClusterAmplitudes.empty(t.occupied, t.virtual)
-    external = ClusterAmplitudes.empty(t.occupied, t.virtual)
-    for (i, a), val in t.t1.items():
-        (internal if a in active_virt else external).t1[(i, a)] = val
-    for (i, j, a, b), val in t.t2.items():
-        dest = internal if (a in active_virt and b in active_virt) else external
-        dest.t2[(i, j, a, b)] = val
-    return AmplitudePartition(internal, external)
-
-
-def screen(t: ClusterAmplitudes, threshold: float) -> ClusterAmplitudes:
-    """Drop doubles below threshold; singles always survive."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    out = ClusterAmplitudes.empty(t.occupied, t.virtual)
-    out.t1 = dict(t.t1)
-    out.t2 = {k: v for k, v in t.t2.items() if abs(v) >= threshold}
-    return out
-
-
 def save_amplitudes(t: ClusterAmplitudes, path):
     with open(path, "w") as fh:
-        for (i, a), v in sorted(t.t1.items()):
-            fh.write(f"T1 {i} {a} {v:.16e}\n")
-        for (i, j, a, b), v in sorted(t.t2.items()):
-            fh.write(f"T2 {i} {j} {a} {b} {v:.16e}\n")
+        for key, v in t.items():
+            if v != 0.0:
+                fh.write(f"T{len(key) // 2} {' '.join(map(str, key))} "
+                         f"{v:.16e}\n")
 
 
 def load_amplitudes(path, occupied, virtual) -> ClusterAmplitudes:
@@ -364,20 +336,20 @@ def load_amplitudes(path, occupied, virtual) -> ClusterAmplitudes:
     once (a doubles key up to the order of its pairs).
     """
     t = ClusterAmplitudes.empty(occupied, virtual)
-    occ, virt = set(occupied), set(virtual)
+    seen = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             try:
-                _load_line(t, line.split(), occ, virt)
+                _load_line(t, line.split(), seen)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}: {line!r}") from None
     return t
 
 
-def _load_line(t, parts, occ, virt):
+def _load_line(t, parts, seen):
     n_idx = {"T1": 2, "T2": 4}.get(parts[0])
     if n_idx is None or len(parts) != n_idx + 2:
         raise ValueError("bad amplitude line")
@@ -386,11 +358,8 @@ def _load_line(t, parts, occ, virt):
     if not np.isfinite(value):
         raise ValueError("non-finite amplitude")
     half = n_idx // 2
-    if any(p not in occ for p in idx[:half]) \
-            or any(p not in virt for p in idx[half:]):
-        raise ValueError("index outside the occupied/virtual modes")
-    table = t.t1 if n_idx == 2 else t.t2
-    size = len(table)
     (t.set_t1 if n_idx == 2 else t.set_t2)(*idx, value)
-    if len(table) == size:
+    key = (frozenset(idx[:half]), frozenset(idx[half:]))
+    if key in seen:
         raise ValueError("duplicate amplitude")
+    seen.add(key)

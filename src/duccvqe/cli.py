@@ -17,10 +17,9 @@ from . import ansatz as ansatz_mod
 from . import ducc as ducc_mod
 from . import integrals as integrals_mod
 from . import vqe
-from .amplitudes import (ClusterAmplitudes, ConvergenceError,
-                         DegenerateReferenceError, ccsd_solve,
-                         load_amplitudes, mp2_amplitudes, mp2_energy,
-                         save_amplitudes, top_amplitudes)
+from .amplitudes import (ConvergenceError, DegenerateReferenceError,
+                         ccsd_solve, load_amplitudes, mp2_amplitudes,
+                         mp2_energy, save_amplitudes, top_amplitudes)
 from .fermion import (ActiveSpace, NonFiniteError, SectorError, SpaceError,
                       build_hamiltonian, exact_ground_state, hf_determinant,
                       hf_energy)
@@ -94,6 +93,10 @@ def cmd_resources(args):
     }
     if args.integrals:
         spin, _, _ = _load_spin(args.integrals, args.electrons, reference=True)
+        if spin.n_spin_orbitals != 2 * args.orbitals:
+            raise _CliDataError(f"{args.integrals} has "
+                                f"{spin.n_spin_orbitals // 2} orbitals, "
+                                f"--orbitals is {args.orbitals}")
         t_mp2 = mp2_amplitudes(spin, hf_determinant(args.electrons))
         screened = ansatz_mod.screen_excitations(exc, t_mp2,
                                                  args.mp2_threshold)
@@ -118,24 +121,16 @@ def cmd_eig(args):
     return EXIT_OK
 
 
-def cmd_mp2(args):
-    spin, nelec, _ = _load_input(args)
-    ref = hf_determinant(nelec)
+def _mp2(spin, ref):
     t = mp2_amplitudes(spin, ref)
-    if args.amplitudes_out:
-        save_amplitudes(t, args.amplitudes_out)
-    e_hf = hf_energy(spin, ref)
-    e_corr = mp2_energy(spin, ref, t)
-    _emit(args, json.dumps({
-        "e_hf": e_hf, "e_corr": e_corr, "e_total": e_hf + e_corr,
-        "top_amplitudes": top_amplitudes(t, args.top)}))
-    return EXIT_OK
+    return t, mp2_energy(spin, ref, t)
 
 
-def cmd_ccsd(args):
+def cmd_amplitudes(args):
+    """mp2 and ccsd: args.solve(spin, ref) gives (amplitudes, E_corr)."""
     spin, nelec, _ = _load_input(args)
     ref = hf_determinant(nelec)
-    t, e_corr = ccsd_solve(spin, ref)
+    t, e_corr = args.solve(spin, ref)
     if args.amplitudes_out:
         save_amplitudes(t, args.amplitudes_out)
     e_hf = hf_energy(spin, ref)
@@ -239,15 +234,18 @@ def cmd_pes(args):
     if not methods or any(m not in ("eig", "vqe") for m in methods):
         raise _CliDataError(f"--methods must name eig and/or vqe, "
                             f"got {args.methods!r}")
+    if args.reference is not None and args.reference not in methods:
+        raise _CliDataError(f"--reference {args.reference!r} is not among "
+                            f"--methods {args.methods!r}")
     energies = [_pes_point(src, methods, args.nelec, args.ms2)
                 for _, src in rows]
     header = ["label"] + [f"E_{m}" for m in methods]
-    if args.reference in methods:
+    if args.reference:
         header += [f"err_{m}" for m in methods]
     lines = [",".join(header)]
     for (label, _), e in zip(rows, energies):
         cells = [label] + [f"{e[m]:.10f}" for m in methods]
-        if args.reference in methods:
+        if args.reference:
             cells += [f"{e[m] - e[args.reference]:.10f}" for m in methods]
         lines.append(",".join(cells))
     _emit(args, "\n".join(lines))
@@ -287,13 +285,13 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_eig)
 
-    for name, func in (("mp2", cmd_mp2), ("ccsd", cmd_ccsd)):
+    for name, solve in (("mp2", _mp2), ("ccsd", ccsd_solve)):
         p = sub.add_parser(name, help=f"{name.upper()} amplitudes + energies")
         _add_input_flags(p)
         p.add_argument("--amplitudes-out", metavar="FILE")
         p.add_argument("--top", type=int, default=5)
         p.add_argument("--out")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_amplitudes, solve=solve)
 
     p = sub.add_parser("vqe", help="simulated VQE on the UCCSD ansatz")
     _add_input_flags(p)

@@ -13,28 +13,58 @@ its zero-, one- and two-body parts (the IMSRG(2) commutator, Hergert et
 al., Phys. Rep. 621, 165 (2016)). That cut is exact here: [F_N, s] has no
 higher part, and the projection drops the three-body parts anyway.
 ``commutator_expand`` followed by ``project_active`` does the same on
-operator strings, every string formed, and is the oracle for the tensors.
+operator strings, every string formed, and is the oracle for the tensors;
+``sigma_ext_operator`` is likewise the oracle for the sigma_ext tensors
+that ``downfold`` masks out of the amplitude arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .amplitudes import AmplitudePartition, ClusterAmplitudes, partition
-from .fermion import (ActiveSpace, FermionOperator, NonFiniteError,
-                      commutator, excitation_generator, fock_matrix,
-                      hf_energy, normal_order, ph_normal_order)
+from .amplitudes import ClusterAmplitudes
+from .fermion import (PRUNE_THRESHOLD, ActiveSpace, FermionOperator,
+                      NonFiniteError, commutator, excitation_generator,
+                      fock_matrix, hf_energy, normal_order, ph_normal_order)
 from .integrals import SpinIntegralSet
 
 
-def sigma_ext_operator(part: AmplitudePartition, n_modes) -> FermionOperator:
-    """Anti-Hermitian sum t_k kappa_k over the external amplitudes."""
-    ext = part.external
+def sigma_ext_operator(t: ClusterAmplitudes, space: ActiveSpace,
+                       n_modes) -> FermionOperator:
+    """Anti-Hermitian sum t_k kappa_k over the external amplitudes, those
+    with a virtual index outside the active space."""
+    active = set(space.active_virtual_spin)
     sigma = FermionOperator.zero(n_modes)
-    for key, t in (*ext.t1.items(), *ext.t2.items()):
-        for ops, c in excitation_generator(key, n_modes).terms.items():
-            sigma.add_term(ops, t * c)
+    for key, value in t.items():
+        if not active.issuperset(key[len(key) // 2:]):
+            for ops, c in excitation_generator(key, n_modes).terms.items():
+                sigma.add_term(ops, value * c)
     return sigma.prune()
+
+
+def _sigma_ext(t: ClusterAmplitudes, space: ActiveSpace, m):
+    """(0, X1, X2) of sigma_ext_operator, built from the amplitude arrays.
+
+    The external amplitudes below PRUNE_THRESHOLD are dropped as
+    ``FermionOperator.prune`` drops them, NaN kept.
+    """
+    active = np.isin(t.virtual, space.active_virtual_spin)
+    ext1 = ~active[:, None]
+    ext2 = ~(active[:, None] & active)[:, :, None, None]
+
+    def kept(x, ext):
+        return np.where(ext & ~(np.abs(x) <= PRUNE_THRESHOLD), x, 0.0)
+
+    occ, virt = t.occupied, t.virtual
+    t1, t2 = kept(t.t1, ext1), kept(t.t2, ext2)
+    x1 = np.zeros((m, m))
+    x2 = np.zeros((m, m, m, m))
+    # the adjoint blocks are 0 - t, so a dropped entry stays +0.0
+    x1[np.ix_(virt, occ)] = t1
+    x1[np.ix_(occ, virt)] -= t1.T
+    x2[np.ix_(virt, virt, occ, occ)] = t2
+    x2[np.ix_(occ, occ, virt, virt)] -= t2.transpose(2, 3, 0, 1)
+    return 0.0, x1, x2
 
 
 def commutator_expand(h: FermionOperator, f: FermionOperator,
@@ -172,10 +202,9 @@ def _active_block(x, space: ActiveSpace) -> SpinIntegralSet:
 @np.errstate(over="ignore", invalid="ignore")
 def downfold(spin_ints, space: ActiveSpace,
              t: ClusterAmplitudes) -> SpinIntegralSet:
-    """Full pipeline: partition, external rotation, expansion, projection."""
-    m = spin_ints.n_spin_orbitals
+    """Full pipeline: external rotation, expansion, projection."""
     n, h_n = _reference(spin_ints, space)
-    sigma = _tensors(sigma_ext_operator(partition(t, space), m), m)
+    sigma = _sigma_ext(t, space, spin_ints.n_spin_orbitals)
     f_n = (0.0, h_n[1], None)
     once = _bracket(h_n, sigma, n)
     twice = _bracket(_bracket(f_n, sigma, n), sigma, n)

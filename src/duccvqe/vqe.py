@@ -186,8 +186,8 @@ def minimize(problem: VqeProblem) -> VqeResult:
 def warm_start(amps, exc) -> np.ndarray:
     """Parameter vector with amplitudes copied into matching slots.
 
-    Doubles are read through the canonical (i<j, a<b) sign convention;
-    absent amplitudes (e.g. all MP2 singles) stay zero.
+    Each slot reads the amplitude of its key, t1[a, i] or t2[a, b, i, j];
+    zero amplitudes (e.g. all MP2 singles) leave it zero.
     """
     params = np.zeros(len(exc))
     for slot, key in enumerate(exc.entries):

@@ -6,11 +6,11 @@ from conftest import random_integral_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duccvqe import amplitudes
+from duccvqe import amplitudes, ducc
 from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
                                 ccsd_solve, excitation_label, load_amplitudes,
-                                mp2_amplitudes, mp2_energy, partition,
-                                save_amplitudes, screen, top_amplitudes)
+                                mp2_amplitudes, mp2_energy, save_amplitudes,
+                                top_amplitudes)
 from duccvqe.cli import EXIT_DATA, EXIT_OK, main
 from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
                              exact_ground_state, hf_determinant, hf_energy)
@@ -32,8 +32,23 @@ def test_canonical_double_storage():
     assert t.get_t2(1, 0, 2, 3) == -0.5
     assert t.get_t2(0, 1, 3, 2) == -0.5
     assert t.get_t2(0, 0, 2, 3) == 0.0
+    assert t.t2[0, 1, 0, 1] == 0.5 and t.t2[1, 0, 0, 1] == -0.5
+    assert np.array_equal(t.t2, -t.t2.transpose(1, 0, 2, 3))
+    assert np.array_equal(t.t2, -t.t2.transpose(0, 1, 3, 2))
     with pytest.raises(ValueError):
         t.set_t2(0, 0, 2, 3, 0.1)
+
+
+def test_accessors_reject_modes_outside_the_amplitudes():
+    t = ClusterAmplitudes.empty((0, 1), (2, 3))
+    with pytest.raises(ValueError, match="virtual modes: 5$"):
+        t.get_t1(0, 5)
+    with pytest.raises(ValueError, match="occupied modes: 3$"):
+        t.get_t2(0, 3, 2, 3)
+    with pytest.raises(ValueError, match="occupied modes: 2$"):
+        t.set_t1(2, 3, 0.1)
+    with pytest.raises(ValueError, match="virtual modes: -1$"):
+        t.set_t2(0, 1, 2, -1, 0.1)
 
 
 def test_labels():
@@ -45,11 +60,11 @@ def test_mp2_closed_form(rng):
     spin = random_integral_set(rng, 3).to_spin_orbital()
     ref = hf_determinant(2)
     t = mp2_amplitudes(spin, ref)
-    assert not t.t1
+    assert not t.t1.any()
     g = spin.antisymmetrized()
     from duccvqe.fermion import fock_matrix
     eps = np.diag(fock_matrix(spin, ref))
-    for (i, j, a, b), v in t.t2.items():
+    for (i, j, a, b), v in (e for e in t.items() if len(e[0]) == 4):
         denom = eps[i] + eps[j] - eps[a] - eps[b]
         assert v == pytest.approx(g[i, j, a, b] / denom, abs=1e-12)
     assert mp2_energy(spin, ref, t) < 0.0
@@ -101,26 +116,14 @@ def test_partition_and_recombine():
     t.set_t2(0, 1, 2, 3, 0.3)   # both virtuals active
     t.set_t2(0, 1, 2, 5, 0.4)   # one external
     space = ActiveSpace.build(3, (1,), (2,))
-    part = partition(t, space)
-    assert part.internal.t1 == {(0, 2): 0.1}
-    assert part.external.t1 == {(0, 4): 0.2}
-    assert set(part.internal.t2) == {(0, 1, 2, 3)}
-    assert set(part.external.t2) == {(0, 1, 2, 5)}
-    merged = ClusterAmplitudes(t.occupied, t.virtual,
-                               {**part.internal.t1, **part.external.t1},
-                               {**part.internal.t2, **part.external.t2})
-    assert merged.t1 == t.t1 and merged.t2 == t.t2
-
-
-def test_screen_keeps_singles():
-    t = ClusterAmplitudes.empty((0, 1), (2, 3))
-    t.set_t1(0, 2, 1e-9)
-    t.set_t2(0, 1, 2, 3, 1e-6)
-    kept = screen(t, 1e-5)
-    assert kept.t1 == t.t1
-    assert not kept.t2
-    with pytest.raises(ValueError):
-        screen(t, -1.0)
+    _, x1, x2 = ducc._sigma_ext(t, space, 6)
+    # sigma_ext holds the external amplitudes only, each with its adjoint
+    assert x1[2, 0] == 0.0 and x1[4, 0] == 0.2 and x1[0, 4] == -0.2
+    assert np.count_nonzero(x1) == 2
+    assert x2[2, 3, 0, 1] == 0.0 and x2[2, 5, 0, 1] == 0.4
+    assert x2[0, 1, 2, 5] == -0.4 and np.count_nonzero(x2) == 8
+    assert {k: v for k, v in t.items() if v} == {
+        (0, 2): 0.1, (0, 4): 0.2, (0, 1, 2, 3): 0.3, (0, 1, 2, 5): 0.4}
 
 
 def test_amplitude_file_round_trip(tmp_path):
@@ -128,9 +131,8 @@ def test_amplitude_file_round_trip(tmp_path):
     path = tmp_path / "t.amps"
     save_amplitudes(t, path)
     back = load_amplitudes(path, t.occupied, t.virtual)
-    assert set(back.t1) == set(t.t1) and set(back.t2) == set(t.t2)
-    for k, v in t.t2.items():
-        assert back.t2[k] == pytest.approx(v, abs=1e-14)
+    np.testing.assert_array_equal(back.t1, t.t1)
+    np.testing.assert_allclose(back.t2, t.t2, rtol=0, atol=1e-14)
 
 
 def test_amplitude_file_rejects_garbage(tmp_path):
@@ -151,6 +153,20 @@ def test_amplitude_file_index_range_checked(tmp_path, line):
     path = tmp_path / "bad.amps"
     path.write_text(f"T1 0 2 0.01\n{line}\n")
     with pytest.raises(ValueError, match=f"{path}:2: index outside"):
+        load_amplitudes(path, range(2), range(2, 8))
+    out = tmp_path / "dressed.fcidump"
+    assert main([*DOWNFOLD_H2, "--amplitudes", str(path),
+                 "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [("T1 0 2 0.1", "T1 0 2 0.2"),
+                                   ("T2 0 1 2 3 0.1", "T2 1 0 3 2 0.1")],
+                         ids=["single", "double_pairs_swapped"])
+def test_amplitude_file_duplicate_rejected(tmp_path, lines):
+    path = tmp_path / "dup.amps"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:2: duplicate amplitude"):
         load_amplitudes(path, range(2), range(2, 8))
     out = tmp_path / "dressed.fcidump"
     assert main([*DOWNFOLD_H2, "--amplitudes", str(path),
@@ -222,7 +238,19 @@ def test_ccsd_contraction_paths_match_plain_einsum(monkeypatch, n_orbitals,
     monkeypatch.setattr(amplitudes, "einsum", np.einsum)
     t_plain, e_plain = ccsd_solve(spin, ref)
     assert e_corr == pytest.approx(e_plain, abs=1e-12)
-    for mine, oracle in ((t.t1, t_plain.t1), (t.t2, t_plain.t2)):
-        assert mine.keys() == oracle.keys()
-        for key, value in oracle.items():
-            assert mine[key] == pytest.approx(value, abs=1e-12)
+    np.testing.assert_allclose(t.t1, t_plain.t1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t.t2, t_plain.t2, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["mp2", "ccsd"])
+def test_doubles_exactly_antisymmetric(solver):
+    systems = [(_spin(name), 2) for name in ("h2_ducc_0.8", "h2_ducc_10.0")]
+    systems += [(random_integral_set(np.random.default_rng(n), n,
+                                     gap=3.0).to_spin_orbital(), nelec)
+                for n, nelec in ((4, 2), (5, 4), (6, 6))]
+    for spin, nelec in systems:
+        ref = hf_determinant(nelec)
+        t = mp2_amplitudes(spin, ref) if solver == "mp2" \
+            else ccsd_solve(spin, ref)[0]
+        assert np.array_equal(t.t2, -t.t2.transpose(1, 0, 2, 3))
+        assert np.array_equal(t.t2, -t.t2.transpose(0, 1, 3, 2))

@@ -60,6 +60,17 @@ def test_resources_mp2_screening(capsys, tmp_path):
     assert 0 < screened <= 15
 
 
+@pytest.mark.parametrize("orbitals", ["3", "6"])
+def test_resources_integrals_must_match_orbitals(capsys, tmp_path, orbitals):
+    path = tmp_path / "h2.fcidump"
+    save_fcidump(builtin_fixture("h2_ducc_1.4008"), path, nelec=2)
+    code, out, err = run(capsys, "resources", "--orbitals", orbitals,
+                         "--electrons", "2", "--integrals", str(path))
+    assert code == EXIT_DATA
+    assert "has 4 orbitals" in err and f"--orbitals is {orbitals}" in err
+    assert out == ""
+
+
 def test_eig_fixture(capsys):
     code, out, _ = run(capsys, "eig", "--fixture", "h2_ducc_10.0",
                        "--nelec", "2", "--ms2", "0")
@@ -293,6 +304,17 @@ def test_pes_reference_column(capsys, tmp_path):
     assert code == EXIT_OK
     for line in out.strip().splitlines()[1:]:
         assert float(line.split(",")[-1]) == 0.0
+
+
+@pytest.mark.parametrize("reference", ["vqe", "bogus"])
+def test_pes_reference_outside_methods_rejected(capsys, tmp_path, reference):
+    manifest = tmp_path / "m.manifest"
+    # a missing point file: the --reference check must come first
+    manifest.write_text("a missing.fcidump\n")
+    code, out, err = run(capsys, "pes", "--manifest", str(manifest),
+                         "--methods", "eig", "--reference", reference)
+    assert code == EXIT_DATA
+    assert f"--reference {reference!r}" in err and out == ""
 
 
 def test_pes_bad_manifest(capsys, tmp_path):

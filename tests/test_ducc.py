@@ -4,7 +4,8 @@ from conftest import (dense_operator, random_fermion_operator,
                       random_integral_set)
 
 from duccvqe import ducc
-from duccvqe.amplitudes import ccsd_solve, partition
+from duccvqe.amplitudes import (ClusterAmplitudes, ccsd_solve,
+                                mp2_amplitudes)
 from duccvqe.ducc import (bare_restriction, commutator_expand, downfold,
                           project_active, sigma_ext_operator)
 from duccvqe.fermion import (ActiveSpace, build_hamiltonian, commutator,
@@ -26,14 +27,14 @@ def _fixture_setup(name):
 
 def test_sigma_ext_antihermitian():
     spin, t = _fixture_setup("h2_ducc_1.4008")
-    sigma = sigma_ext_operator(partition(t, HALF_SPACE), spin.n_spin_orbitals)
+    sigma = sigma_ext_operator(t, HALF_SPACE, spin.n_spin_orbitals)
     dense = dense_operator(sigma)
     np.testing.assert_allclose(dense, -dense.conj().T, atol=1e-12)
 
 
 def test_sigma_zero_for_full_active_space():
     spin, t = _fixture_setup("h2_ducc_1.4008")
-    sigma = sigma_ext_operator(partition(t, FULL_SPACE), spin.n_spin_orbitals)
+    sigma = sigma_ext_operator(t, FULL_SPACE, spin.n_spin_orbitals)
     assert len(sigma) == 0
 
 
@@ -55,8 +56,8 @@ def test_commutator_expand_dense_oracle(rng):
 
 def test_sigma_zero_reduces_to_bare_restriction():
     spin, t = _fixture_setup("h2_ducc_4.0")
-    empty = partition(t, FULL_SPACE)  # external side is empty
-    sigma = sigma_ext_operator(empty, spin.n_spin_orbitals)
+    # every virtual is active: no amplitude is external
+    sigma = sigma_ext_operator(t, FULL_SPACE, spin.n_spin_orbitals)
     h = build_hamiltonian(spin)
     m = spin.n_spin_orbitals
     f = build_hamiltonian(SpinIntegralSet(
@@ -150,7 +151,7 @@ def _unpruned_downfold(spin, space, t):
     m = spin.n_spin_orbitals
     f = build_hamiltonian(SpinIntegralSet(m, fock_matrix(spin, ref),
                                           np.zeros((m,) * 4)))
-    sigma = sigma_ext_operator(partition(t, space), m)
+    sigma = sigma_ext_operator(t, space, m)
     return project_active(commutator_expand(h, f, sigma), space, ref)
 
 
@@ -174,6 +175,38 @@ def test_downfold_matches_unpruned_expansion(rng):
                                    oracle.antisymmetrized(), rtol=0,
                                    atol=1e-12)
         assert dh.scalar_shift == pytest.approx(oracle.scalar_shift, abs=1e-12)
+
+
+def test_sigma_ext_tensors_match_operator_oracle(rng):
+    cases = [(builtin_fixture(name).to_spin_orbital(), 2, HALF_SPACE)
+             for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0",
+                          "h2_ducc_10.0")]
+    for n_orbitals, n_electrons, occupied, active_virtual in (
+            (5, 2, (1,), (3, 5)), (5, 4, (1, 2), (3,)),
+            (6, 4, (1, 2), (3, 4)), (6, 6, (1, 2, 3), (5,))):
+        spin = random_integral_set(rng, n_orbitals, gap=3.0,
+                                   noise=0.15).to_spin_orbital()
+        cases.append((spin, n_electrons, ActiveSpace.build(
+            n_orbitals, occupied, active_virtual)))
+    amplitude_sets = []
+    for spin, n_electrons, space in cases:
+        ref = hf_determinant(n_electrons)
+        amplitude_sets += [(ccsd_solve(spin, ref)[0], space),
+                           (mp2_amplitudes(spin, ref), space)]
+    # pruning: below the threshold, at it, above it, and NaN kept
+    t = ClusterAmplitudes.empty((0, 1), range(2, 8))
+    t.set_t1(0, 4, 1e-13)
+    t.set_t1(1, 5, -1e-12)
+    t.set_t1(0, 6, 2e-12)
+    t.set_t2(0, 1, 2, 5, np.nan)
+    t.set_t2(0, 1, 4, 7, 0.25)
+    amplitude_sets.append((t, HALF_SPACE))
+    for t, space in amplitude_sets:
+        m = len(t.occupied) + len(t.virtual)
+        got = ducc._sigma_ext(t, space, m)
+        oracle = ducc._tensors(sigma_ext_operator(t, space, m), m)
+        for mine, want in zip(got, oracle):
+            assert np.array_equal(mine, want, equal_nan=True)
 
 
 def _random_operator(rng, m):
