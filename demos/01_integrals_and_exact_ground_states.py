@@ -2,14 +2,15 @@
 
 Four built-in FCIDUMP fixtures describe an H2-like two-electron system in a
 four-orbital effective basis at bond lengths 0.8, 1.4008 (equilibrium), 4.0,
-and 10.0 bohr. This script loads each one, builds the second-quantized
-Hamiltonian in interleaved spin orbitals, and compares the Hartree-Fock
-energy against the exact (full-CI) ground state.
+and 10.0 bohr. This script loads each one, expands it to interleaved spin
+orbitals, and compares the Hartree-Fock energy against the exact (full-CI)
+ground state, whose sector matrix is built straight from the integrals by
+the Slater-Condon rules.
 """
 
 import numpy as np
 
-from duccvqe import build_hamiltonian, builtin_fixture, exact_ground_state
+from duccvqe import builtin_fixture, exact_ground_state
 from duccvqe.fermion import hf_determinant, hf_energy
 
 GEOMETRIES = ["h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0"]
@@ -25,8 +26,7 @@ for name in GEOMETRIES:
     ref = hf_determinant(2)  # bit mask with the two lowest spin orbitals set
 
     e_hf = hf_energy(spin, ref)
-    h = build_hamiltonian(spin)
-    e_fci, ground = exact_ground_state(h, n_electrons=2, ms2=0)
+    e_fci, ground = exact_ground_state(spin, n_electrons=2, ms2=0)
 
     label = name.split("_")[-1]
     print(f"{label:>8}   {e_hf:+.10f}  {e_fci:+.10f}  {e_fci - e_hf:+.8f}")

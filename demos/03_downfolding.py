@@ -9,8 +9,7 @@ problem is half the size but far more accurate than simply truncating the
 bare Hamiltonian to the same orbitals.
 """
 
-from duccvqe import (build_hamiltonian, builtin_fixture, ccsd_solve,
-                     downfold, exact_ground_state)
+from duccvqe import builtin_fixture, ccsd_solve, downfold, exact_ground_state
 from duccvqe.ducc import bare_restriction
 from duccvqe.fermion import ActiveSpace, hf_determinant
 from duccvqe.integrals import load_spin_fcidump, save_spin_fcidump
@@ -23,11 +22,11 @@ for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0"):
     spin = builtin_fixture(name).to_spin_orbital()
     t, _ = ccsd_solve(spin, hf_determinant(2))
 
-    e_full, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
+    e_full, _ = exact_ground_state(spin, 2, 0)
     dressed = downfold(spin, space, t)
     bare = bare_restriction(spin, space)
-    e_dressed, _ = exact_ground_state(build_hamiltonian(dressed), 2, 0)
-    e_bare, _ = exact_ground_state(build_hamiltonian(bare), 2, 0)
+    e_dressed, _ = exact_ground_state(dressed, 2, 0)
+    e_bare, _ = exact_ground_state(bare, 2, 0)
 
     label = name.split("_")[-1]
     print(f"{label:>8}   {e_full:+.10f}   {e_bare - e_full:+.6f}     "
@@ -40,6 +39,6 @@ t, _ = ccsd_solve(spin, hf_determinant(2))
 dressed = downfold(spin, space, t)
 save_spin_fcidump(dressed, "/tmp/dressed_demo.fcidump", nelec=2)
 back = load_spin_fcidump("/tmp/dressed_demo.fcidump")
-e_a, _ = exact_ground_state(build_hamiltonian(dressed), 2, 0)
-e_b, _ = exact_ground_state(build_hamiltonian(back), 2, 0)
+e_a, _ = exact_ground_state(dressed, 2, 0)
+e_b, _ = exact_ground_state(back, 2, 0)
 print(f"\nFCIDUMP round-trip energy difference: {abs(e_a - e_b):.2e}")

@@ -32,7 +32,7 @@ print(f"<HF| H |HF> = {expectation(hp, hf_state):+.10f}")
 
 # The exact ground state comes back in the (N=2, ms=0) sector basis;
 # scatter it onto the full 2^8 register to evaluate the qubit Hamiltonian.
-e_fci, ground = exact_ground_state(h, 2, 0)
+e_fci, ground = exact_ground_state(spin, 2, 0)
 from duccvqe.fermion import sector_determinants
 from duccvqe.simulator import StateVector
 full = np.zeros(2 ** 8, dtype=complex)

@@ -10,7 +10,7 @@ parameters.
 
 import numpy as np
 
-from duccvqe import (build_hamiltonian, builtin_fixture, enumerate_excitations,
+from duccvqe import (builtin_fixture, enumerate_excitations,
                      exact_ground_state, minimize, mp2_amplitudes, warm_start)
 from duccvqe.fermion import ActiveSpace, hf_determinant
 from duccvqe.vqe import CHEMICAL_ACCURACY, VqeProblem
@@ -18,15 +18,14 @@ from duccvqe.vqe import CHEMICAL_ACCURACY, VqeProblem
 spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
 space = ActiveSpace.build(4, (1,))
 exc = enumerate_excitations(space, 2)
-h = build_hamiltonian(spin)
-e_exact, _ = exact_ground_state(h, 2, 0)
+e_exact, _ = exact_ground_state(spin, 2, 0)
 
 for label, x0 in (
     ("zero start", np.zeros(len(exc))),
     ("MP2 warm start",
      warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)),
 ):
-    res = minimize(VqeProblem(h, exc, 2, x0))
+    res = minimize(VqeProblem(spin, exc, 2, x0))
     err = res.energy - e_exact
     print(f"{label:<15} E = {res.energy:+.10f}  "
           f"error vs exact = {err:+.2e}  "
@@ -35,7 +34,7 @@ for label, x0 in (
 print(f"\nchemical accuracy threshold: {CHEMICAL_ACCURACY} hartree")
 
 # The optimizer trace records only strict improvements, so it is monotone.
-res = minimize(VqeProblem(h, exc, 2, np.zeros(len(exc))))
+res = minimize(VqeProblem(spin, exc, 2, np.zeros(len(exc))))
 energies = [e for _, e in res.trace]
 print(f"trace: {len(energies)} improvements, "
       f"first {energies[0]:+.6f} -> last {energies[-1]:+.6f}, "

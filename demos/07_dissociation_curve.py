@@ -9,7 +9,7 @@ of FCIDUMP files.
 
 import numpy as np
 
-from duccvqe import (build_hamiltonian, builtin_fixture, enumerate_excitations,
+from duccvqe import (builtin_fixture, enumerate_excitations,
                      exact_ground_state, minimize, mp2_amplitudes, warm_start)
 from duccvqe.fermion import ActiveSpace, hf_determinant
 from duccvqe.vqe import VqeProblem
@@ -24,10 +24,9 @@ rows = []
 print("r (bohr)   E_eig          E_vqe          |E_vqe - E_eig|")
 for label, name in GEOMETRIES:
     spin = builtin_fixture(name).to_spin_orbital()
-    h = build_hamiltonian(spin)
-    e_eig, _ = exact_ground_state(h, 2, 0)
+    e_eig, _ = exact_ground_state(spin, 2, 0)
     x0 = warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)
-    res = minimize(VqeProblem(h, exc, 2, x0))
+    res = minimize(VqeProblem(spin, exc, 2, x0))
     rows.append((label, e_eig, res.energy))
     print(f"{label:>8}   {e_eig:+.10f}  {res.energy:+.10f}  "
           f"{abs(res.energy - e_eig):.2e}")

@@ -13,7 +13,7 @@ from .ansatz import (Circuit, ExcitationList, Gate, enumerate_excitations,
 from .ducc import commutator_expand, downfold, project_active
 from .fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
                       exact_ground_state, excitation_generator, hf_energy,
-                      normal_order)
+                      normal_order, sector_hamiltonian)
 from .integrals import (IntegralSet, SpinIntegralSet, builtin_fixture,
                         load_fcidump, load_spin_fcidump, save_fcidump,
                         save_spin_fcidump)

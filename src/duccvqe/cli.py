@@ -21,8 +21,7 @@ from .amplitudes import (ConvergenceError, DegenerateReferenceError,
                          ccsd_solve, load_amplitudes, mp2_amplitudes,
                          mp2_energy, save_amplitudes, top_amplitudes)
 from .fermion import (ActiveSpace, NonFiniteError, SectorError, SpaceError,
-                      build_hamiltonian, exact_ground_state, hf_determinant,
-                      hf_energy)
+                      exact_ground_state, hf_determinant, hf_energy)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,8 +114,7 @@ def cmd_resources(args):
 
 def cmd_eig(args):
     spin, nelec, ms2 = _load_input(args, reference=False)
-    h = build_hamiltonian(spin)
-    energy, _ = exact_ground_state(h, nelec, ms2)
+    energy, _ = exact_ground_state(spin, nelec, ms2)
     _emit(args, json.dumps({"energy": energy, "nelec": nelec, "ms2": ms2}))
     return EXIT_OK
 
@@ -183,7 +181,7 @@ def _vqe_run(spin, nelec, warm, screen_threshold=None,
         exc = ansatz_mod.screen_excitations(exc, t_mp2, screen_threshold)
     x0 = vqe.warm_start(t_mp2, exc) if warm == "mp2" \
         else np.zeros(len(exc))
-    problem = vqe.VqeProblem(build_hamiltonian(spin), exc, nelec, x0,
+    problem = vqe.VqeProblem(spin, exc, nelec, x0,
                              max_evaluations=max_evaluations)
     return vqe.minimize(problem)
 
@@ -221,8 +219,7 @@ def _pes_point(source, methods, nelec, ms2):
     spin, nelec, ms2 = _load_spin(source, nelec, ms2, "vqe" in methods)
     out = {}
     if "eig" in methods:
-        out["eig"], _ = exact_ground_state(build_hamiltonian(spin),
-                                           nelec, ms2)
+        out["eig"], _ = exact_ground_state(spin, nelec, ms2)
     if "vqe" in methods:
         out["vqe"] = _vqe_run(spin, nelec, "mp2").energy
     return out

@@ -4,6 +4,11 @@ Operator strings are tuples of (mode, dagger) pairs with 0-based spin-orbital
 modes. The canonical vacuum normal form puts creation operators first, each
 group sorted by ascending mode, with signs tracked through transposition
 parity and anticommutator contractions {a_p, a_q^+} = delta_pq.
+
+Exact diagonalization builds the sector matrix of H straight from the
+integrals (``sector_hamiltonian``); H as operator strings
+(``build_hamiltonian``) is the Jordan-Wigner input and, through
+``sector_matrix``, the test oracle.
 """
 
 from __future__ import annotations
@@ -20,13 +25,17 @@ PRUNE_THRESHOLD = 1e-12
 # largest |H - H^+| entry accepted as rounding in a Hermiticity check
 HERMITIAN_TOL = 1e-10
 DENSE_SECTOR_LIMIT = 2000
-# Building a sector matrix of H holds its non-zeros in Python lists, about
-# 70 KB a determinant: measured with BLAS on 1 thread on a 2-vCPU VM, the
-# exact_ground_state of a seeded H took 4.9 s at 326 MB peak RSS for 4900
-# determinants (8 orbitals, 8 electrons) and 23 s at 1.06 GB for 14,400
-# (10 orbitals, 6 electrons). The cap keeps one build within about 1.5 GB
-# and half a minute.
-SECTOR_DIM_CAP = 20_000
+# exact_ground_state costs about 45 B and 0.6 us a non-zero of the sector
+# matrix of H, on top of the integrals: measured with BLAS on 1 thread on
+# a 2-vCPU VM on seeded systems, 14,400 determinants (10 orbitals, 6
+# electrons, 610 non-zeros a row) took 4.1 s at 469 MB peak RSS, 18,496 (17
+# orbitals, 4 electrons, 1171 a row) 12.9 s at 1.09 GB, and 23,409 (18
+# orbitals, 4 electrons, 1329 a row, the densest sector below the cap)
+# 19.2 s at 1.49 GB. The cap keeps one run within about 1.5 GB and half a
+# minute.
+SECTOR_DIM_CAP = 25_000
+# candidate excitations formed at once by sector_hamiltonian
+CHUNK_EXCITATIONS = 1 << 18
 
 
 class SpaceError(Exception):
@@ -355,47 +364,13 @@ def sector_determinants(n_modes: int, n_electrons: int, ms2: int):
     return sorted(dets)
 
 
-def _string_masks(ops):
-    """(must-be-occupied, must-be-empty) modes for ``ops`` to act.
-
-    Read right to left, the first operator on a mode fixes what the mode
-    must hold: an annihilator needs it occupied, a creator needs it empty.
-    """
-    occupied = empty = 0
-    for mode, dag in reversed(ops):
-        bit = 1 << mode
-        if not (occupied | empty) & bit:
-            if dag:
-                empty |= bit
-            else:
-                occupied |= bit
-    return occupied, empty
-
-
 def sector_matrix(op: FermionOperator, dets):
-    """CSR matrix of ``op`` on the determinants ``dets`` (columns act).
-
-    Strings are filed by the modes they must find occupied; a determinant
-    visits only the files keyed by subsets of its occupied modes and skips
-    strings whose must-be-empty modes it occupies. Hits are applied in
-    term order, so the matrix is the one of applying every string to every
-    determinant, bit for bit.
-    """
+    """CSR matrix of ``op`` on the determinants ``dets`` (columns act):
+    every string applied to every determinant, in term order."""
     index = {d: i for i, d in enumerate(dets)}
-    files = {}
-    for k, (ops, c) in enumerate(op.terms.items()):
-        occupied, empty = _string_masks(ops)
-        files.setdefault(occupied, []).append((k, empty, ops, c))
-    sizes = sorted({key.bit_count() for key in files})
     rows, cols, vals = [], [], []
     for col, det in enumerate(dets):
-        modes = [1 << m for m in range(det.bit_length()) if det >> m & 1]
-        hits = [entry
-                for size in sizes for subset in combinations(modes, size)
-                for entry in files.get(sum(subset), ())
-                if not entry[1] & det]
-        hits.sort()
-        for _, _, ops, c in hits:
+        for ops, c in op.terms.items():
             hit = apply_string(ops, det)
             if hit is None:
                 continue
@@ -409,22 +384,141 @@ def sector_matrix(op: FermionOperator, dets):
     return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def exact_ground_state(op: FermionOperator, n_electrons: int, ms2: int = 0):
-    """Lowest eigenpair of ``op`` in the (N, Sz) determinant sector.
+_ONE = np.uint64(1)
+_ALPHA = np.uint64(0x5555555555555555)   # the even modes
 
-    SectorError when ``op`` is not Hermitian in the sector to
+
+def _bits(modes):
+    return _ONE << modes.astype(np.uint64)
+
+
+def _string_sign(dets, *modes):
+    """The sign ``apply_string`` gives a string on these modes, applied
+    right to left, for determinants on which every operator acts."""
+    parity = 0
+    for mode in reversed(modes):
+        bit = _bits(mode)
+        parity = parity ^ np.bitwise_count(dets & (bit - _ONE)) & 1
+        dets = dets ^ bit
+    return 1.0 - 2.0 * parity
+
+
+def _kept(x):
+    """``x`` with the entries ``build_hamiltonian`` prunes set to zero."""
+    return np.where(np.abs(x) <= PRUNE_THRESHOLD, 0.0, x)
+
+
+def _connected(dets, rows, *modes):
+    """Positions in the sorted ``dets`` of ``rows`` with ``modes``
+    flipped, -1 where absent."""
+    new = rows
+    for mode in modes:
+        new = new ^ _bits(mode)
+    pos = np.searchsorted(dets, new)
+    pos[pos == len(dets)] = 0
+    return np.where(dets[pos] == new, pos, -1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def sector_hamiltonian(spin_ints, dets):
+    """CSR matrix of H on ``dets``, straight from the integrals.
+
+    ``dets`` are determinants of one (N, Sz) sector in ascending order, as
+    from ``sector_determinants``. Entry (R, D) is <R|H|D> of the operator
+    of ``build_hamiltonian``, by the Slater-Condon rules (Szabo & Ostlund,
+    Modern Quantum Chemistry, section 2.3):
+
+    - D = R: shift + sum_i h_ii + sum_{i<j} <ij||ij>;
+    - D = R with a replaced by i: s (h_ai + sum_k <ak||ik>), k over the
+      occupied modes of R (<aa||ia> vanishes);
+    - D = R with a < b replaced by i < j: s <ab||ij>;
+
+    where s is the sign ``apply_string`` gives a_a^+ a_i, or
+    a_a^+ a_b^+ a_j a_i, on D. Integrals are pruned as in
+    ``build_hamiltonian`` and terms summed in its term order; exact zeros
+    are left out. Only excitations that keep Sz are formed, for chunks of
+    rows with about ``CHUNK_EXCITATIONS`` of them, so that memory follows
+    the non-zero count.
+    """
+    m = spin_ints.n_spin_orbitals
+    if m > 64:
+        raise SectorError(f"{m} modes do not fit a 64-bit determinant")
+    dets = np.asarray(dets, dtype=np.uint64)
+    n = len(dets)
+    if not n:
+        return sp.csr_matrix((0, 0))
+    alphas = np.bitwise_count(dets & _ALPHA)
+    if np.ptp(np.bitwise_count(dets)) or np.ptp(alphas):
+        raise SectorError("determinants of more than one (N, Sz) sector")
+    n_el = int(np.bitwise_count(dets[0]))
+    h1, g = _kept(spin_ints.h1), spin_ints.antisymmetrized()
+    coulomb = _kept(np.einsum("pqpq->pq", g))   # <pq||pq>
+    single = _kept(np.einsum("akik->aik", g))   # <ak||ik>
+    modes = np.arange(m, dtype=np.uint64)
+    holes, particles = np.triu_indices(n_el, 1), np.triu_indices(m - n_el, 1)
+    per_row = 1 + n_el * (m - n_el) + len(holes[0]) * len(particles[0])
+    step = max(1, CHUNK_EXCITATIONS // per_row)
+    blocks = []
+    for start in range(0, n, step):
+        rows = dets[start:start + step]
+        c = len(rows)
+        filled = (rows[:, None] >> modes & _ONE).astype(bool)
+        occ = np.nonzero(filled)[1].reshape(c, n_el)
+        vir = np.nonzero(~filled)[1].reshape(c, m - n_el)
+
+        diag = np.full(c, float(spin_ints.scalar_shift))
+        for k in range(n_el):
+            diag += h1[occ[:, k], occ[:, k]]
+        for k, l in zip(*holes):
+            diag += coulomb[occ[:, k], occ[:, l]]
+
+        r1, ka, ki = np.nonzero(occ[:, :, None] % 2 == vir[:, None, :] % 2)
+        a, i = occ[r1, ka], vir[r1, ki]
+        col1 = _connected(dets, rows[r1], a, i)
+        found = col1 >= 0
+        r1, a, i, col1 = r1[found], a[found], i[found], col1[found]
+        val1 = h1[a, i]
+        for k in range(n_el):
+            val1 += single[a, i, occ[r1, k]]
+        val1 *= _string_sign(dets[col1], a, i)
+
+        betas_h = occ[:, holes[0]] % 2 + occ[:, holes[1]] % 2
+        betas_p = vir[:, particles[0]] % 2 + vir[:, particles[1]] % 2
+        r2, kh, kp = np.nonzero(betas_h[:, :, None] == betas_p[:, None, :])
+        a, b = occ[r2, holes[0][kh]], occ[r2, holes[1][kh]]
+        i, j = vir[r2, particles[0][kp]], vir[r2, particles[1][kp]]
+        col2 = _connected(dets, rows[r2], a, b, i, j)
+        found = col2 >= 0
+        r2, col2 = r2[found], col2[found]
+        a, b, i, j = a[found], b[found], i[found], j[found]
+        val2 = _kept(g[a, b, i, j]) * _string_sign(dets[col2], a, b, j, i)
+
+        row = np.concatenate([np.arange(c), r1, r2])
+        col = np.concatenate([np.arange(start, start + c), col1, col2])
+        val = np.concatenate([diag, val1, val2])
+        kept = val != 0     # NaN is kept
+        blocks.append(sp.csr_matrix((val[kept], (row[kept], col[kept])),
+                                    shape=(c, n)))
+    return sp.vstack(blocks, format="csr")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
+    """Lowest eigenpair of H in the (N, Sz) determinant sector.
+
+    SectorError when H is not Hermitian in the sector to
     ``HERMITIAN_TOL``; NonFiniteError when a matrix entry or the energy is
     inf or NaN.
     """
-    dets = sector_determinants(op.n_modes, n_electrons, ms2)
+    m = spin_ints.n_spin_orbitals
+    dets = sector_determinants(m, n_electrons, ms2)
     if not dets:
         raise SectorError(
-            f"empty sector: N={n_electrons}, MS2={ms2}, modes={op.n_modes}")
-    mat = sector_matrix(op, dets)
-    if abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
-        raise SectorError("operator is not Hermitian in the sector")
-    mat = (mat + mat.conj().T) / 2
+            f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
+    mat = sector_hamiltonian(spin_ints, dets)
+    if abs(mat - mat.T).max() > HERMITIAN_TOL:
+        raise SectorError("Hamiltonian is not Hermitian in the sector")
+    mat = (mat + mat.T) / 2
     if not np.isfinite(mat.data).all():
         raise NonFiniteError("sector matrix has an inf or NaN entry")
     if len(dets) < DENSE_SECTOR_LIMIT:

@@ -24,9 +24,10 @@ import numpy as np
 from scipy import optimize
 
 from .ansatz import ExcitationList
-from .fermion import (DENSE_SECTOR_LIMIT, HERMITIAN_TOL, FermionOperator,
-                      NonFiniteError, excitation_generator, hf_determinant,
-                      sector_determinants, sector_matrix)
+from .fermion import (DENSE_SECTOR_LIMIT, HERMITIAN_TOL, NonFiniteError,
+                      excitation_generator, hf_determinant,
+                      sector_determinants, sector_hamiltonian, sector_matrix)
+from .integrals import SpinIntegralSet
 
 RHOBEG = 0.1
 PARAM_TOL = 1e-6
@@ -40,18 +41,19 @@ class VqeError(Exception):
 
 @dataclass
 class VqeProblem:
-    """Hamiltonian + UCC excitation list + electron count + start point.
+    """Integrals + UCC excitation list + electron count + start point.
 
-    Construction builds the sector matrices of the Hamiltonian and of every
-    generator kappa_k once, over the (n_electrons, Sz = 0) determinants;
-    ``objective`` then only multiplies sector vectors. The Hamiltonian is
-    dense below ``DENSE_SECTOR_LIMIT`` determinants and CSR above, as in
+    Construction builds the sector matrices of the Hamiltonian, by
+    ``sector_hamiltonian``, and of every generator kappa_k once, over the
+    (n_electrons, Sz = 0) determinants; ``objective`` then only
+    multiplies sector vectors. The Hamiltonian is dense below
+    ``DENSE_SECTOR_LIMIT`` determinants and CSR above, as in
     ``exact_ground_state``; each kappa_k has at most one non-zero per
     column and stays CSR. A sector above ``SECTOR_DIM_CAP`` determinants
     raises SectorError, an inf or NaN Hamiltonian entry NonFiniteError.
     """
 
-    hamiltonian: FermionOperator
+    integrals: SpinIntegralSet
     excitations: ExcitationList
     n_electrons: int
     initial_params: np.ndarray
@@ -68,9 +70,9 @@ class VqeProblem:
             raise VqeError("initial parameters must be finite")
         if self.max_evaluations < 1:
             raise VqeError("the evaluation budget must be at least 1")
-        if self.hamiltonian.n_modes != n_modes:
+        if self.integrals.n_spin_orbitals != n_modes:
             raise VqeError(
-                f"{self.hamiltonian.n_modes}-mode Hamiltonian for "
+                f"{self.integrals.n_spin_orbitals}-mode integrals for "
                 f"{n_modes}-mode excitations")
         dets = sector_determinants(n_modes, self.n_electrons, 0)
         hf = hf_determinant(self.n_electrons) if dets else None
@@ -79,13 +81,12 @@ class VqeProblem:
                 f"Hartree-Fock determinant of {self.n_electrons} electrons "
                 f"outside the Sz = 0 sector of {n_modes} modes")
         self._reference = dets.index(hf)
-        h = sector_matrix(self.hamiltonian, dets)
+        h = sector_hamiltonian(self.integrals, dets)
         if not np.isfinite(h.data).all():
             raise NonFiniteError("Hamiltonian has an inf or NaN entry in "
                                  "the sector")
-        if max(abs(h - h.T).max(), abs(h.imag).max()) > HERMITIAN_TOL:
-            raise VqeError("Hamiltonian is not real-symmetric in the sector")
-        h = h.real
+        if abs(h - h.T).max() > HERMITIAN_TOL:
+            raise VqeError("Hamiltonian is not symmetric in the sector")
         self._hamiltonian = h.toarray() if len(dets) < DENSE_SECTOR_LIMIT \
             else h
         self._generators = [

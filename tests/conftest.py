@@ -83,6 +83,13 @@ def random_integral_set(rng, n_orbitals, gap=1.0, noise=0.1):
     return ints
 
 
+def one_body_integrals(h1):
+    """Integrals of H = sum h1[p, q] a_p^+ a_q over len(h1) modes."""
+    m = len(h1)
+    return integrals_mod.SpinIntegralSet(m, np.asarray(h1, dtype=float),
+                                         np.zeros((m,) * 4))
+
+
 def _symmetrize(m):
     return (m + m.T) / 2
 

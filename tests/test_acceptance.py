@@ -88,10 +88,10 @@ def vqe_runs():
     for name in GEOMETRIES:
         spin = builtin_fixture(name).to_spin_orbital()
         x0 = warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)
-        problem = VqeProblem(build_hamiltonian(spin), exc, 2, x0)
+        problem = VqeProblem(spin, exc, 2, x0)
         t0 = time.time()
         result = minimize(problem)
-        e_exact, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
+        e_exact, _ = exact_ground_state(spin, 2, 0)
         runs[name] = {"problem": problem, "result": result,
                       "e_exact": e_exact, "seconds": time.time() - t0,
                       "spin": spin, "exc": exc}
@@ -147,7 +147,7 @@ def test_criterion_3_published_parameters(vqe_runs, name):
 def test_criterion_4_warm_start_evaluation_counts(vqe_runs):
     run = vqe_runs["h2_ducc_1.4008"]
     warm_evals = run["result"].n_evaluations
-    zero = VqeProblem(run["problem"].hamiltonian, run["problem"].excitations,
+    zero = VqeProblem(run["problem"].integrals, run["problem"].excitations,
                       2, np.zeros(15))
     zero_evals = minimize(zero).n_evaluations
     ok = 100 <= warm_evals < 5000 and zero_evals > warm_evals
@@ -164,7 +164,7 @@ def test_criterion_5_ccsd_equals_fci(rng):
         spin = random_integral_set(rng, n_orb).to_spin_orbital()
         ref = hf_determinant(2)
         _, e_corr = ccsd_solve(spin, ref)
-        e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
+        e_fci, _ = exact_ground_state(spin, 2, 0)
         worst = max(worst, abs(hf_energy(spin, ref) + e_corr - e_fci))
     elapsed = time.time() - t0
     _check(5, worst <= 1e-8 and elapsed < 60.0,
@@ -191,8 +191,8 @@ def test_criterion_6_downfolding_identities(rng):
         sp = builtin_fixture(name).to_spin_orbital()
         tt, _ = ccsd_solve(sp, hf_determinant(2))
         dh = ducc.downfold(sp, ActiveSpace.build(4, (1,)), tt)
-        e_down, _ = exact_ground_state(build_hamiltonian(dh), 2, 0)
-        e_fci, _ = exact_ground_state(build_hamiltonian(sp), 2, 0)
+        e_down, _ = exact_ground_state(dh, 2, 0)
+        e_fci, _ = exact_ground_state(sp, 2, 0)
         spec_ok &= abs(e_down - e_fci) <= 1e-9
     # (c) commutator expansion vs dense oracle, 100 randomized instances
     worst = 0.0
@@ -220,11 +220,9 @@ def test_criterion_7_downfolding_improvement(rng):
     for _ in range(20):
         spin = random_integral_set(rng, 4, noise=0.15).to_spin_orbital()
         t, _ = ccsd_solve(spin, hf_determinant(2))
-        e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
-        e_ducc, _ = exact_ground_state(
-            build_hamiltonian(ducc.downfold(spin, half, t)), 2, 0)
-        e_bare, _ = exact_ground_state(
-            build_hamiltonian(ducc.bare_restriction(spin, half)), 2, 0)
+        e_fci, _ = exact_ground_state(spin, 2, 0)
+        e_ducc, _ = exact_ground_state(ducc.downfold(spin, half, t), 2, 0)
+        e_bare, _ = exact_ground_state(ducc.bare_restriction(spin, half), 2, 0)
         ducc_err.append(abs(e_ducc - e_fci))
         bare_err.append(abs(e_bare - e_fci))
     med_ducc, med_bare = np.median(ducc_err), np.median(bare_err)

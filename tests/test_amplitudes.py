@@ -12,8 +12,8 @@ from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
                                 mp2_amplitudes, mp2_energy, save_amplitudes,
                                 top_amplitudes)
 from duccvqe.cli import EXIT_DATA, EXIT_OK, main
-from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
-                             exact_ground_state, hf_determinant, hf_energy)
+from duccvqe.fermion import (ActiveSpace, exact_ground_state,
+                             hf_determinant, hf_energy)
 from duccvqe.integrals import builtin_fixture
 
 # frozen correlation energies on the 10 a.u. fixture
@@ -84,7 +84,7 @@ def test_ccsd_exact_for_two_electrons_on_fixtures():
         spin = _spin(name)
         ref = hf_determinant(2)
         _, e_corr = ccsd_solve(spin, ref)
-        e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
+        e_fci, _ = exact_ground_state(spin, 2, 0)
         assert hf_energy(spin, ref) + e_corr == pytest.approx(e_fci, abs=1e-8)
 
 
@@ -224,7 +224,7 @@ def test_ccsd_matches_fci_on_random_systems(rng):
         spin = random_integral_set(rng, 4).to_spin_orbital()
         ref = hf_determinant(2)
         _, e_corr = ccsd_solve(spin, ref)
-        e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
+        e_fci, _ = exact_ground_state(spin, 2, 0)
         assert hf_energy(spin, ref) + e_corr == pytest.approx(e_fci, abs=1e-8)
 
 

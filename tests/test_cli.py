@@ -12,9 +12,11 @@ from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
 from duccvqe.ducc import downfold
-from duccvqe.fermion import ActiveSpace, hf_determinant
+from duccvqe.fermion import (ActiveSpace, build_hamiltonian, hf_determinant,
+                             sector_determinants, sector_matrix)
 from duccvqe.integrals import (FIXTURE_NAMES, builtin_fixture, load_fcidump,
-                               load_spin_fcidump, save_fcidump)
+                               load_spin_fcidump, read_fcidump, save_fcidump,
+                               save_spin_fcidump)
 
 
 def run(capsys, *argv):
@@ -77,6 +79,46 @@ def test_eig_fixture(capsys):
     assert code == EXIT_OK
     blob = json.loads(out)
     assert blob["energy"] == pytest.approx(-1.1008953360, abs=1e-8)
+
+
+def _string_path_energy(spin, nelec, ms2):
+    """Lowest eigenvalue of the operator-string sector matrix."""
+    dets = sector_determinants(spin.n_spin_orbitals, nelec, ms2)
+    h = sector_matrix(build_hamiltonian(spin), dets).toarray()
+    return np.linalg.eigvalsh((h + h.T) / 2)[0]
+
+
+@pytest.mark.parametrize("nelec,ms2", [(2, 0), (4, 0), (6, 0), (3, 1),
+                                       (3, -1), (5, 1), (5, -1)])
+def test_eig_matches_string_path(capsys, tmp_path, nelec, ms2):
+    path = tmp_path / "system.fcidump"
+    save_fcidump(random_integral_set(np.random.default_rng(nelec), 4), path,
+                 nelec=nelec)
+    code, out, _ = run(capsys, "eig", "--integrals", str(path),
+                       "--ms2", str(ms2))
+    assert code == EXIT_OK
+    want = _string_path_energy(load_fcidump(path).to_spin_orbital(), nelec,
+                               ms2)
+    assert json.loads(out)["energy"] == pytest.approx(want, abs=1e-12)
+
+
+def test_eig_of_spin_resolved_file_with_spin_flips(capsys, tmp_path):
+    spin = random_integral_set(np.random.default_rng(7), 3).to_spin_orbital()
+    for p, q, value in ((0, 1, 0.05), (2, 5, -0.04), (3, 4, 0.03)):
+        spin.h1[p, q] = spin.h1[q, p] = value     # alpha-beta one-body
+    for p, q, r, s, value in ((0, 1, 3, 2, 0.02), (0, 3, 5, 2, -0.01)):
+        for index in ((p, q, r, s), (q, p, s, r), (r, s, p, q),
+                      (s, r, q, p)):
+            spin.h2[index] = value
+    path = tmp_path / "flips.fcidump"
+    save_spin_fcidump(spin, path, nelec=3, ms2=1)
+    loaded = read_fcidump(path)[0]
+    for nelec, ms2 in ((3, 1), (3, -1), (2, 0), (4, 0), (4, 2)):
+        code, out, _ = run(capsys, "eig", "--integrals", str(path),
+                           "--nelec", str(nelec), "--ms2", str(ms2))
+        assert code == EXIT_OK
+        assert json.loads(out)["energy"] == pytest.approx(
+            _string_path_energy(loaded, nelec, ms2), abs=1e-12)
 
 
 def test_usage_errors(capsys):

@@ -75,8 +75,8 @@ def test_full_active_space_is_spectrum_identical():
     for name in ("h2_ducc_0.8", "h2_ducc_10.0"):
         spin, t = _fixture_setup(name)
         dh = downfold(spin, FULL_SPACE, t)
-        e_down, _ = exact_ground_state(build_hamiltonian(dh), 2, 0)
-        e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
+        e_down, _ = exact_ground_state(dh, 2, 0)
+        e_fci, _ = exact_ground_state(spin, 2, 0)
         assert e_down == pytest.approx(e_fci, abs=1e-9)
 
 
@@ -104,12 +104,12 @@ def test_chi_round_trip_through_operator():
 def test_spin_integral_serialization_preserves_spectrum(tmp_path):
     spin, t = _fixture_setup("h2_ducc_10.0")
     dh = downfold(spin, HALF_SPACE, t)
-    e_direct, _ = exact_ground_state(build_hamiltonian(dh), 2, 0)
+    e_direct, _ = exact_ground_state(dh, 2, 0)
     path = tmp_path / "down.fcidump"
     save_spin_fcidump(dh, path, 2)
     assert isinstance(read_fcidump(path)[0], SpinIntegralSet)
     back = load_spin_fcidump(path)
-    e_loaded, _ = exact_ground_state(build_hamiltonian(back), 2, 0)
+    e_loaded, _ = exact_ground_state(back, 2, 0)
     assert e_loaded == pytest.approx(e_direct, abs=1e-10)
 
 
@@ -118,11 +118,10 @@ def test_downfolding_beats_bare_on_fixtures():
     for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0",
                  "h2_ducc_10.0"):
         spin, t = _fixture_setup(name)
-        e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
-        e_ducc, _ = exact_ground_state(
-            build_hamiltonian(downfold(spin, HALF_SPACE, t)), 2, 0)
+        e_fci, _ = exact_ground_state(spin, 2, 0)
+        e_ducc, _ = exact_ground_state(downfold(spin, HALF_SPACE, t), 2, 0)
         e_bare, _ = exact_ground_state(
-            build_hamiltonian(bare_restriction(spin, HALF_SPACE)), 2, 0)
+            bare_restriction(spin, HALF_SPACE), 2, 0)
         if abs(e_ducc - e_fci) < abs(e_bare - e_fci):
             wins += 1
     assert wins == 4
@@ -134,11 +133,10 @@ def test_downfold_random_systems_improve(rng):
         ints = random_integral_set(rng, 4, noise=0.15)
         spin = ints.to_spin_orbital()
         t, _ = ccsd_solve(spin, hf_determinant(2))
-        e_fci, _ = exact_ground_state(build_hamiltonian(spin), 2, 0)
-        e_ducc, _ = exact_ground_state(
-            build_hamiltonian(downfold(spin, HALF_SPACE, t)), 2, 0)
+        e_fci, _ = exact_ground_state(spin, 2, 0)
+        e_ducc, _ = exact_ground_state(downfold(spin, HALF_SPACE, t), 2, 0)
         e_bare, _ = exact_ground_state(
-            build_hamiltonian(bare_restriction(spin, HALF_SPACE)), 2, 0)
+            bare_restriction(spin, HALF_SPACE), 2, 0)
         errors.append((abs(e_ducc - e_fci), abs(e_bare - e_fci)))
     med = np.median(np.array(errors), axis=0)
     assert med[0] < med[1]
@@ -241,11 +239,9 @@ def test_six_orbital_four_electron_downfold_improves(rng):
     space = ActiveSpace.build(6, (1, 2), (3,))
     spin = random_integral_set(rng, 6, noise=0.15).to_spin_orbital()
     t, _ = ccsd_solve(spin, hf_determinant(4))
-    e_fci, _ = exact_ground_state(build_hamiltonian(spin), 4, 0)
-    e_ducc, _ = exact_ground_state(
-        build_hamiltonian(downfold(spin, space, t)), 4, 0)
-    e_bare, _ = exact_ground_state(
-        build_hamiltonian(bare_restriction(spin, space)), 4, 0)
+    e_fci, _ = exact_ground_state(spin, 4, 0)
+    e_ducc, _ = exact_ground_state(downfold(spin, space, t), 4, 0)
+    e_bare, _ = exact_ground_state(bare_restriction(spin, space), 4, 0)
     assert abs(e_ducc - e_fci) < abs(e_bare - e_fci)
 
 

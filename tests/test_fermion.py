@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import (dense_operator, random_fermion_operator,
-                      random_integral_set)
+from conftest import (FIXTURES, dense_operator, one_body_integrals,
+                      random_fermion_operator, random_integral_set)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duccvqe import fermion
 from duccvqe.ansatz import enumerate_excitations
@@ -15,8 +17,8 @@ from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
                              hf_determinant, hf_energy, multiply,
                              normal_order, ph_normal_order,
                              sector_determinants, sector_dimension,
-                             sector_matrix)
-from duccvqe.integrals import SpinIntegralSet
+                             sector_hamiltonian, sector_matrix)
+from duccvqe.integrals import SpinIntegralSet, builtin_fixture
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
 FIXTURE_FCI = {
@@ -149,10 +151,9 @@ def test_sector_matrix_matches_dense_block(rng):
 
 
 def test_exact_ground_state_matches_dense(rng):
-    ints = random_integral_set(rng, 3)
-    h = build_hamiltonian(ints.to_spin_orbital())
-    e, vec = exact_ground_state(h, 2, 0)
-    dense = dense_operator(h)
+    spin = random_integral_set(rng, 3).to_spin_orbital()
+    e, vec = exact_ground_state(spin, 2, 0)
+    dense = dense_operator(build_hamiltonian(spin))
     dets = sector_determinants(6, 2, 0)
     w = np.linalg.eigvalsh(dense[np.ix_(dets, dets)].real)
     assert e == pytest.approx(w[0], abs=1e-10)
@@ -162,15 +163,13 @@ def test_exact_ground_state_matches_dense(rng):
 @pytest.mark.parametrize("name,energy", sorted(FIXTURE_FCI.items()))
 def test_fixture_ground_energies(name, energy):
     from duccvqe.integrals import builtin_fixture
-    h = build_hamiltonian(builtin_fixture(name).to_spin_orbital())
-    e, _ = exact_ground_state(h, 2, 0)
+    e, _ = exact_ground_state(builtin_fixture(name).to_spin_orbital(), 2, 0)
     assert e == pytest.approx(energy, abs=1e-8)
 
 
 def test_empty_sector_raises():
-    op = FermionOperator.from_term(4, ())
     with pytest.raises(SectorError, match="empty sector"):
-        exact_ground_state(op, 3, 0)
+        exact_ground_state(one_body_integrals(np.zeros((4, 4))), 3, 0)
 
 
 def test_active_space_partition():
@@ -278,13 +277,13 @@ def test_build_hamiltonian_string_count(rng):
 
 
 def test_non_hermitian_operator_rejected():
-    # n_0 and n_1 on 2 electrons in 4 modes, plus a lone a_2^+ a_0
-    op = FermionOperator(4, {((0, 1), (0, 0)): -1.0, ((1, 1), (1, 0)): -1.0,
-                             ((2, 1), (0, 0)): 0.2})
+    # -n_0 - n_1 on 2 electrons in 4 modes, plus a lone 0.2 a_2^+ a_0
+    h1 = np.diag([-1.0, -1.0, 0.0, 0.0])
+    h1[2, 0] = 0.2
     with pytest.raises(SectorError, match="not Hermitian"):
-        exact_ground_state(op, 2, 0)
-    op.terms[((0, 1), (2, 0))] = 0.2
-    e, _ = exact_ground_state(op, 2, 0)
+        exact_ground_state(one_body_integrals(h1), 2, 0)
+    h1[0, 2] = 0.2
+    e, _ = exact_ground_state(one_body_integrals(h1), 2, 0)
     assert e == pytest.approx(-1.5 - np.sqrt(0.29), abs=1e-12)
 
 
@@ -293,15 +292,113 @@ def test_sector_cap_checked_before_enumerating():
     with pytest.raises(SectorError, match="exceeds cap"):
         sector_determinants(56, 28, 0)
     with pytest.raises(SectorError, match="exceeds cap"):
-        exact_ground_state(FermionOperator.zero(20), 10, 0)
+        exact_ground_state(one_body_integrals(np.zeros((20, 20))), 10, 0)
 
 
 def test_non_finite_sector_matrix_is_a_data_error():
-    # two strings with the same matrix element sum past the float range
-    n_0 = ((0, 1), (0, 0))
-    h = FermionOperator(2, {n_0: 1e308, n_0 + n_0: 1e308})
+    # two occupied one-body energies sum past the float range
+    h1 = np.diag([1e308, 1e308])
     with pytest.raises(NonFiniteError):
-        exact_ground_state(h, 1, 1)
-    h.terms[n_0] = np.nan
+        exact_ground_state(one_body_integrals(h1), 2, 0)
+    h1[0, 0] = np.nan
     with pytest.raises(NonFiniteError):
-        exact_ground_state(h, 1, 1)
+        exact_ground_state(one_body_integrals(h1), 2, 0)
+
+
+def _string_path(spin, dets):
+    """The oracle: H as operator strings, applied to every determinant."""
+    return sector_matrix(build_hamiltonian(spin), dets)
+
+
+def _integrals(m, one_body, two_body, shift=0.0):
+    """SpinIntegralSet from (p, q, value) and (p, q, r, s, value) entries.
+
+    Each two-body entry is copied to (rs|pq), the one symmetry that makes
+    <pq||rs> antisymmetric; neither h1 nor h2 need be Hermitian.
+    """
+    h1, h2 = np.zeros((m, m)), np.zeros((m,) * 4)
+    for p, q, value in one_body:
+        h1[p, q] = value
+    for p, q, r, s, value in two_body:
+        h2[p, q, r, s] = h2[r, s, p, q] = value
+    return SpinIntegralSet(m, h1, h2, shift)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sector_hamiltonian_is_the_string_path_on_fixtures(name):
+    spin = builtin_fixture(name).to_spin_orbital()
+    dets = sector_determinants(8, 2, 0)
+    np.testing.assert_array_equal(sector_hamiltonian(spin, dets).toarray(),
+                                  _string_path(spin, dets).toarray())
+
+
+@pytest.mark.parametrize("n_orbitals,n_electrons,ms2", [
+    (4, 2, 0), (4, 4, 0), (4, 6, 0), (5, 6, 0), (6, 6, 0), (4, 3, 1),
+    (4, 3, -1), (5, 5, 1), (5, 5, -1), (4, 2, 2)])
+def test_sector_hamiltonian_matches_string_path(n_orbitals, n_electrons,
+                                                ms2):
+    rng = np.random.default_rng(100 * n_orbitals + 10 * n_electrons + ms2)
+    spin = random_integral_set(rng, n_orbitals).to_spin_orbital()
+    dets = sector_determinants(2 * n_orbitals, n_electrons, ms2)
+    fast, oracle = sector_hamiltonian(spin, dets), _string_path(spin, dets)
+    assert fast.nnz == np.count_nonzero(oracle.toarray())
+    assert abs(fast - oracle).max() <= 1e-12
+
+
+def test_sector_hamiltonian_reaches_the_top_bit():
+    # 64 modes; each determinant holds one of modes 0, 62 (alpha) and one
+    # of modes 1, 63 (beta), so mode 63 is the top bit of a uint64. The
+    # list leaves out 62 + 63, which lies past its last determinant.
+    rng = np.random.default_rng(63)
+    modes = (0, 1, 62, 63)
+    one = [(p, q, rng.normal()) for p in modes for q in modes]
+    two = [(*rng.choice(modes, 4), rng.normal()) for _ in range(12)]
+    spin = _integrals(64, one, two, shift=0.5)
+    dets = [0b11, (1 << 62) | 0b10, (1 << 63) | 0b1]
+    fast = sector_hamiltonian(spin, dets).toarray()
+    assert np.count_nonzero(fast[-1]) >= 2    # a diagonal and a single
+    np.testing.assert_allclose(fast, _string_path(spin, dets).toarray(),
+                               rtol=0, atol=1e-12)
+
+
+def test_sector_hamiltonian_prunes_as_build_hamiltonian():
+    # integrals at or below PRUNE_THRESHOLD are no terms of H
+    tiny = 0.9 * fermion.PRUNE_THRESHOLD
+    one = [(p, q, tiny) for p in range(4) for q in range(4)] + [(0, 2, 0.3),
+                                                                (2, 0, 0.3)]
+    two = [(0, 2, 1, 3, tiny), (0, 0, 1, 1, tiny), (0, 2, 0, 0, tiny),
+           (0, 0, 2, 2, 0.5)]
+    spin = _integrals(4, one, two)
+    dets = sector_determinants(4, 2, 0)
+    np.testing.assert_array_equal(sector_hamiltonian(spin, dets).toarray(),
+                                  _string_path(spin, dets).toarray())
+
+
+_VALUE = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6))
+def test_sector_hamiltonian_property(data, m):
+    """Random integral sets, spin-flipping and non-Hermitian entries
+    included, in every (N, Sz) sector."""
+    mode = st.integers(0, m - 1)
+    one = data.draw(st.lists(st.tuples(mode, mode, _VALUE), max_size=8))
+    two = data.draw(st.lists(st.tuples(mode, mode, mode, mode, _VALUE),
+                             max_size=12))
+    spin = _integrals(m, one, two, data.draw(_VALUE))
+    n = data.draw(st.integers(0, m))
+    ms2 = data.draw(st.sampled_from(range(-n, n + 1, 2)))
+    dets = sector_determinants(m, n, ms2)
+    if dets:
+        np.testing.assert_allclose(
+            sector_hamiltonian(spin, dets).toarray(),
+            _string_path(spin, dets).toarray(), rtol=0, atol=1e-12)
+
+
+def test_sector_hamiltonian_rejects_mixed_sectors():
+    spin = one_body_integrals(np.zeros((4, 4)))
+    with pytest.raises(SectorError, match="sector"):
+        sector_hamiltonian(spin, [0b0011, 0b0101])    # MS2 0 and 2
+    with pytest.raises(SectorError, match="sector"):
+        sector_hamiltonian(spin, [0b0001, 0b0011])    # N 1 and N 2
