@@ -10,10 +10,10 @@ from .amplitudes import (ClusterAmplitudes, ccsd_solve, mp2_amplitudes,
                          mp2_energy, top_amplitudes)
 from .ansatz import (Circuit, ExcitationList, Gate, enumerate_excitations,
                      resource_report, trotter_circuit, ucc_generator)
-from .ducc import commutator_expand, downfold, project_active
+from .ducc import downfold
 from .fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
                       exact_ground_state, excitation_generator, hf_energy,
-                      normal_order, sector_hamiltonian)
+                      sector_hamiltonian)
 from .integrals import (IntegralSet, SpinIntegralSet, builtin_fixture,
                         load_fcidump, load_spin_fcidump, save_fcidump,
                         save_spin_fcidump)

@@ -12,10 +12,9 @@ the Hartree-Fock reference with X2 antisymmetric; each commutator keeps
 its zero-, one- and two-body parts (the IMSRG(2) commutator, Hergert et
 al., Phys. Rep. 621, 165 (2016)). That cut is exact here: [F_N, s] has no
 higher part, and the projection drops the three-body parts anyway.
-``commutator_expand`` followed by ``project_active`` does the same on
-operator strings, every string formed, and is the oracle for the tensors;
-``sigma_ext_operator`` is likewise the oracle for the sigma_ext tensors
-that ``downfold`` masks out of the amplitude arrays.
+The same expansion on operator strings, every string formed, is the test
+oracle of the tensors and of the sigma_ext tensors that ``downfold`` masks
+out of the amplitude arrays.
 """
 
 from __future__ import annotations
@@ -23,27 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import ClusterAmplitudes
-from .fermion import (PRUNE_THRESHOLD, ActiveSpace, FermionOperator,
-                      NonFiniteError, commutator, excitation_generator,
-                      fock_matrix, hf_energy, normal_order, ph_normal_order)
+from .fermion import (PRUNE_THRESHOLD, ActiveSpace, NonFiniteError,
+                      fock_matrix, hf_energy)
 from .integrals import SpinIntegralSet
 
 
-def sigma_ext_operator(t: ClusterAmplitudes, space: ActiveSpace,
-                       n_modes) -> FermionOperator:
-    """Anti-Hermitian sum t_k kappa_k over the external amplitudes, those
-    with a virtual index outside the active space."""
-    active = set(space.active_virtual_spin)
-    sigma = FermionOperator.zero(n_modes)
-    for key, value in t.items():
-        if not active.issuperset(key[len(key) // 2:]):
-            for ops, c in excitation_generator(key, n_modes).terms.items():
-                sigma.add_term(ops, value * c)
-    return sigma.prune()
-
-
 def _sigma_ext(t: ClusterAmplitudes, space: ActiveSpace, m):
-    """(0, X1, X2) of sigma_ext_operator, built from the amplitude arrays.
+    """(0, X1, X2) of the anti-Hermitian sum t_k kappa_k over the external
+    amplitudes, those with a virtual index outside the active space.
 
     The external amplitudes below PRUNE_THRESHOLD are dropped as
     ``FermionOperator.prune`` drops them, NaN kept.
@@ -67,69 +53,10 @@ def _sigma_ext(t: ClusterAmplitudes, space: ActiveSpace, m):
     return 0.0, x1, x2
 
 
-def commutator_expand(h: FermionOperator, f: FermionOperator,
-                      sigma: FermionOperator) -> FermionOperator:
-    """H + [H_N, s] + 1/2 [[F_N, s], s], normal ordered and merged.
-
-    Scalar parts of H and F commute away, so plain operators are accepted;
-    the scalar normalization keeps full-space eigenvalues of the output
-    identical to those of H when the active space is the whole space.
-    """
-    h_bar = normal_order(h)
-    if len(sigma) == 0:
-        return h_bar
-    h_bar = h_bar + commutator(h, sigma)
-    h_bar = h_bar + 0.5 * commutator(commutator(f, sigma), sigma)
-    return normal_order(h_bar)
-
-
-def _tensors(op: FermionOperator, m):
-    """(scalar, X1, X2) of a creators-first operator of rank <= 2.
-
-    The operator reads  scalar + sum X1[P,Q] a_P^+ a_Q
-    + 1/4 sum X2[P,Q,R,S] a_P^+ a_Q^+ a_S a_R  with X2 antisymmetric.
-    """
-    x1 = np.zeros((m, m))
-    x2 = np.zeros((m, m, m, m))
-    scalar = 0.0
-    for ops, c in op.terms.items():
-        c = float(np.real_if_close(c))
-        if len(ops) == 0:
-            scalar += c
-        elif len(ops) == 2:
-            (p, _), (q, _) = ops
-            x1[p, q] += c
-        else:
-            # a+_p a+_q a_r a_s => X2[p,q,s,r] = c
-            (p, _), (q, _), (r, _), (s, _) = ops
-            for (pp, qq, s1) in ((p, q, 1.0), (q, p, -1.0)):
-                for (rr, ss, s2) in ((s, r, 1.0), (r, s, -1.0)):
-                    x2[pp, qq, rr, ss] += s1 * s2 * c
-    return scalar, x1, x2
-
-
 def _integral_set(scalar, chi1, chi2) -> SpinIntegralSet:
     """Plain-form tensors as h1 = chi1, (pq|rs) = chi2[p,r,q,s] / 2."""
     return SpinIntegralSet(len(chi1), chi1,
                            0.5 * np.einsum("prqs->pqrs", chi2), scalar)
-
-
-def project_active(h_bar: FermionOperator, space: ActiveSpace,
-                   ref: int) -> SpinIntegralSet:
-    """Keep active-index strings of rank <= 2 in particle-hole normal form.
-
-    The survivors are mapped back to plain creation/annihilation form with
-    Wick contraction constants folded into chi1 and the scalar, over
-    compact active spin orbitals (occupied first); ``antisymmetrized()``
-    of the result gives chi2.
-    """
-    active = set(space.active_spin)
-    compact = space.compact_index()
-    kept = FermionOperator.zero(space.n_active_spin)
-    for ops, c in ph_normal_order(h_bar, ref).terms.items():
-        if len(ops) <= 4 and all(mode in active for mode, _ in ops):
-            kept.add_term(tuple((compact[mode], dag) for mode, dag in ops), c)
-    return _integral_set(*_tensors(normal_order(kept), space.n_active_spin))
 
 
 def _half(a, b, n):

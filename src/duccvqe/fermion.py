@@ -25,16 +25,18 @@ PRUNE_THRESHOLD = 1e-12
 # largest |H - H^+| entry accepted as rounding in a Hermiticity check
 HERMITIAN_TOL = 1e-10
 DENSE_SECTOR_LIMIT = 2000
-# exact_ground_state costs about 45 B and 0.6 us a non-zero of the sector
+# exact_ground_state costs about 34 B and 0.6 us a non-zero of the sector
 # matrix of H, on top of the integrals: measured with BLAS on 1 thread on
 # a 2-vCPU VM on seeded systems, 14,400 determinants (10 orbitals, 6
-# electrons, 610 non-zeros a row) took 4.1 s at 469 MB peak RSS, 18,496 (17
-# orbitals, 4 electrons, 1171 a row) 12.9 s at 1.09 GB, and 23,409 (18
+# electrons, 610 non-zeros a row) took 4.6 s at 375 MB peak RSS, 18,496 (17
+# orbitals, 4 electrons, 1171 a row) 13.1 s at 796 MB, and 23,409 (18
 # orbitals, 4 electrons, 1329 a row, the densest sector below the cap)
-# 19.2 s at 1.49 GB. The cap keeps one run within about 1.5 GB and half a
-# minute.
+# 16-19 s at 942-1156 MB over three runs. The cap keeps one run within
+# about 1.2 GB and half a minute.
 SECTOR_DIM_CAP = 25_000
-# candidate excitations formed at once by sector_hamiltonian
+# entries formed at once: candidate excitations by sector_hamiltonian,
+# (string, amplitude) pairs by simulator.expectation, differences by the
+# Hermiticity check of exact_ground_state
 CHUNK_EXCITATIONS = 1 << 18
 
 
@@ -139,7 +141,7 @@ class FermionOperator:
 
     def __mul__(self, factor):
         if isinstance(factor, FermionOperator):
-            return NotImplemented  # operator products go through multiply
+            return NotImplemented  # scalar factors only
         return FermionOperator(
             self.n_modes, {ops: c * factor for ops, c in self.terms.items()})
 
@@ -160,93 +162,6 @@ class FermionOperator:
 
     def __len__(self):
         return len(self.terms)
-
-
-def _normal_order_string(ops, coeff, out):
-    """Wick-rewrite one string into canonical vacuum normal form."""
-    stack = [(list(ops), coeff)]
-    while stack:
-        s, c = stack.pop()
-        i = 0
-        done = True
-        while i < len(s) - 1:
-            (m1, d1), (m2, d2) = s[i], s[i + 1]
-            if d1 == d2:
-                if m1 == m2:
-                    done = False
-                    break  # a a or a+ a+ on same mode vanishes
-                if m1 > m2:
-                    s[i], s[i + 1] = s[i + 1], s[i]
-                    c = -c
-                    i = max(i - 1, 0)  # keep bubbling leftward
-                else:
-                    i += 1
-                continue
-            if d1 == 0 and d2 == 1:
-                # a_p a_q^+ = delta_pq - a_q^+ a_p
-                swapped = s[:i] + [s[i + 1], s[i]] + s[i + 2:]
-                stack.append((swapped, -c))
-                if m1 == m2:
-                    stack.append((s[:i] + s[i + 2:], c))
-                done = False
-                break
-            i += 1
-        if done:
-            key = tuple(s)
-            out[key] = out.get(key, 0.0) + c
-
-
-def normal_order(op: FermionOperator) -> FermionOperator:
-    """Canonical vacuum normal form; equals the input as an operator."""
-    out = {}
-    for ops, c in op.terms.items():
-        if c != 0.0:
-            _normal_order_string(ops, c, out)
-    return FermionOperator(op.n_modes, out).prune()
-
-
-def _flip_occupied(ops, occ_set):
-    return tuple((m, 1 - d) if m in occ_set else (m, d) for m, d in ops)
-
-
-def ph_normal_order(op: FermionOperator, ref: int) -> FermionOperator:
-    """Normal order relative to the Fermi vacuum of determinant ``ref``.
-
-    Occupied-mode operators are hole-relabeled (a_i^+ <-> a_i), vacuum
-    normal ordering is applied, and the labels are restored, so output
-    strings have all quasiparticle creators on the left.
-    """
-    occ = {m for m in range(op.n_modes) if (ref >> m) & 1}
-    flipped = FermionOperator(
-        op.n_modes,
-        {_flip_occupied(ops, occ): c for ops, c in op.terms.items()})
-    ordered = normal_order(flipped)
-    return FermionOperator(
-        op.n_modes,
-        {_flip_occupied(ops, occ): c for ops, c in ordered.terms.items()})
-
-
-def _finite(op: FermionOperator) -> FermionOperator:
-    if not np.isfinite(list(op.terms.values())).all():
-        raise NonFiniteError(
-            "operator product overflowed: a coefficient is inf or NaN")
-    return op
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
-    """Normal-ordered product a b; NonFiniteError if a coefficient overflows."""
-    out = {}
-    for ops1, c1 in a.terms.items():
-        for ops2, c2 in b.terms.items():
-            _normal_order_string(ops1 + ops2, c1 * c2, out)
-    return _finite(FermionOperator(a.n_modes, out)).prune()
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
-    """[a, b], normal ordered; NonFiniteError as in ``multiply``."""
-    return _finite(multiply(a, b) - multiply(b, a)).prune()
 
 
 def excitation_generator(key, n_modes) -> FermionOperator:
@@ -502,6 +417,14 @@ def sector_hamiltonian(spin_ints, dets):
     return sp.vstack(blocks, format="csr")
 
 
+def _max_difference(a, b):
+    """max |a - b| of two arrays of one length, NaN if a term is NaN,
+    ``CHUNK_EXCITATIONS`` entries at a time."""
+    step = CHUNK_EXCITATIONS
+    return np.max([np.abs(a[i:i + step] - b[i:i + step]).max()
+                   for i in range(0, len(a), step)], initial=0.0)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
     """Lowest eigenpair of H in the (N, Sz) determinant sector.
@@ -516,9 +439,21 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
         raise SectorError(
             f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
     mat = sector_hamiltonian(spin_ints, dets)
-    if abs(mat - mat.T).max() > HERMITIAN_TOL:
+    # H is averaged with its one transposed copy; where the two share a
+    # pattern, as they do unless an entry's mirror is an exact zero, entry
+    # by entry and in place, without a third matrix
+    mat_t = mat.T.tocsr()
+    if (np.array_equal(mat.indptr, mat_t.indptr)
+            and np.array_equal(mat.indices, mat_t.indices)):
+        worst = _max_difference(mat.data, mat_t.data)
+        mat.data += mat_t.data
+    else:
+        worst = abs(mat - mat_t).max()
+        mat = mat + mat_t
+    del mat_t
+    if worst > HERMITIAN_TOL:
         raise SectorError("Hamiltonian is not Hermitian in the sector")
-    mat = (mat + mat.T) / 2
+    mat.data /= 2
     if not np.isfinite(mat.data).all():
         raise NonFiniteError("sector matrix has an inf or NaN entry")
     if len(dets) < DENSE_SECTOR_LIMIT:
@@ -528,8 +463,3 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
     if not np.isfinite(w[0]):
         raise NonFiniteError(f"ground-state energy overflowed: {w[0]}")
     return float(w[0]), v[:, 0]
-
-
-def is_hermitian(op: FermionOperator) -> bool:
-    diff = normal_order(op - op.dagger())
-    return all(abs(c) <= HERMITIAN_TOL for c in diff.terms.values())

@@ -7,6 +7,7 @@ bits set). Qubit k carries spin orbital k; creation maps to
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +69,6 @@ class PauliString:
         return out
 
 
-IDENTITY = PauliString()
-
-
 def pauli_multiply(a: PauliString, b: PauliString):
     """Product in the Pauli group: returns (phase, string), phase in {±1,±i}.
 
@@ -104,10 +102,12 @@ class PauliSum:
     def add_term(self, string, coeff):
         self.terms[string] = self.terms.get(string, 0.0) + coeff
 
+    @np.errstate(over="ignore")
     def prune(self):
-        # written so that a NaN coefficient is kept, never dropped
+        # written so that a NaN coefficient is kept, never dropped, and
+        # one whose modulus passes the float range is inf and kept
         self.terms = {s: c for s, c in self.terms.items()
-                      if not abs(c) <= PRUNE_THRESHOLD}
+                      if not np.abs(c) <= PRUNE_THRESHOLD}
         return self
 
     def __add__(self, other):
@@ -158,28 +158,102 @@ class PauliSum:
         return len(self.terms)
 
 
-def _mode_image(mode, dagger):
-    """JW image of a_p^+ (or a_p): two Pauli strings with a lower Z chain."""
-    zchain = (1 << mode) - 1
-    x_string = PauliString(1 << mode, zchain)
-    y_string = PauliString(1 << mode, zchain | (1 << mode))
-    sign = -1j if dagger else 1j
-    return ((x_string, 0.5), (y_string, sign * 0.5))
+# Pauli products jordan_wigner forms at once: with BLAS on 1 thread on a
+# 2-vCPU VM, chunks of 4096 map H of 6 and 8 seeded orbitals as fast as
+# chunks of 2^18, or faster, with a third less peak memory
+CHUNK_PRODUCTS = 1 << 12
+_ONE = np.uint64(1)
+_PHASES = np.array(_I_POWERS)
+# JW image of a ladder operator: X string times 1/2 and Y string times i/2
+# (annihilation, row 0) or -i/2 (creation, row 1), both with the Z chain
+# on the lower qubits; the products are those ``pauli_multiply`` forms
+_LADDER = np.array([[0.5, 1j * 0.5], [0.5, -1j * 0.5]])
+
+
+@functools.cache
+def _choices(length):
+    """Which image (0: X, 1: Y) each ladder operator contributes to each of
+    the 2^length products, the first operator in the highest bit."""
+    shifts = np.arange(length - 1, -1, -1)
+    pick = (np.arange(1 << length)[:, None] >> shifts) & 1
+    return pick, pick.astype(np.uint64), pick.astype(np.uint8)
+
+
+def _products(ops, coeffs):
+    """(x, z, coefficient) of the 2^L Pauli products of each of n strings
+    of L ladder operators, string-major, with the phases and the order of
+    multiplication of expanding one operator after the other."""
+    n, length = ops.shape[:2]
+    if not length:
+        return np.zeros(n, np.uint64), np.zeros(n, np.uint64), coeffs
+    pick, pick_mask, pick_count = _choices(length)
+    bit = (_ONE << ops[:, None, :, 0].astype(np.uint64))     # (n, 1, L)
+    x = np.bitwise_xor.accumulate(bit, axis=2)
+    # the Z chain below the mode, and the mode too for a Y (mode 63 wraps)
+    z = np.bitwise_xor.accumulate((bit << pick_mask) - _ONE, axis=2)
+    # pauli_multiply's exponent of i at each step: |x & z| before, plus
+    # that of the image (its pick), minus that after, plus 2 |z before &
+    # x of the image|; uint8 wraps mod 256, which keeps it right mod 4
+    y = np.bitwise_count(x & z)
+    power = pick_count - y
+    power[..., 1:] += y[..., :-1] + 2 * np.bitwise_count(z[..., :-1]
+                                                         & bit[..., 1:])
+    phase = _PHASES[power & 3]
+    image = _LADDER[(ops[:, None, :, 1] != 0).astype(np.intp), pick]
+    c = coeffs[:, None]
+    with np.errstate(invalid="ignore"):     # inf * 0 is NaN, as in Python
+        for k in range(length):
+            c = (phase[..., k] * c) * image[..., k]
+    return np.repeat(x[:, 0, -1], 1 << length), z[..., -1].ravel(), c.ravel()
 
 
 def jordan_wigner(op) -> PauliSum:
-    """Map a FermionOperator to its qubit PauliSum."""
+    """Map a FermionOperator to its qubit PauliSum.
+
+    A string of L ladder operators expands into 2^L Pauli products, formed
+    on ``np.uint64`` X/Z masks for the strings of one length together,
+    about ``CHUNK_PRODUCTS`` products at a time.
+    Equal products are summed in the order they arise, string by string,
+    and the result lists each product where it first arises; modes must
+    lie in 0..63.
+    """
     out = PauliSum.zero(op.n_modes)
-    for ops, coeff in op.terms.items():
-        partial = [(IDENTITY, coeff)]
-        for mode, dag in ops:
-            image = _mode_image(mode, dag)
-            nxt = []
-            for s1, c1 in partial:
-                for s2, c2 in image:
-                    phase, s = pauli_multiply(s1, s2)
-                    nxt.append((s, phase * c1 * c2))
-            partial = nxt
-        for s, c in partial:
-            out.add_term(s, c)
-    return out.prune()
+    if not op.terms:
+        return out
+    strings = list(op.terms)
+    coeffs = np.array(list(op.terms.values()), dtype=complex)
+    lengths = np.array([len(ops) for ops in strings])
+    start = np.zeros(len(strings) + 1, np.intp)
+    np.cumsum(1 << lengths, out=start[1:])
+    xs, zs = np.empty((2, start[-1]), np.uint64)
+    cs = np.empty(start[-1], complex)
+    for length in set(lengths.tolist()):
+        same = np.nonzero(lengths == length)[0]
+        step = max(1, CHUNK_PRODUCTS >> length)
+        for s0 in range(0, len(same), step):
+            idx = same[s0:s0 + step]
+            ops = np.array([strings[i] for i in idx], np.int64)
+            ops = ops.reshape(len(idx), length, 2)
+            if (ops[..., 0] >> 6).any():
+                raise ValueError("modes outside 0..63 do not fit a 64-bit "
+                                 "Pauli mask")
+            pos = (start[idx, None] + np.arange(1 << length)).ravel()
+            xs[pos], zs[pos], cs[pos] = _products(ops, coeffs[idx])
+    order = np.lexsort((zs, xs))
+    sx, sz = xs[order], zs[order]
+    new = np.ones(len(cs), bool)
+    new[1:] = (sx[1:] != sx[:-1]) | (sz[1:] != sz[:-1])
+    group = np.empty(len(cs), np.intp)
+    group[order] = np.cumsum(new) - 1
+    first = order[new]
+    by_first = np.argsort(first)
+    re = np.bincount(group, cs.real)[by_first]
+    im = np.bincount(group, cs.imag)[by_first]
+    with np.errstate(over="ignore"):    # pruned as PauliSum.prune prunes
+        kept = ~(np.hypot(re, im) <= PRUNE_THRESHOLD)
+    first = first[by_first][kept]
+    values = np.empty(len(first), complex)
+    values.real, values.imag = re[kept], im[kept]
+    out.terms = dict(zip(map(PauliString, xs[first].tolist(),
+                             zs[first].tolist()), values.tolist()))
+    return out

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fermion import HERMITIAN_TOL
+from .fermion import CHUNK_EXCITATIONS, HERMITIAN_TOL
+from .mapping import _PHASES
 
 QUBIT_CAP = 24
 
@@ -101,22 +102,32 @@ def apply(circuit, params, state: StateVector) -> StateVector:
     return StateVector(n, amp)
 
 
-def _string_expectation(string, amp):
-    """<psi|P|psi> from P|k> = i^{nY} (-1)^{|k & z|} |k ^ x>."""
-    n_y = (string.x & string.z).bit_count()
-    k = np.arange(amp.size, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(k & np.uint64(string.z)) & 1)
-    bra = np.conj(amp)[k ^ np.uint64(string.x)]
-    return (1j ** n_y) * np.dot(bra, signs * amp)
-
-
 def expectation(h, state: StateVector) -> float:
-    """Exact <psi|H|psi> for a Hermitian PauliSum."""
+    """Exact <psi|H|psi> for a Hermitian PauliSum.
+
+    P|k> = i^{nY} (-1)^{|k & z|} |k ^ x> for a string P, summed over the
+    non-zero amplitudes only, about ``CHUNK_EXCITATIONS`` (string,
+    amplitude) pairs at a time.
+    """
     if not h.is_hermitian():
         raise SimulatorError("PauliSum has non-real coefficients")
+    amp = state.amplitudes
+    kets = np.flatnonzero(amp)
+    n = len(h.terms)
+    x = np.fromiter((s.x for s in h.terms), np.uint64, n)
+    z = np.fromiter((s.z for s in h.terms), np.uint64, n)
+    coeffs = np.fromiter(h.terms.values(), complex, n)
+    weights = coeffs * _PHASES[np.bitwise_count(x & z) & 3]
+    rows = max(1, CHUNK_EXCITATIONS // max(1, len(kets)))
     val = 0.0 + 0.0j
-    for string, c in h.terms.items():
-        val += c * _string_expectation(string, state.amplitudes)
+    for k0 in range(0, len(kets), CHUNK_EXCITATIONS):
+        k = kets[k0:k0 + CHUNK_EXCITATIONS].astype(np.uint64)
+        ket = amp[k]
+        for s0 in range(0, n, rows):
+            xs, zs = x[s0:s0 + rows, None], z[s0:s0 + rows, None]
+            signs = 1.0 - 2.0 * (np.bitwise_count(k & zs) & 1)
+            bra = np.conj(amp[k ^ xs])
+            val += weights[s0:s0 + rows] @ ((bra * signs) @ ket)
     if abs(val.imag) > HERMITIAN_TOL:
         raise SimulatorError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)

@@ -1,0 +1,241 @@
+"""Reference implementations the package's fast paths are tested against.
+
+Each is the plain form of a computation the package does another way:
+
+- operator-string algebra (vacuum and particle-hole normal ordering,
+  products, commutators), the oracle of the tensor downfold and of
+  ``build_hamiltonian``;
+- the downfold on operator strings: ``sigma_ext_operator``,
+  ``commutator_expand`` and ``project_active``, with ``_tensors`` reading
+  an operator back as (scalar, X1, X2);
+- ``jordan_wigner``, which expands one ladder operator after the other
+  with ``pauli_multiply``, the oracle of ``mapping.jordan_wigner``;
+- ``expectation``, one full gather of the state per Pauli string, the
+  oracle of ``simulator.expectation``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from duccvqe.amplitudes import ClusterAmplitudes
+from duccvqe.ducc import _integral_set
+from duccvqe.fermion import (HERMITIAN_TOL, ActiveSpace, FermionOperator,
+                             NonFiniteError, excitation_generator)
+from duccvqe.integrals import SpinIntegralSet
+from duccvqe.mapping import PauliString, PauliSum, pauli_multiply
+from duccvqe.simulator import SimulatorError, StateVector
+
+IDENTITY = PauliString()
+
+
+def _normal_order_string(ops, coeff, out):
+    """Wick-rewrite one string into canonical vacuum normal form."""
+    stack = [(list(ops), coeff)]
+    while stack:
+        s, c = stack.pop()
+        i = 0
+        done = True
+        while i < len(s) - 1:
+            (m1, d1), (m2, d2) = s[i], s[i + 1]
+            if d1 == d2:
+                if m1 == m2:
+                    done = False
+                    break  # a a or a+ a+ on same mode vanishes
+                if m1 > m2:
+                    s[i], s[i + 1] = s[i + 1], s[i]
+                    c = -c
+                    i = max(i - 1, 0)  # keep bubbling leftward
+                else:
+                    i += 1
+                continue
+            if d1 == 0 and d2 == 1:
+                # a_p a_q^+ = delta_pq - a_q^+ a_p
+                swapped = s[:i] + [s[i + 1], s[i]] + s[i + 2:]
+                stack.append((swapped, -c))
+                if m1 == m2:
+                    stack.append((s[:i] + s[i + 2:], c))
+                done = False
+                break
+            i += 1
+        if done:
+            key = tuple(s)
+            out[key] = out.get(key, 0.0) + c
+
+
+def normal_order(op: FermionOperator) -> FermionOperator:
+    """Canonical vacuum normal form; equals the input as an operator."""
+    out = {}
+    for ops, c in op.terms.items():
+        if c != 0.0:
+            _normal_order_string(ops, c, out)
+    return FermionOperator(op.n_modes, out).prune()
+
+
+def _flip_occupied(ops, occ_set):
+    return tuple((m, 1 - d) if m in occ_set else (m, d) for m, d in ops)
+
+
+def ph_normal_order(op: FermionOperator, ref: int) -> FermionOperator:
+    """Normal order relative to the Fermi vacuum of determinant ``ref``.
+
+    Occupied-mode operators are hole-relabeled (a_i^+ <-> a_i), vacuum
+    normal ordering is applied, and the labels are restored, so output
+    strings have all quasiparticle creators on the left.
+    """
+    occ = {m for m in range(op.n_modes) if (ref >> m) & 1}
+    flipped = FermionOperator(
+        op.n_modes,
+        {_flip_occupied(ops, occ): c for ops, c in op.terms.items()})
+    ordered = normal_order(flipped)
+    return FermionOperator(
+        op.n_modes,
+        {_flip_occupied(ops, occ): c for ops, c in ordered.terms.items()})
+
+
+def _finite(op: FermionOperator) -> FermionOperator:
+    if not np.isfinite(list(op.terms.values())).all():
+        raise NonFiniteError(
+            "operator product overflowed: a coefficient is inf or NaN")
+    return op
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    """Normal-ordered product a b; NonFiniteError if a coefficient overflows."""
+    out = {}
+    for ops1, c1 in a.terms.items():
+        for ops2, c2 in b.terms.items():
+            _normal_order_string(ops1 + ops2, c1 * c2, out)
+    return _finite(FermionOperator(a.n_modes, out)).prune()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    """[a, b], normal ordered; NonFiniteError as in ``multiply``."""
+    return _finite(multiply(a, b) - multiply(b, a)).prune()
+
+
+def is_hermitian(op: FermionOperator) -> bool:
+    diff = normal_order(op - op.dagger())
+    return all(abs(c) <= HERMITIAN_TOL for c in diff.terms.values())
+
+
+def sigma_ext_operator(t: ClusterAmplitudes, space: ActiveSpace,
+                       n_modes) -> FermionOperator:
+    """Anti-Hermitian sum t_k kappa_k over the external amplitudes, those
+    with a virtual index outside the active space."""
+    active = set(space.active_virtual_spin)
+    sigma = FermionOperator.zero(n_modes)
+    for key, value in t.items():
+        if not active.issuperset(key[len(key) // 2:]):
+            for ops, c in excitation_generator(key, n_modes).terms.items():
+                sigma.add_term(ops, value * c)
+    return sigma.prune()
+
+
+def commutator_expand(h: FermionOperator, f: FermionOperator,
+                      sigma: FermionOperator) -> FermionOperator:
+    """H + [H_N, s] + 1/2 [[F_N, s], s], normal ordered and merged.
+
+    Scalar parts of H and F commute away, so plain operators are accepted;
+    the scalar normalization keeps full-space eigenvalues of the output
+    identical to those of H when the active space is the whole space.
+    """
+    h_bar = normal_order(h)
+    if len(sigma) == 0:
+        return h_bar
+    h_bar = h_bar + commutator(h, sigma)
+    h_bar = h_bar + 0.5 * commutator(commutator(f, sigma), sigma)
+    return normal_order(h_bar)
+
+
+def _tensors(op: FermionOperator, m):
+    """(scalar, X1, X2) of a creators-first operator of rank <= 2.
+
+    The operator reads  scalar + sum X1[P,Q] a_P^+ a_Q
+    + 1/4 sum X2[P,Q,R,S] a_P^+ a_Q^+ a_S a_R  with X2 antisymmetric.
+    """
+    x1 = np.zeros((m, m))
+    x2 = np.zeros((m, m, m, m))
+    scalar = 0.0
+    for ops, c in op.terms.items():
+        c = float(np.real_if_close(c))
+        if len(ops) == 0:
+            scalar += c
+        elif len(ops) == 2:
+            (p, _), (q, _) = ops
+            x1[p, q] += c
+        else:
+            # a+_p a+_q a_r a_s => X2[p,q,s,r] = c
+            (p, _), (q, _), (r, _), (s, _) = ops
+            for (pp, qq, s1) in ((p, q, 1.0), (q, p, -1.0)):
+                for (rr, ss, s2) in ((s, r, 1.0), (r, s, -1.0)):
+                    x2[pp, qq, rr, ss] += s1 * s2 * c
+    return scalar, x1, x2
+
+
+def project_active(h_bar: FermionOperator, space: ActiveSpace,
+                   ref: int) -> SpinIntegralSet:
+    """Keep active-index strings of rank <= 2 in particle-hole normal form.
+
+    The survivors are mapped back to plain creation/annihilation form with
+    Wick contraction constants folded into chi1 and the scalar, over
+    compact active spin orbitals (occupied first); ``antisymmetrized()``
+    of the result gives chi2.
+    """
+    active = set(space.active_spin)
+    compact = space.compact_index()
+    kept = FermionOperator.zero(space.n_active_spin)
+    for ops, c in ph_normal_order(h_bar, ref).terms.items():
+        if len(ops) <= 4 and all(mode in active for mode, _ in ops):
+            kept.add_term(tuple((compact[mode], dag) for mode, dag in ops), c)
+    return _integral_set(*_tensors(normal_order(kept), space.n_active_spin))
+
+
+def _mode_image(mode, dagger):
+    """JW image of a_p^+ (or a_p): two Pauli strings with a lower Z chain."""
+    zchain = (1 << mode) - 1
+    x_string = PauliString(1 << mode, zchain)
+    y_string = PauliString(1 << mode, zchain | (1 << mode))
+    sign = -1j if dagger else 1j
+    return ((x_string, 0.5), (y_string, sign * 0.5))
+
+
+def jordan_wigner(op) -> PauliSum:
+    """Map a FermionOperator to its qubit PauliSum."""
+    out = PauliSum.zero(op.n_modes)
+    for ops, coeff in op.terms.items():
+        partial = [(IDENTITY, coeff)]
+        for mode, dag in ops:
+            image = _mode_image(mode, dag)
+            nxt = []
+            for s1, c1 in partial:
+                for s2, c2 in image:
+                    phase, s = pauli_multiply(s1, s2)
+                    nxt.append((s, phase * c1 * c2))
+            partial = nxt
+        for s, c in partial:
+            out.add_term(s, c)
+    return out.prune()
+
+
+def _string_expectation(string, amp):
+    """<psi|P|psi> from P|k> = i^{nY} (-1)^{|k & z|} |k ^ x>."""
+    n_y = (string.x & string.z).bit_count()
+    k = np.arange(amp.size, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(k & np.uint64(string.z)) & 1)
+    bra = np.conj(amp)[k ^ np.uint64(string.x)]
+    return (1j ** n_y) * np.dot(bra, signs * amp)
+
+
+def expectation(h, state: StateVector) -> float:
+    """Exact <psi|H|psi> for a Hermitian PauliSum."""
+    if not h.is_hermitian():
+        raise SimulatorError("PauliSum has non-real coefficients")
+    val = 0.0 + 0.0j
+    for string, c in h.terms.items():
+        val += c * _string_expectation(string, state.amplitudes)
+    if abs(val.imag) > HERMITIAN_TOL:
+        raise SimulatorError(f"expectation has imaginary residue {val.imag}")
+    return float(val.real)

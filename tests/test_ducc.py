@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from conftest import (dense_operator, random_fermion_operator,
                       random_integral_set)
+from oracles import (_tensors, commutator, commutator_expand, normal_order,
+                     project_active, sigma_ext_operator)
 
 from duccvqe import ducc
 from duccvqe.amplitudes import (ClusterAmplitudes, ccsd_solve,
                                 mp2_amplitudes)
-from duccvqe.ducc import (bare_restriction, commutator_expand, downfold,
-                          project_active, sigma_ext_operator)
-from duccvqe.fermion import (ActiveSpace, build_hamiltonian, commutator,
-                             exact_ground_state, fock_matrix, hf_determinant,
-                             normal_order)
+from duccvqe.ducc import bare_restriction, downfold
+from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
+                             exact_ground_state, fock_matrix, hf_determinant)
 from duccvqe.integrals import (SpinIntegralSet, builtin_fixture,
                                load_spin_fcidump, read_fcidump,
                                save_spin_fcidump)
@@ -202,7 +202,7 @@ def test_sigma_ext_tensors_match_operator_oracle(rng):
     for t, space in amplitude_sets:
         m = len(t.occupied) + len(t.virtual)
         got = ducc._sigma_ext(t, space, m)
-        oracle = ducc._tensors(sigma_ext_operator(t, space, m), m)
+        oracle = _tensors(sigma_ext_operator(t, space, m), m)
         for mine, want in zip(got, oracle):
             assert np.array_equal(mine, want, equal_nan=True)
 

@@ -7,15 +7,15 @@ from conftest import (FIXTURES, dense_operator, one_body_integrals,
                       random_fermion_operator, random_integral_set)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (commutator, is_hermitian, multiply, normal_order,
+                     ph_normal_order)
 
 from duccvqe import fermion
 from duccvqe.ansatz import enumerate_excitations
 from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
                              SectorError, SpaceError, apply_string,
-                             build_hamiltonian, commutator,
-                             exact_ground_state, excitation_generator,
-                             hf_determinant, hf_energy, multiply,
-                             normal_order, ph_normal_order,
+                             build_hamiltonian, exact_ground_state,
+                             excitation_generator, hf_determinant, hf_energy,
                              sector_determinants, sector_dimension,
                              sector_hamiltonian, sector_matrix)
 from duccvqe.integrals import SpinIntegralSet, builtin_fixture
@@ -118,7 +118,7 @@ def test_ph_scalar_is_reference_expectation(rng):
 def test_hamiltonian_hermitian(rng):
     ints = random_integral_set(rng, 3)
     h = build_hamiltonian(ints.to_spin_orbital())
-    assert fermion.is_hermitian(h)
+    assert is_hermitian(h)
 
 
 def test_apply_string_parity():
@@ -274,6 +274,25 @@ def test_build_hamiltonian_is_the_normal_ordered_expansion(rng):
 def test_build_hamiltonian_string_count(rng):
     h = build_hamiltonian(random_integral_set(rng, 6).to_spin_orbital())
     assert len(h) == 1818
+
+
+def test_exact_ground_state_averages_as_the_sparse_sum(rng):
+    # in place where H and its transpose share a pattern, by sparse sums
+    # where an entry's mirror is missing; either way (H + H^T) / 2 exactly
+    h1 = np.diag([-1.0, -1.0, 0.5, 0.5])
+    h1[2, 0] = 5e-11      # kept by the pruning, inside HERMITIAN_TOL
+    cases = [(builtin_fixture(name).to_spin_orbital(), 2, 0)
+             for name in FIXTURES]
+    cases += [(random_integral_set(rng, 4).to_spin_orbital(), 4, 0),
+              (random_integral_set(rng, 5).to_spin_orbital(), 3, 1),
+              (one_body_integrals(h1), 2, 0)]
+    for spin, n_electrons, ms2 in cases:
+        mat = sector_hamiltonian(spin, sector_determinants(
+            spin.n_spin_orbitals, n_electrons, ms2))
+        want = np.linalg.eigh(((mat + mat.T) / 2).toarray())[0][0]
+        assert exact_ground_state(spin, n_electrons, ms2)[0] == want
+    # the last case has a missing mirror, so it took the sparse sums
+    assert not np.array_equal(mat.indices, mat.T.tocsr().indices)
 
 
 def test_non_hermitian_operator_rejected():

@@ -1,9 +1,16 @@
 import numpy as np
+import oracles
 import pytest
-from conftest import dense_operator, random_fermion_operator
+from conftest import (dense_operator, random_fermion_operator,
+                      random_integral_set)
 
-from duccvqe.fermion import FermionOperator, build_hamiltonian
-from duccvqe.integrals import SpinIntegralSet, builtin_fixture
+from duccvqe import ansatz, mapping
+from duccvqe.amplitudes import mp2_amplitudes
+from duccvqe.ansatz import (enumerate_excitations, screen_excitations,
+                            trotter_circuit)
+from duccvqe.fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
+                             excitation_generator, hf_determinant)
+from duccvqe.integrals import FIXTURE_NAMES, SpinIntegralSet, builtin_fixture
 from duccvqe.mapping import (PauliString, PauliSum, jordan_wigner,
                              pauli_multiply)
 
@@ -84,7 +91,7 @@ def test_real_raises_on_imaginary():
         s.real()
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 masks = st.integers(min_value=0, max_value=15)
@@ -119,3 +126,118 @@ def test_nan_term_survives_jordan_wigner():
         SpinIntegralSet(2, h1, np.zeros((2,) * 4))))
     assert np.isnan(image.terms[PauliString()])
     assert np.isnan(PauliSum(1, {Z: np.nan}).prune().terms[Z])
+    huge = complex(1.2711610061536462e308, 1.2711610061536464e308)
+    assert PauliSum(1, {Z: huge}).prune().terms == {Z: huge}
+
+
+def _assert_same_image(op):
+    """jordan_wigner equals the one-operator-at-a-time oracle: the same
+    strings in the same order, each coefficient bit for bit (NaN where
+    the oracle has NaN)."""
+    got, want = jordan_wigner(op), oracles.jordan_wigner(op)
+    assert got.n_qubits == want.n_qubits
+    assert list(got.terms) == list(want.terms)
+    for g, w in zip(got.terms.values(), want.terms.values()):
+        g, w = np.array([g, w], dtype=complex).view(np.float64).reshape(2, 2)
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        assert np.array_equal(g[~np.isnan(g)].view(np.uint64),
+                              w[~np.isnan(w)].view(np.uint64))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_jw_is_the_oracle_on_fixtures(name):
+    spin = builtin_fixture(name).to_spin_orbital()
+    _assert_same_image(build_hamiltonian(spin))
+    for space in (ActiveSpace.build(4, (1,)),
+                  ActiveSpace.build(4, (1,), (2,))):
+        for key in enumerate_excitations(space, 2).entries:
+            _assert_same_image(excitation_generator(key,
+                                                    space.n_active_spin))
+
+
+@pytest.mark.parametrize("chunk", [mapping.CHUNK_PRODUCTS, 40])
+def test_jw_is_the_oracle_on_seeded_systems(rng, monkeypatch, chunk):
+    # at 40, the strings of 4 operators are expanded 2 at a time
+    monkeypatch.setattr(mapping, "CHUNK_PRODUCTS", chunk)
+    for n_orbitals, n_electrons in ((2, 2), (3, 4), (4, 2), (5, 6), (6, 6)):
+        spin = random_integral_set(rng, n_orbitals).to_spin_orbital()
+        _assert_same_image(build_hamiltonian(spin))
+        space = ActiveSpace.build(n_orbitals,
+                                  tuple(range(1, n_electrons // 2 + 1)))
+        for key in enumerate_excitations(space, n_electrons).entries:
+            _assert_same_image(excitation_generator(key, 2 * n_orbitals))
+
+
+def test_jw_edge_operators():
+    _assert_same_image(FermionOperator.zero(3))
+    assert len(jordan_wigner(FermionOperator.zero(3))) == 0
+    constant = FermionOperator.from_term(2, (), 2.5)
+    _assert_same_image(constant)
+    assert jordan_wigner(constant).terms == {PauliString(): 2.5}
+    constant.add_term(((1, 1), (1, 0)), -1.0)
+    _assert_same_image(constant)
+    # a_p a_p and a_p^+ a_p^+ vanish; their 4 products cancel pairwise
+    for dag in (0, 1):
+        twice = FermionOperator.from_term(3, ((1, dag), (1, dag)), 0.7)
+        _assert_same_image(twice)
+        assert len(jordan_wigner(twice)) == 0
+    nan = FermionOperator(3, {((0, 1), (2, 0)): float("nan"),
+                              ((2, 1), (0, 0)): 1.0, (): float("nan")})
+    _assert_same_image(nan)
+    assert all(np.isnan(c) for c in jordan_wigner(nan).terms.values())
+
+
+def test_jw_reaches_the_top_bit():
+    op = FermionOperator(64, {((63, 1), (0, 0)): 0.25, ((0, 1), (63, 0)): 0.25,
+                              ((63, 1), (63, 0)): -1.5,
+                              ((62, 1), (63, 1), (1, 0), (0, 0)): 0.125})
+    _assert_same_image(op)
+    image = jordan_wigner(op)
+    assert all(type(s.x) is int and type(s.z) is int for s in image.terms)
+    assert PauliString(0, 1 << 63) in image.terms   # -1.5 n_63 -> +0.75 Z63
+    assert max(s.x | s.z for s in image.terms) >> 63 == 1
+    for mode in (64, -1):
+        with pytest.raises(ValueError, match="0..63"):
+            jordan_wigner(FermionOperator.from_term(65, ((mode, 1),)))
+
+
+def test_jw_circuits_are_the_oracle_circuits(monkeypatch):
+    # the Trotter gate order follows the order of the image's strings
+    def texts():
+        out = []
+        for name in FIXTURE_NAMES:
+            spin = builtin_fixture(name).to_spin_orbital()
+            t_mp2 = mp2_amplitudes(spin, hf_determinant(2))
+            for space in (ActiveSpace.build(4, (1,)),
+                          ActiveSpace.build(4, (1,), (2,))):
+                exc = enumerate_excitations(space, 2)
+                out.append(trotter_circuit(exc).to_text())
+            exc = screen_excitations(
+                enumerate_excitations(ActiveSpace.build(4, (1,)), 2),
+                t_mp2, 1e-3)
+            out.append(trotter_circuit(exc).to_text())
+        return out
+
+    got = texts()
+    monkeypatch.setattr(ansatz, "jordan_wigner", oracles.jordan_wigner)
+    assert got == texts()
+
+
+ladder = st.tuples(st.integers(0, 5), st.integers(0, 1))
+coefficients = st.one_of(
+    st.floats(width=64),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-12, 5e-324, 1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6),
+       st.lists(st.tuples(st.lists(ladder, max_size=6), coefficients),
+                max_size=8))
+# a modulus just past the float range: abs() raised OverflowError in prune
+@example(1, [([], complex(1.2711610061536462e308, 1.2711610061536464e308))])
+def test_jw_property(n_modes, terms):
+    op = FermionOperator.zero(n_modes)
+    for ops, c in terms:
+        op.add_term(tuple((m % n_modes, d) for m, d in ops), c)
+    _assert_same_image(op)

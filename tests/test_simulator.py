@@ -1,5 +1,7 @@
 import numpy as np
+import oracles
 import pytest
+from conftest import random_fermion_operator, random_integral_set
 
 from duccvqe import simulator
 from duccvqe.ansatz import Circuit, Gate
@@ -154,3 +156,45 @@ def test_expectation_bounded_below(rng):
         psi = rng.normal(size=256) + 1j * rng.normal(size=256)
         psi /= np.linalg.norm(psi)
         assert expectation(hp, simulator.StateVector(8, psi)) >= lam_min - 1e-9
+
+
+@pytest.mark.parametrize("chunk", [simulator.CHUNK_EXCITATIONS, 7])
+def test_expectation_is_the_oracle(rng, monkeypatch, chunk):
+    # chunk 7 splits both the strings and the amplitudes into many chunks
+    monkeypatch.setattr(simulator, "CHUNK_EXCITATIONS", chunk)
+    spin = random_integral_set(rng, 4).to_spin_orbital()
+    images = [jordan_wigner(build_hamiltonian(spin)),
+              jordan_wigner(random_fermion_operator(rng, 8, 12,
+                                                    hermitian=True))]
+    images.append(images[0].real())
+    sparse = np.zeros(256, dtype=complex)
+    support = rng.choice(256, size=5, replace=False)
+    sparse[support] = rng.normal(size=5) + 1j * rng.normal(size=5)
+    dense = rng.normal(size=256) + 1j * rng.normal(size=256)
+    states = [prepare_reference(8, {0, 1, 4}),
+              simulator.StateVector(8, sparse / np.linalg.norm(sparse)),
+              simulator.StateVector(8, dense / np.linalg.norm(dense))]
+    for hp in images:
+        for st in states:
+            assert expectation(hp, st) == pytest.approx(
+                oracles.expectation(hp, st), rel=0, abs=1e-12)
+    assert expectation(PauliSum.zero(8), states[2]) == 0.0
+    assert expectation(images[0], simulator.StateVector(
+        8, np.zeros(256, dtype=complex))) == 0.0
+
+
+@pytest.mark.parametrize("chunk", [simulator.CHUNK_EXCITATIONS, 1])
+def test_expectation_checks_still_fire(monkeypatch, chunk):
+    monkeypatch.setattr(simulator, "CHUNK_EXCITATIONS", chunk)
+    z0 = PauliString.single(0, "Z")
+    with pytest.raises(SimulatorError, match="non-real"):
+        expectation(PauliSum.from_terms(1, [(z0, 1.0 + 0.1j)]),
+                    prepare_reference(1, set()))
+    # an imaginary part inside HERMITIAN_TOL, scaled up by <psi|psi> = 1e6
+    tilted = PauliSum.from_terms(1, [(PauliString(), 1.0 + 5e-11j),
+                                     (z0, 0.5)])
+    unnormalized = simulator.StateVector(1, np.array([1e3, 0j]))
+    with pytest.raises(SimulatorError, match="imaginary residue"):
+        expectation(tilted, unnormalized)
+    with pytest.raises(SimulatorError, match="imaginary residue"):
+        oracles.expectation(tilted, unnormalized)
