@@ -30,12 +30,24 @@ class ExcitationList:
     """Sz-conserving singles and doubles over compact active spin orbitals.
 
     Parameter slot k belongs to entries[k]; singles come first, each group
-    lexicographic.
+    lexicographic. A key is (i, a) or (i, j, a, b), holes then particles:
+    distinct modes of the register that keep Sz, else AnsatzError.
     """
 
     n_spin_orbitals: int
     singles: tuple
     doubles: tuple
+
+    def __post_init__(self):
+        modes = range(self.n_spin_orbitals)
+        for size, keys in ((2, self.singles), (4, self.doubles)):
+            for key in keys:
+                spin = [p % 2 for p in key]
+                if (not len(set(key)) == len(key) == size
+                        or not all(p in modes for p in key)
+                        or sum(spin[:size // 2]) != sum(spin[size // 2:])):
+                    raise AnsatzError(f"malformed excitation key {key} on "
+                                      f"{self.n_spin_orbitals} spin orbitals")
 
     @property
     def entries(self):

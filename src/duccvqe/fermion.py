@@ -5,10 +5,10 @@ modes. The canonical vacuum normal form puts creation operators first, each
 group sorted by ascending mode, with signs tracked through transposition
 parity and anticommutator contractions {a_p, a_q^+} = delta_pq.
 
-Exact diagonalization builds the sector matrix of H straight from the
-integrals (``sector_hamiltonian``); H as operator strings
-(``build_hamiltonian``) is the Jordan-Wigner input and, through
-``sector_matrix``, the test oracle.
+Sector matrices are built on ``uint64`` determinants: H from the integrals
+(``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``) and the
+UCC generators (``excitation_matrix``). H as operator strings
+(``build_hamiltonian``) is the Jordan-Wigner input and the test oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ DENSE_SECTOR_LIMIT = 2000
 SECTOR_DIM_CAP = 25_000
 # entries formed at once: candidate excitations by sector_hamiltonian,
 # (string, amplitude) pairs by simulator.expectation, differences by the
-# Hermiticity check of exact_ground_state
+# Hermiticity check of checked_sector_hamiltonian
 CHUNK_EXCITATIONS = 1 << 18
 
 
@@ -226,26 +226,6 @@ def hf_energy(spin_ints, ref: int) -> float:
     return e
 
 
-def apply_string(ops, det: int):
-    """Apply an operator string to a determinant; (sign, det) or None."""
-    sign = 1
-    for mode, dag in reversed(ops):
-        bit = 1 << mode
-        if dag:
-            if det & bit:
-                return None
-            if (det & (bit - 1)).bit_count() & 1:
-                sign = -sign
-            det |= bit
-        else:
-            if not det & bit:
-                return None
-            if (det & (bit - 1)).bit_count() & 1:
-                sign = -sign
-            det &= ~bit
-    return sign, det
-
-
 def sector_dimension(n_modes: int, n_electrons: int, ms2: int) -> int:
     """Number of determinants with given electron count and 2*Sz."""
     if (n_electrons + ms2) % 2:
@@ -279,26 +259,6 @@ def sector_determinants(n_modes: int, n_electrons: int, ms2: int):
     return sorted(dets)
 
 
-def sector_matrix(op: FermionOperator, dets):
-    """CSR matrix of ``op`` on the determinants ``dets`` (columns act):
-    every string applied to every determinant, in term order."""
-    index = {d: i for i, d in enumerate(dets)}
-    rows, cols, vals = [], [], []
-    for col, det in enumerate(dets):
-        for ops, c in op.terms.items():
-            hit = apply_string(ops, det)
-            if hit is None:
-                continue
-            sign, new_det = hit
-            row = index.get(new_det)
-            if row is not None:
-                rows.append(row)
-                cols.append(col)
-                vals.append(sign * c)
-    dim = len(dets)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-
-
 _ONE = np.uint64(1)
 _ALPHA = np.uint64(0x5555555555555555)   # the even modes
 
@@ -308,8 +268,9 @@ def _bits(modes):
 
 
 def _string_sign(dets, *modes):
-    """The sign ``apply_string`` gives a string on these modes, applied
-    right to left, for determinants on which every operator acts."""
+    """The sign of a string of ladder operators on these modes, applied
+    right to left, each past the occupied modes below its own, for
+    determinants on which every operator acts."""
     parity = 0
     for mode in reversed(modes):
         bit = _bits(mode)
@@ -348,7 +309,7 @@ def sector_hamiltonian(spin_ints, dets):
       occupied modes of R (<aa||ia> vanishes);
     - D = R with a < b replaced by i < j: s <ab||ij>;
 
-    where s is the sign ``apply_string`` gives a_a^+ a_i, or
+    where s is the sign ``_string_sign`` gives a_a^+ a_i, or
     a_a^+ a_b^+ a_j a_i, on D. Integrals are pruned as in
     ``build_hamiltonian`` and terms summed in its term order; exact zeros
     are left out. Only excitations that keep Sz are formed, for chunks of
@@ -417,6 +378,30 @@ def sector_hamiltonian(spin_ints, dets):
     return sp.vstack(blocks, format="csr")
 
 
+def excitation_matrix(key, dets):
+    """CSR matrix of kappa = E - E^+, the operator of
+    ``excitation_generator(key)``, on the sorted determinants ``dets``.
+
+    E acts on the determinants that hold every hole of the key, (i,) or
+    (i, j), and none of its particles, (a,) or (a, b); -E^+ the other way
+    round. Targets outside ``dets`` are dropped, so each column holds at
+    most one non-zero. The modes of ``key`` are distinct.
+    """
+    dets = np.asarray(dets, dtype=np.uint64)
+    holes, particles = np.asarray(key, dtype=np.uint64).reshape(2, -1)
+    parts = []
+    for filled, empty, sign in ((holes, particles, 1.0),
+                                (particles, holes, -1.0)):
+        string = np.concatenate([empty, filled[::-1]])
+        fill, clear = (np.bitwise_or.reduce(_bits(m)) for m in (filled, empty))
+        col = np.flatnonzero(((dets & fill) == fill) & ((dets & clear) == 0))
+        row = _connected(dets, dets[col], *string)
+        col, row = col[row >= 0], row[row >= 0]
+        parts.append((row, col, sign * _string_sign(dets[col], *string)))
+    row, col, val = map(np.concatenate, zip(*parts))
+    return sp.csr_matrix((val, (row, col)), shape=(len(dets), len(dets)))
+
+
 def _max_difference(a, b):
     """max |a - b| of two arrays of one length, NaN if a term is NaN,
     ``CHUNK_EXCITATIONS`` entries at a time."""
@@ -426,18 +411,14 @@ def _max_difference(a, b):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
-    """Lowest eigenpair of H in the (N, Sz) determinant sector.
+def checked_sector_hamiltonian(spin_ints, dets):
+    """(H + H^T) / 2 on the sorted determinants ``dets``, H from
+    ``sector_hamiltonian``: a dense array below ``DENSE_SECTOR_LIMIT``
+    determinants and CSR above.
 
     SectorError when H is not Hermitian in the sector to
-    ``HERMITIAN_TOL``; NonFiniteError when a matrix entry or the energy is
-    inf or NaN.
+    ``HERMITIAN_TOL``; NonFiniteError when an entry is inf or NaN.
     """
-    m = spin_ints.n_spin_orbitals
-    dets = sector_determinants(m, n_electrons, ms2)
-    if not dets:
-        raise SectorError(
-            f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
     mat = sector_hamiltonian(spin_ints, dets)
     # H is averaged with its one transposed copy; where the two share a
     # pattern, as they do unless an entry's mirror is an exact zero, entry
@@ -456,10 +437,27 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
     mat.data /= 2
     if not np.isfinite(mat.data).all():
         raise NonFiniteError("sector matrix has an inf or NaN entry")
-    if len(dets) < DENSE_SECTOR_LIMIT:
-        w, v = np.linalg.eigh(mat.toarray())
-    else:
+    return mat.toarray() if len(dets) < DENSE_SECTOR_LIMIT else mat
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
+    """Lowest eigenpair of H in the (N, Sz) determinant sector.
+
+    SectorError when H is not Hermitian in the sector to
+    ``HERMITIAN_TOL``; NonFiniteError when a matrix entry or the energy is
+    inf or NaN.
+    """
+    m = spin_ints.n_spin_orbitals
+    dets = sector_determinants(m, n_electrons, ms2)
+    if not dets:
+        raise SectorError(
+            f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
+    mat = checked_sector_hamiltonian(spin_ints, dets)
+    if sp.issparse(mat):
         w, v = spla.eigsh(mat, k=1, which="SA")
+    else:
+        w, v = np.linalg.eigh(mat)
     if not np.isfinite(w[0]):
         raise NonFiniteError(f"ground-state energy overflowed: {w[0]}")
     return float(w[0]), v[:, 0]

@@ -24,9 +24,8 @@ import numpy as np
 from scipy import optimize
 
 from .ansatz import ExcitationList
-from .fermion import (DENSE_SECTOR_LIMIT, HERMITIAN_TOL, NonFiniteError,
-                      excitation_generator, hf_determinant,
-                      sector_determinants, sector_hamiltonian, sector_matrix)
+from .fermion import (checked_sector_hamiltonian, excitation_matrix,
+                      hf_determinant, sector_determinants)
 from .integrals import SpinIntegralSet
 
 RHOBEG = 0.1
@@ -44,13 +43,11 @@ class VqeProblem:
     """Integrals + UCC excitation list + electron count + start point.
 
     Construction builds the sector matrices of the Hamiltonian, by
-    ``sector_hamiltonian``, and of every generator kappa_k once, over the
-    (n_electrons, Sz = 0) determinants; ``objective`` then only
-    multiplies sector vectors. The Hamiltonian is dense below
-    ``DENSE_SECTOR_LIMIT`` determinants and CSR above, as in
-    ``exact_ground_state``; each kappa_k has at most one non-zero per
-    column and stays CSR. A sector above ``SECTOR_DIM_CAP`` determinants
-    raises SectorError, an inf or NaN Hamiltonian entry NonFiniteError.
+    ``checked_sector_hamiltonian`` as in ``exact_ground_state``, and of
+    every generator kappa_k, by ``excitation_matrix``, once over the
+    (n_electrons, Sz = 0) determinants; ``objective`` then only multiplies
+    sector vectors. A sector above ``SECTOR_DIM_CAP`` determinants or a
+    non-Hermitian H raises SectorError, an inf or NaN entry NonFiniteError.
     """
 
     integrals: SpinIntegralSet
@@ -81,17 +78,9 @@ class VqeProblem:
                 f"Hartree-Fock determinant of {self.n_electrons} electrons "
                 f"outside the Sz = 0 sector of {n_modes} modes")
         self._reference = dets.index(hf)
-        h = sector_hamiltonian(self.integrals, dets)
-        if not np.isfinite(h.data).all():
-            raise NonFiniteError("Hamiltonian has an inf or NaN entry in "
-                                 "the sector")
-        if abs(h - h.T).max() > HERMITIAN_TOL:
-            raise VqeError("Hamiltonian is not symmetric in the sector")
-        self._hamiltonian = h.toarray() if len(dets) < DENSE_SECTOR_LIMIT \
-            else h
-        self._generators = [
-            sector_matrix(excitation_generator(key, n_modes), dets)
-            for key in self.excitations.entries]
+        self._hamiltonian = checked_sector_hamiltonian(self.integrals, dets)
+        self._generators = [excitation_matrix(key, dets)
+                            for key in self.excitations.entries]
 
 
 @dataclass

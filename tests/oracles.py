@@ -2,6 +2,10 @@
 
 Each is the plain form of a computation the package does another way:
 
+- ``sector_matrix``, every operator string applied to every determinant by
+  ``apply_string``, the oracle of ``fermion.sector_hamiltonian`` (on the
+  strings of ``build_hamiltonian``) and of ``fermion.excitation_matrix``
+  (on those of ``excitation_generator``);
 - operator-string algebra (vacuum and particle-hole normal ordering,
   products, commutators), the oracle of the tensor downfold and of
   ``build_hamiltonian``;
@@ -17,6 +21,7 @@ Each is the plain form of a computation the package does another way:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from duccvqe.amplitudes import ClusterAmplitudes
 from duccvqe.ducc import _integral_set
@@ -119,6 +124,46 @@ def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
 def is_hermitian(op: FermionOperator) -> bool:
     diff = normal_order(op - op.dagger())
     return all(abs(c) <= HERMITIAN_TOL for c in diff.terms.values())
+
+
+def apply_string(ops, det: int):
+    """Apply an operator string to a determinant; (sign, det) or None."""
+    sign = 1
+    for mode, dag in reversed(ops):
+        bit = 1 << mode
+        if dag:
+            if det & bit:
+                return None
+            if (det & (bit - 1)).bit_count() & 1:
+                sign = -sign
+            det |= bit
+        else:
+            if not det & bit:
+                return None
+            if (det & (bit - 1)).bit_count() & 1:
+                sign = -sign
+            det &= ~bit
+    return sign, det
+
+
+def sector_matrix(op: FermionOperator, dets):
+    """CSR matrix of ``op`` on the determinants ``dets`` (columns act):
+    every string applied to every determinant, in term order."""
+    index = {d: i for i, d in enumerate(dets)}
+    rows, cols, vals = [], [], []
+    for col, det in enumerate(dets):
+        for ops, c in op.terms.items():
+            hit = apply_string(ops, det)
+            if hit is None:
+                continue
+            sign, new_det = hit
+            row = index.get(new_det)
+            if row is not None:
+                rows.append(row)
+                cols.append(col)
+                vals.append(sign * c)
+    dim = len(dets)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def sigma_ext_operator(t: ClusterAmplitudes, space: ActiveSpace,

@@ -51,6 +51,20 @@ def test_no_virtuals_no_excitations():
     assert (rep.n_qubits, rep.gate_count, rep.depth) == (2, 0, 0)
 
 
+@pytest.mark.parametrize("singles,doubles", [
+    (((0, 9),), ()),            # a mode past the 8 spin orbitals
+    (((-1, 2),), ()),           # a negative mode
+    ((), ((0, 0, 2, 2),)),      # a repeated mode
+    (((0, 3),), ()),            # alpha -> beta breaks Sz
+    (((0, 2, 4),), ()),         # a single of three modes
+    ((), ((0, 2),)),            # a double of two modes
+], ids=["past_last_mode", "negative_mode", "repeated_mode", "breaks_sz",
+        "three_mode_single", "two_mode_double"])
+def test_malformed_excitation_key_rejected(singles, doubles):
+    with pytest.raises(AnsatzError, match="malformed"):
+        ExcitationList(8, singles, doubles)
+
+
 def test_odd_electrons_rejected():
     with pytest.raises(AnsatzError, match="even"):
         enumerate_excitations(_space(4, 2), 3)

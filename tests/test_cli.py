@@ -7,13 +7,14 @@ import pytest
 from conftest import random_integral_set
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import sector_matrix
 
 from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
 from duccvqe.ducc import downfold
 from duccvqe.fermion import (ActiveSpace, build_hamiltonian, hf_determinant,
-                             sector_determinants, sector_matrix)
+                             sector_determinants)
 from duccvqe.integrals import (FIXTURE_NAMES, builtin_fixture, load_fcidump,
                                load_spin_fcidump, read_fcidump, save_fcidump,
                                save_spin_fcidump)

@@ -2,22 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from conftest import (FIXTURES, dense_operator, one_body_integrals,
                       random_fermion_operator, random_integral_set)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (commutator, is_hermitian, multiply, normal_order,
-                     ph_normal_order)
+from oracles import (apply_string, commutator, is_hermitian, multiply,
+                     normal_order, ph_normal_order, sector_matrix)
 
 from duccvqe import fermion
 from duccvqe.ansatz import enumerate_excitations
 from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
-                             SectorError, SpaceError, apply_string,
-                             build_hamiltonian, exact_ground_state,
-                             excitation_generator, hf_determinant, hf_energy,
+                             SectorError, SpaceError, build_hamiltonian,
+                             exact_ground_state, excitation_generator,
+                             excitation_matrix, hf_determinant, hf_energy,
                              sector_determinants, sector_dimension,
-                             sector_hamiltonian, sector_matrix)
+                             sector_hamiltonian)
 from duccvqe.integrals import SpinIntegralSet, builtin_fixture
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
@@ -194,54 +193,41 @@ def test_fock_diagonal_dominates(rng):
     assert eps[0] < eps[2] < eps[4] < eps[6]
 
 
-def _sector_matrix_oracle(op, dets):
-    """Every string applied to every determinant, in term order."""
-    index = {d: i for i, d in enumerate(dets)}
-    rows, cols, vals = [], [], []
-    for col, det in enumerate(dets):
-        for ops, c in op.terms.items():
-            hit = apply_string(ops, det)
-            if hit is None:
-                continue
-            sign, new_det = hit
-            row = index.get(new_det)
-            if row is not None:
-                rows.append(row)
-                cols.append(col)
-                vals.append(sign * c)
-    dim = len(dets)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+# every (N, Sz) sector of 6 modes, the empty ones included
+SECTORS_6 = [sector_determinants(6, n, ms2)
+             for n in range(7) for ms2 in range(-n, n + 1, 2)]
 
 
-def _assert_same_csr(op, dets):
-    fast, oracle = sector_matrix(op, dets), _sector_matrix_oracle(op, dets)
+def _assert_same_csr(key, dets):
+    fast = excitation_matrix(key, dets)
+    oracle = sector_matrix(excitation_generator(key, 6), dets)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fast, part), getattr(oracle, part))
 
 
-@pytest.mark.parametrize("n_orbitals,n_electrons", [(3, 4), (6, 6)])
-def test_sector_matrix_of_h_is_the_double_loop(rng, n_orbitals, n_electrons):
-    h = build_hamiltonian(random_integral_set(rng, n_orbitals)
-                          .to_spin_orbital())
-    _assert_same_csr(h, sector_determinants(2 * n_orbitals, n_electrons, 0))
-
-
 def test_sector_matrix_of_generators_is_the_double_loop():
-    exc = enumerate_excitations(ActiveSpace.build(3, (1, 2)), 4)
-    dets = sector_determinants(6, 4, 0)
-    for key in exc.entries:
-        _assert_same_csr(excitation_generator(key, 6), dets)
+    # every canonical key of 6 modes, in every sector
+    for occupied in ((1,), (1, 2)):
+        exc = enumerate_excitations(ActiveSpace.build(3, occupied),
+                                    2 * len(occupied))
+        for key in exc.entries:
+            for dets in SECTORS_6:
+                _assert_same_csr(key, dets)
 
 
 def test_sector_matrix_of_random_strings_is_the_double_loop():
-    # general order, repeated modes and empty strings, in every sector
+    # the two strings of random Sz-keeping keys of distinct modes, in any
+    # order, in every sector
     rng = np.random.default_rng(8)
-    sectors = [sector_determinants(6, n, ms2)
-               for n in range(7) for ms2 in range(-n, n + 1, 2)]
-    for _ in range(200):
-        op = random_fermion_operator(rng, 6, 12, max_len=6)
-        for dets in sectors:
-            _assert_same_csr(op, dets)
+    n_keys = 0
+    while n_keys < 200:
+        key = tuple(int(p) for p in rng.permutation(6)[:rng.choice((2, 4))])
+        half = len(key) // 2
+        if sum(p % 2 for p in key[:half]) != sum(p % 2 for p in key[half:]):
+            continue
+        n_keys += 1
+        for dets in SECTORS_6:
+            _assert_same_csr(key, dets)
 
 
 def _hamiltonian_oracle(spin_ints):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import one_body_integrals, random_integral_set
 
-from duccvqe import simulator, vqe
+from duccvqe import fermion, simulator, vqe
 from duccvqe.amplitudes import mp2_amplitudes
 from duccvqe.ansatz import (ExcitationList, enumerate_excitations,
-                            excitation_generator, screen_excitations,
-                            trotter_circuit)
-from duccvqe.fermion import (ActiveSpace, NonFiniteError, build_hamiltonian,
-                             exact_ground_state, hf_determinant, hf_energy,
-                             sector_determinants, sector_matrix)
+                            screen_excitations, trotter_circuit)
+from duccvqe.fermion import (ActiveSpace, NonFiniteError, SectorError,
+                             build_hamiltonian, exact_ground_state,
+                             excitation_matrix, hf_determinant, hf_energy,
+                             sector_determinants)
 from duccvqe.integrals import FIXTURE_NAMES, builtin_fixture
 from duccvqe.mapping import jordan_wigner
 from duccvqe.vqe import VqeProblem, minimize, objective, warm_start
@@ -120,7 +121,7 @@ def test_mismatched_problem_rejected():
         VqeProblem(ham, TOY_EXCITATIONS, 2, np.array([np.nan]))
     hop = np.zeros((4, 4))
     hop[2, 0] = 1.0     # a_2^+ a_0 with no h.c. partner
-    with pytest.raises(vqe.VqeError, match="symmetric"):
+    with pytest.raises(SectorError, match="not Hermitian"):
         VqeProblem(one_body_integrals(hop), TOY_EXCITATIONS, 2, [0.0])
     nan_h = one_body_integrals(np.diag([np.nan, 0.0, 0.0, 0.0]))
     with pytest.raises(NonFiniteError):
@@ -173,9 +174,35 @@ def test_generator_cubes_to_minus_itself():
     exc = enumerate_excitations(ActiveSpace.build(3, (1, 2)), 4)
     dets = sector_determinants(6, 4, 0)
     for key in exc.entries:
-        kappa = sector_matrix(excitation_generator(key, 6), dets).toarray()
+        kappa = excitation_matrix(key, dets).toarray()
         assert np.any(kappa)
         np.testing.assert_array_equal(kappa @ kappa @ kappa, -kappa)
+
+
+def test_sparse_hamiltonian_branch(monkeypatch, rng):
+    """Above DENSE_SECTOR_LIMIT H stays CSR, with the same energies."""
+    h1 = np.diag([-1.0, -1.0, 0.5, 0.5])
+    h1[2, 0] = 5e-11      # a missing mirror entry, inside HERMITIAN_TOL
+    exc = enumerate_excitations(ActiveSpace.build(3, (1, 2)), 4)
+    cases = [(random_integral_set(rng, 3).to_spin_orbital(), exc, 4),
+             (one_body_integrals(h1), TOY_EXCITATIONS, 2)]
+    thetas = [rng.uniform(-np.pi, np.pi, size=len(e)) for _, e, _ in cases]
+    fixture = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
+
+    def energies():
+        problems = [VqeProblem(*case, np.zeros(len(case[1])))
+                    for case in cases]
+        return ([p._hamiltonian for p in problems],
+                [objective(p, t) for p, t in zip(problems, thetas)],
+                exact_ground_state(fixture, 2, 0)[0])
+
+    dense_h, dense_e, dense_eig = energies()
+    monkeypatch.setattr(fermion, "DENSE_SECTOR_LIMIT", 1)
+    sparse_h, sparse_e, sparse_eig = energies()
+    assert not any(sp.issparse(h) for h in dense_h)
+    assert all(sp.issparse(h) for h in sparse_h)
+    assert sparse_e == pytest.approx(dense_e, abs=1e-12)
+    assert sparse_eig == pytest.approx(dense_eig, abs=1e-12)
 
 
 def test_result_json_round_trip():
