@@ -17,7 +17,7 @@ spin = builtin_fixture("h2_ducc_10.0").to_spin_orbital()
 ref = hf_determinant(2)
 
 t_mp2 = mp2_amplitudes(spin, ref)
-print("MP2  correlation energy:", f"{mp2_energy(spin, ref, t_mp2):+.10f}")
+print("MP2  correlation energy:", f"{mp2_energy(spin, t_mp2):+.10f}")
 
 t_ccsd, e_ccsd = ccsd_solve(spin, ref)
 print("CCSD correlation energy:", f"{e_ccsd:+.10f}")

@@ -177,7 +177,7 @@ def correlation_energy(f, g, t1, t2, o, v):
     return float(e)
 
 
-def mp2_energy(spin_ints, ref, t: ClusterAmplitudes):
+def mp2_energy(spin_ints, t: ClusterAmplitudes):
     """Sum over canonical doubles of t_ijab * <ij||ab>."""
     g = spin_ints.antisymmetrized()
     return sum(v * g[key] for key, v in t.items() if len(key) == 4)

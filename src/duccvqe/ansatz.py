@@ -3,7 +3,7 @@
 Each excitation carries one real parameter shared by all Pauli strings of
 its Jordan-Wigner image; a first-order Trotter step exponentiates the
 strings one at a time with the usual basis-change / CNOT-ladder / Rz
-pattern. Resource reports use closed-form per-string accounting so large
+pattern. Resource reports use one closed-form step per excitation so large
 active spaces never materialize their gate lists.
 """
 
@@ -248,76 +248,50 @@ class ResourceReport:
 
     n_qubits: int
     n_excitations: int
-    n_parameters: int
     gate_count: int
     depth: int
 
 
-def _excitation_blocks(key):
-    """Contiguous support blocks shared by every JW string of one excitation.
-
-    A string's support is the union of closed index ranges between paired
-    modes; interior qubits carry Z, the excitation's own modes carry X/Y.
-    """
-    modes = sorted(key)
-    if len(modes) == 2:
-        return [(modes[0], modes[1])]
-    return [(modes[0], modes[1]), (modes[2], modes[3])]
-
-
-def _string_layer_update(level, support, endpoints):
-    """Advance greedy-layer counters across one string exponential.
-
-    Exact closed form: after the basis changes, an ascending CNOT ladder,
-    the Rz, and the mirror, qubit j of the S-long support lands at
-    2S + M - max(j, 1) (plus trailing basis change on endpoints), where
-    M = max_j(entry level + basis bump - max(j - 1, 0)).
-    """
-    s = len(support)
-    if s == 1:
-        q = support[0]
-        level[q] += 3 if q in endpoints else 1
-        return
-    m = max(level[q] + (1 if q in endpoints else 0) - max(j - 1, 0)
-            for j, q in enumerate(support))
-    for j, q in enumerate(support):
-        level[q] = 2 * s + m - max(j, 1) + (1 if q in endpoints else 0)
-
-
-def resource_report(exc: ExcitationList, space: ActiveSpace) -> ResourceReport:
+def resource_report(exc: ExcitationList) -> ResourceReport:
     """Qubit, gate, and depth accounting without building the circuit.
 
-    Per string of support size S: 2(S-1) CNOTs, one Rz, and a basis
-    change on each side of every X/Y qubit; all strings of one excitation
-    share a support, so singles cost 2(2S+3) gates and doubles 8(2S+7).
+    The n = 2 (single) or 8 (double) JW strings of one excitation share one
+    support of S qubits, each mode pair's lower mode to its upper, with X/Y
+    on the excitation's own modes. A string costs 2(S-1) CNOTs, one Rz and
+    two basis changes per X/Y qubit. Greedy depth in closed form: after one
+    string, support qubit j sits at 2S + M - max(j, 1) (+1 on X/Y), with
+    M = max_j(entry level (+1 on X/Y) - max(j - 1, 0)). The lowest support
+    qubit is X/Y, so each further string raises M by exactly 2S + 1, and
+    one step with M + (n - 1)(2S + 1) covers all n strings.
     """
-    if exc.n_spin_orbitals != space.n_active_spin:
-        raise AnsatzError("excitation list does not match the active space")
     gate_count = 0
     level = [0] * exc.n_spin_orbitals
     for key in exc.entries:
-        blocks = _excitation_blocks(key)
-        support = [q for lo, hi in blocks for q in range(lo, hi + 1)]
+        modes = sorted(key)
+        support = [q for lo, hi in zip(modes[::2], modes[1::2])
+                   for q in range(lo, hi + 1)]
         s = len(support)
-        endpoints = set(key)
-        if len(key) == 2:
-            gate_count += 2 * (2 * s + 3)
-            n_strings = 2
-        else:
-            gate_count += 8 * (2 * s + 7)
-            n_strings = 8
-        for _ in range(n_strings):
-            _string_layer_update(level, support, endpoints)
-    return ResourceReport(space.n_active_spin, len(exc), len(exc),
-                          gate_count, max(level, default=0))
+        n_strings = 2 if len(key) == 2 else 8
+        gate_count += n_strings * (2 * (s - 1) + 1 + 2 * len(key))
+        m = max(level[q] + (q in key) - max(j - 1, 0)
+                for j, q in enumerate(support))
+        m += (n_strings - 1) * (2 * s + 1)
+        for j, q in enumerate(support):
+            level[q] = 2 * s + m - max(j, 1) + (q in key)
+    return ResourceReport(exc.n_spin_orbitals, len(exc), gate_count,
+                          max(level, default=0))
 
 
 def screen_excitations(exc: ExcitationList, amps,
                        threshold: float) -> ExcitationList:
     """Drop doubles whose amplitude magnitude is below threshold.
 
-    Singles always survive, matching the MP2-screened UCCS(D) ansatz.
+    Singles always survive, matching the MP2-screened UCCS(D) ansatz. A
+    threshold that is NaN, infinite or negative is an AnsatzError.
     """
+    if not 0.0 <= threshold < math.inf:
+        raise AnsatzError(f"screening threshold must be finite and "
+                          f"non-negative, got {threshold}")
     kept = tuple(key for key in exc.doubles
                  if abs(amps.get_t2(*key)) >= threshold)
     return ExcitationList(exc.n_spin_orbitals, exc.singles, kept)

@@ -74,6 +74,10 @@ def _emit(args, text):
 
 
 def cmd_resources(args):
+    if args.orbitals < 1:
+        raise _CliDataError(f"--orbitals {args.orbitals} is below 1")
+    if args.electrons < 0:
+        raise _CliDataError(f"--electrons {args.electrons} is negative")
     o, v = args.electrons // 2, args.orbitals - args.electrons // 2
     if args.electrons % 2:
         raise _CliDataError("closed-shell resources need an even --electrons")
@@ -81,12 +85,12 @@ def cmd_resources(args):
         raise _CliDataError("--electrons exceeds capacity of --orbitals")
     space = ActiveSpace.build(args.orbitals, tuple(range(1, o + 1)))
     exc = ansatz_mod.enumerate_excitations(space, args.electrons)
-    report = ansatz_mod.resource_report(exc, space)
+    report = ansatz_mod.resource_report(exc)
     row = {
         "orbitals": args.orbitals,
         "n_qubits": report.n_qubits,
         "excitations": report.n_excitations,
-        "parameters": report.n_parameters,
+        "parameters": report.n_excitations,
         "gates": report.gate_count,
         "depth": report.depth,
     }
@@ -99,7 +103,7 @@ def cmd_resources(args):
         t_mp2 = mp2_amplitudes(spin, hf_determinant(args.electrons))
         screened = ansatz_mod.screen_excitations(exc, t_mp2,
                                                  args.mp2_threshold)
-        srep = ansatz_mod.resource_report(screened, space)
+        srep = ansatz_mod.resource_report(screened)
         row.update(screened_excitations=srep.n_excitations,
                    screened_gates=srep.gate_count,
                    screened_depth=srep.depth)
@@ -121,7 +125,7 @@ def cmd_eig(args):
 
 def _mp2(spin, ref):
     t = mp2_amplitudes(spin, ref)
-    return t, mp2_energy(spin, ref, t)
+    return t, mp2_energy(spin, t)
 
 
 def cmd_amplitudes(args):

@@ -1,9 +1,9 @@
 """Sparse second-quantized operator algebra over spin orbitals.
 
 Operator strings are tuples of (mode, dagger) pairs with 0-based spin-orbital
-modes. The canonical vacuum normal form puts creation operators first, each
-group sorted by ascending mode, with signs tracked through transposition
-parity and anticommutator contractions {a_p, a_q^+} = delta_pq.
+modes, kept as written: nothing here reorders them. ``build_hamiltonian``
+writes H in the canonical vacuum normal form, creation operators first, each
+group by ascending mode; normal ordering itself is a test oracle.
 
 Sector matrices are built on ``uint64`` determinants: H from the integrals
 (``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``) and the

@@ -246,8 +246,7 @@ def _write(ints: IntegralSet, path, fields):
             fh.write(f"0 0 0 0 {ints.scalar_shift:.16e}\n")
 
 
-def save_fcidump(ints: IntegralSet, path, nelec=None, ms2=0):
-    nelec = ints.n_orbitals * 2 if nelec is None else nelec
+def save_fcidump(ints: IntegralSet, path, nelec, ms2=0):
     _write(ints, path, f"NELEC={nelec} MS2={ms2}")
 
 

@@ -47,7 +47,7 @@ def test_excitations_sz_conserving_and_canonical():
 def test_no_virtuals_no_excitations():
     exc = enumerate_excitations(_space(1, 2), 2)
     assert len(exc) == 0
-    rep = resource_report(exc, _space(1, 2))
+    rep = resource_report(exc)
     assert (rep.n_qubits, rep.gate_count, rep.depth) == (2, 0, 0)
 
 
@@ -131,15 +131,40 @@ def test_circuit_preserves_sector(rng):
         assert alpha == 1  # Sz preserved
 
 
+# closed-form (gates, depth) where the circuit is too large to build: the
+# 28-orbital H2 and 60-orbital Li2 spaces of the published table
+LARGE_RESOURCES = [((28, 2), 292_500, 257_291),
+                   ((60, 6), 28_603_284, 26_738_689)]
+
+
+def _random_sublists(rng, exc, count):
+    """Seeded random subsets of the singles and of the doubles, each in a
+    random order."""
+    for _ in range(count):
+        groups = [tuple(group[k] for k in rng.permutation(len(group))
+                        [:rng.integers(len(group) + 1)])
+                  for group in (exc.singles, exc.doubles)]
+        yield ExcitationList(exc.n_spin_orbitals, *groups)
+
+
 def test_resource_report_matches_real_circuit():
-    for n_orb, nelec in [(2, 2), (3, 2), (4, 2), (4, 4)]:
-        space = _space(n_orb, nelec)
-        exc = enumerate_excitations(space, nelec)
+    rng = np.random.default_rng(5)
+    full = [enumerate_excitations(_space(n_orb, nelec), nelec)
+            for n_orb, nelec in [(2, 2), (3, 2), (4, 2), (4, 4), (5, 2),
+                                 (3, 4)]]
+    cases = full + [sub for exc in full[1:]
+                    for sub in _random_sublists(rng, exc, 10)]
+    for exc in cases:
         circ = trotter_circuit(exc)
-        rep = resource_report(exc, space)
-        assert rep.gate_count == len(circ.gates)
-        assert rep.depth == circ.depth()
-        assert rep.n_parameters == len(exc)
+        rep = resource_report(exc)
+        assert (rep.n_qubits, rep.n_excitations, rep.gate_count,
+                rep.depth) == (circ.n_qubits, len(exc), len(circ.gates),
+                               circ.depth()), exc.entries
+    for (n_orb, nelec), gates, depth in LARGE_RESOURCES:
+        rep = resource_report(enumerate_excitations(_space(n_orb, nelec),
+                                                    nelec))
+        assert (rep.n_qubits, rep.gate_count, rep.depth) == (
+            2 * n_orb, gates, depth)
 
 
 def test_gate_count_monotone():
@@ -148,7 +173,7 @@ def test_gate_count_monotone():
     counts = []
     for k in range(len(exc.doubles) + 1):
         sub = ExcitationList(8, exc.singles, exc.doubles[:k])
-        counts.append(resource_report(sub, space).gate_count)
+        counts.append(resource_report(sub).gate_count)
     assert counts == sorted(counts)
 
 
@@ -187,6 +212,9 @@ def test_screen_excitations():
     kept = screen_excitations(exc, t, 1e-5)
     assert kept.doubles == ((0, 1, 2, 3),)
     assert kept.singles == exc.singles
+    for bad in (float("nan"), float("inf"), -1e-5):
+        with pytest.raises(AnsatzError, match="threshold"):
+            screen_excitations(exc, t, bad)
 
 
 _ANGLE = st.one_of(st.floats(-4.0, 4.0), st.floats()).map(repr)

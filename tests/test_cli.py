@@ -74,6 +74,29 @@ def test_resources_integrals_must_match_orbitals(capsys, tmp_path, orbitals):
     assert out == ""
 
 
+@pytest.mark.parametrize("orbitals,electrons,flag", [
+    ("0", "0", "--orbitals"), ("-1", "2", "--orbitals"),
+    ("3", "-2", "--electrons"), ("3", "-1", "--electrons")])
+def test_resources_rejects_bad_counts(capsys, orbitals, electrons, flag):
+    code, out, err = run(capsys, "resources", "--orbitals", orbitals,
+                         "--electrons", electrons)
+    assert code == EXIT_DATA
+    assert flag in err and out == ""
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1e-5"])
+def test_bad_screening_threshold_rejected(capsys, tmp_path, threshold):
+    path = tmp_path / "h2.fcidump"
+    save_fcidump(builtin_fixture("h2_ducc_0.8"), path, nelec=2)
+    for argv in (["vqe", "--fixture", "h2_ducc_0.8",
+                  f"--screen-threshold={threshold}"],
+                 ["resources", "--orbitals", "4", "--electrons", "2",
+                  "--integrals", str(path), f"--mp2-threshold={threshold}"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert "screening threshold" in err and out == ""
+
+
 def test_eig_fixture(capsys):
     code, out, _ = run(capsys, "eig", "--fixture", "h2_ducc_10.0",
                        "--nelec", "2", "--ms2", "0")
