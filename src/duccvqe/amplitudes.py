@@ -11,7 +11,6 @@ and a < b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -22,21 +21,6 @@ DENOMINATOR_FLOOR = 1e-8
 CCSD_TOL = 1e-8
 CCSD_MAX_ITER = 200
 DIIS_SIZE = 6
-
-
-@lru_cache(maxsize=None)
-def _contraction_path(subscripts, shapes):
-    """Optimal pairwise contraction order, found on shape-only stand-ins."""
-    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *stand_ins, optimize="optimal")[0]
-
-
-def einsum(subscripts, *operands):
-    """np.einsum; terms of 3 or more operands follow a cached path."""
-    if len(operands) < 3:
-        return np.einsum(subscripts, *operands)
-    path = _contraction_path(subscripts, tuple(x.shape for x in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
 
 
 class DegenerateReferenceError(Exception):
@@ -170,11 +154,16 @@ def mp2_amplitudes(spin_ints, ref):
                              _antisymmetric(vten / e_abij))
 
 
+def _tau(t1, t2, weight=1.0):
+    """t_ijab + weight (t_ia t_jb - t_ib t_ja), laid out as t2."""
+    tt = np.einsum("ai,bj->abij", t1, t1)
+    return t2 + weight * (tt - tt.transpose(0, 1, 3, 2))
+
+
 def correlation_energy(f, g, t1, t2, o, v):
-    e = 1.0 * einsum("ia,ai", f[o, v], t1)
-    e += 0.25 * einsum("jiab,abji", g[o, o, v, v], t2)
-    e += -0.5 * einsum("jiab,ai,bj", g[o, o, v, v], t1, t1)
-    return float(e)
+    """f_ia t_ia + 1/4 <ij||ab> tau_ijab."""
+    return float(np.einsum("ia,ai", f[o, v], t1)
+                 + 0.25 * np.einsum("ijab,abij", g[o, o, v, v], _tau(t1, t2)))
 
 
 def mp2_energy(spin_ints, t: ClusterAmplitudes):
@@ -183,73 +172,62 @@ def mp2_energy(spin_ints, t: ClusterAmplitudes):
     return sum(v * g[key] for key, v in t.items() if len(key) == 4)
 
 
-def _singles_residual(t1, t2, f, g, o, v):
-    r = 1.0 * einsum("em->em", f[v, o])
-    r += -1.0 * einsum("im,ei->em", f[o, o], t1)
-    r += 1.0 * einsum("ea,am->em", f[v, v], t1)
-    r += -1.0 * einsum("ia,aemi->em", f[o, v], t2)
-    r += -1.0 * einsum("ia,am,ei->em", f[o, v], t1, t1)
-    r += 1.0 * einsum("ieam,ai->em", g[o, v, v, o], t1)
-    r += -0.5 * einsum("jiam,aeji->em", g[o, o, v, o], t2)
-    r += -0.5 * einsum("ieab,abmi->em", g[o, v, v, v], t2)
-    r += 1.0 * einsum("jiam,ai,ej->em", g[o, o, v, o], t1, t1)
-    r += 1.0 * einsum("ieab,ai,bm->em", g[o, v, v, v], t1, t1)
-    r += 1.0 * einsum("jiab,ai,bemj->em", g[o, o, v, v], t1, t2)
-    r += 0.5 * einsum("jiab,am,beji->em", g[o, o, v, v], t1, t2)
-    r += 0.5 * einsum("jiab,ei,abmj->em", g[o, o, v, v], t1, t2)
-    r += 1.0 * einsum("jiab,ai,bm,ej->em", g[o, o, v, v], t1, t1, t1)
-    return r
+def _residuals(t1, t2, f, g, o, v):
+    """Singles and doubles CCSD residuals from the intermediates of Stanton
+    and Gauss, J. Chem. Phys. 94, 4334 (1991), each a pairwise contraction.
 
+    F_ae and F_mi keep the diagonal of the Fock matrix, so the residuals are
+    the full projections <ai|H e^T|0> and <abij|H e^T|0>. W_abef, a v^4
+    array, is never formed: its parts act on tau one by one.
+    """
+    def c(subscripts, x, y):
+        return np.einsum(subscripts, x, y, optimize=True)
 
-def _doubles_residual(t1, t2, f, g, o, v):
-    def perm_mn(x):
-        return x - x.transpose(0, 1, 3, 2)
-
-    def perm_ef(x):
+    def p_ab(x):
         return x - x.transpose(1, 0, 2, 3)
 
-    def perm_both(x):
-        return perm_mn(perm_ef(x))
+    def p_ij(x):
+        return x - x.transpose(0, 1, 3, 2)
 
-    r = perm_mn(-1.0 * einsum("in,efmi->efmn", f[o, o], t2))
-    r += perm_ef(1.0 * einsum("ea,afmn->efmn", f[v, v], t2))
-    r += perm_mn(-1.0 * einsum("ia,an,efmi->efmn", f[o, v], t1, t2))
-    r += perm_ef(-1.0 * einsum("ia,ei,afmn->efmn", f[o, v], t1, t2))
-    r += 1.0 * einsum("efmn->efmn", g[v, v, o, o])
-    r += perm_ef(1.0 * einsum("iemn,fi->efmn", g[o, v, o, o], t1))
-    r += perm_mn(1.0 * einsum("efan,am->efmn", g[v, v, v, o], t1))
-    r += 0.5 * einsum("jimn,efji->efmn", g[o, o, o, o], t2)
-    r += perm_both(1.0 * einsum("iean,afmi->efmn", g[o, v, v, o], t2))
-    r += 0.5 * einsum("efab,abmn->efmn", g[v, v, v, v], t2)
-    r += -1.0 * einsum("jimn,ei,fj->efmn", g[o, o, o, o], t1, t1)
-    r += perm_both(1.0 * einsum("iean,am,fi->efmn", g[o, v, v, o], t1, t1))
-    r += -1.0 * einsum("efab,an,bm->efmn", g[v, v, v, v], t1, t1)
-    r += perm_mn(1.0 * einsum("jian,ai,efmj->efmn", g[o, o, v, o], t1, t2))
-    r += perm_mn(0.5 * einsum("jian,am,efji->efmn", g[o, o, v, o], t1, t2))
-    r += perm_both(-1.0 * einsum("jian,ei,afmj->efmn", g[o, o, v, o], t1, t2))
-    r += perm_ef(1.0 * einsum("ieab,ai,bfmn->efmn", g[o, v, v, v], t1, t2))
-    r += perm_both(-1.0 * einsum("ieab,an,bfmi->efmn", g[o, v, v, v], t1, t2))
-    r += perm_ef(0.5 * einsum("ieab,fi,abmn->efmn", g[o, v, v, v], t1, t2))
-    r += perm_mn(-0.5 * einsum("jiab,abni,efmj->efmn", g[o, o, v, v], t2, t2))
-    r += 0.25 * einsum("jiab,abmn,efji->efmn", g[o, o, v, v], t2, t2)
-    r += -0.5 * einsum("jiab,aeji,bfmn->efmn", g[o, o, v, v], t2, t2)
-    r += perm_mn(1.0 * einsum("jiab,aeni,bfmj->efmn", g[o, o, v, v], t2, t2))
-    r += -0.5 * einsum("jiab,aemn,bfji->efmn", g[o, o, v, v], t2, t2)
-    r += perm_mn(-1.0 * einsum("jian,am,ei,fj->efmn", g[o, o, v, o],
-                               t1, t1, t1))
-    r += perm_ef(-1.0 * einsum("ieab,an,bm,fi->efmn", g[o, v, v, v],
-                               t1, t1, t1))
-    r += perm_mn(1.0 * einsum("jiab,ai,bn,efmj->efmn", g[o, o, v, v],
-                              t1, t1, t2))
-    r += perm_ef(1.0 * einsum("jiab,ai,ej,bfmn->efmn", g[o, o, v, v],
-                              t1, t1, t2))
-    r += -0.5 * einsum("jiab,an,bm,efji->efmn", g[o, o, v, v], t1, t1, t2)
-    r += perm_both(1.0 * einsum("jiab,an,ei,bfmj->efmn", g[o, o, v, v],
-                                t1, t1, t2))
-    r += -0.5 * einsum("jiab,ei,fj,abmn->efmn", g[o, o, v, v], t1, t1, t2)
-    r += 1.0 * einsum("jiab,an,bm,ei,fj->efmn", g[o, o, v, v],
-                      t1, t1, t1, t1)
-    return r
+    f_ov = f[o, v]
+    g_oovv = g[o, o, v, v]
+    tau = _tau(t1, t2)
+    tau_tilde = _tau(t1, t2, 0.5)
+
+    f_me = f_ov + c("fn,mnef->me", t1, g_oovv)
+    f_ae = (f[v, v] - 0.5 * c("me,am->ae", f_ov, t1)
+            + c("fm,mafe->ae", t1, g[o, v, v, v])
+            - 0.5 * c("afmn,mnef->ae", tau_tilde, g_oovv))
+    f_mi = (f[o, o] + 0.5 * c("ei,me->mi", t1, f_ov)
+            + c("en,mnie->mi", t1, g[o, o, o, v])
+            + 0.5 * c("efin,mnef->mi", tau_tilde, g_oovv))
+    # the 1/8 tau <mn||ef> tau part of 1/2 tau W_abef is folded in here by
+    # doubling the 1/4 of W_mnij
+    w_mnij = (g[o, o, o, o] + p_ij(c("ej,mnie->mnij", t1, g[o, o, o, v]))
+              + 0.5 * c("efij,mnef->mnij", tau, g_oovv))
+    w_mbej = (g[o, v, v, o] + c("fj,mbef->mbej", t1, g[o, v, v, v])
+              - c("bn,mnej->mbej", t1, g[o, o, v, o]))
+    w_mbej -= c("fbjn,mnef->mbej",
+                0.5 * t2 + np.einsum("fj,bn->fbjn", t1, t1), g_oovv)
+
+    r1 = (f[v, o] + c("ei,ae->ai", t1, f_ae) - c("am,mi->ai", t1, f_mi)
+          + c("aeim,me->ai", t2, f_me) - c("fn,naif->ai", t1, g[o, v, o, v])
+          - 0.5 * c("efim,maef->ai", t2, g[o, v, v, v])
+          - 0.5 * c("aemn,nmei->ai", t2, g[o, o, v, o]))
+
+    z = p_ab(c("aeij,be->abij", t2, f_ae - 0.5 * c("bm,me->be", t1, f_me)))
+    z -= p_ij(c("abim,mj->abij", t2, f_mi + 0.5 * c("ej,me->mj", t1, f_me)))
+    z += 0.5 * c("abmn,mnij->abij", tau, w_mnij)
+    # 1/2 tau W_abef, less its 1/8 tau <mn||ef> tau part (in W_mnij)
+    z += 0.5 * c("efij,abef->abij", tau, g[v, v, v, v])
+    z -= p_ab(0.5 * c("bm,amij->abij", t1,
+                      c("efij,amef->amij", tau, g[v, o, v, v])))
+    x = c("aeim,mbej->abij", t2, w_mbej) \
+        - c("am,mbij->abij", t1, c("ei,mbej->mbij", t1, g[o, v, v, o]))
+    z += p_ij(p_ab(x))
+    z += p_ij(c("ei,abej->abij", t1, g[v, v, v, o]))
+    z -= p_ab(c("am,mbij->abij", t1, g[o, v, o, o]))
+    return r1, g[v, v, o, o] + z
 
 
 class _Diis:
@@ -268,11 +246,10 @@ class _Diis:
         n = len(self.vecs)
         if n < 2:
             return vec
+        errs = np.array(self.errs)
         b = -np.ones((n + 1, n + 1))
         b[n, n] = 0.0
-        for i in range(n):
-            for j in range(n):
-                b[i, j] = np.dot(self.errs[i], self.errs[j])
+        b[:n, :n] = errs @ errs.T
         rhs = np.zeros(n + 1)
         rhs[n] = -1.0
         try:
@@ -300,18 +277,16 @@ def ccsd_solve(spin_ints, ref):
     t2 = g[v, v, o, o] / e_abij
     diis = _Diis()
     for _ in range(CCSD_MAX_ITER):
-        r1 = _singles_residual(t1, t2, f, g, o, v)
-        r2 = _doubles_residual(t1, t2, f, g, o, v)
+        r1, r2 = _residuals(t1, t2, f, g, o, v)
         res_norm = max(np.abs(r1).max(initial=0.0),
                        np.abs(r2).max(initial=0.0))
         if res_norm <= CCSD_TOL:
             ecorr = correlation_energy(f, g, t1, t2, o, v)
             return ClusterAmplitudes(tuple(occ), tuple(virt), t1,
                                      _antisymmetric(t2)), ecorr
-        t1 = t1 + r1 / e_ai
-        t2 = t2 + r2 / e_abij
-        step = np.concatenate([t1.ravel(), t2.ravel()])
-        err = np.concatenate([(r1 / e_ai).ravel(), (r2 / e_abij).ravel()])
+        d1, d2 = r1 / e_ai, r2 / e_abij
+        step = np.concatenate([(t1 + d1).ravel(), (t2 + d2).ravel()])
+        err = np.concatenate([d1.ravel(), d2.ravel()])
         mixed = diis.update(step, err)
         t1 = mixed[:t1.size].reshape(t1.shape)
         t2 = mixed[t1.size:].reshape(t2.shape)

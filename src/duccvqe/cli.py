@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -29,6 +30,8 @@ EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
 MP2_SCREEN_DEFAULT = 1e-5
+NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|-(inf|nan)",
+                             re.IGNORECASE)
 
 DATA_ERRORS = (OSError, ValueError, integrals_mod.IntegralError, SpaceError,
                SectorError, NonFiniteError, DegenerateReferenceError,
@@ -324,10 +327,24 @@ def build_parser():
     return parser
 
 
+def _attach_negative_values(argv):
+    """'--flag -1e-5' as '--flag=-1e-5': argparse reads a dash-led number
+    with an exponent (or -inf, -nan) as an option missing from the parser."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
     try:

@@ -15,10 +15,16 @@ Each is the plain form of a computation the package does another way:
 - ``jordan_wigner``, which expands one ladder operator after the other
   with ``pauli_multiply``, the oracle of ``mapping.jordan_wigner``;
 - ``expectation``, one full gather of the state per Pauli string, the
-  oracle of ``simulator.expectation``.
+  oracle of ``simulator.expectation``;
+- the CCSD residuals and correlation energy term by term, each term of
+  three or more factors contracted along a cached ``np.einsum_path``
+  order, the oracle of ``amplitudes._residuals`` and
+  ``amplitudes.correlation_energy``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -284,3 +290,94 @@ def expectation(h, state: StateVector) -> float:
     if abs(val.imag) > HERMITIAN_TOL:
         raise SimulatorError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)
+
+
+@lru_cache(maxsize=None)
+def _contraction_path(subscripts, shapes):
+    """Optimal pairwise contraction order, found on shape-only stand-ins."""
+    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *stand_ins, optimize="optimal")[0]
+
+
+def einsum(subscripts, *operands):
+    """np.einsum; terms of 3 or more operands follow a cached path."""
+    if len(operands) < 3:
+        return np.einsum(subscripts, *operands)
+    path = _contraction_path(subscripts, tuple(x.shape for x in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+def correlation_energy(f, g, t1, t2, o, v):
+    e = 1.0 * einsum("ia,ai", f[o, v], t1)
+    e += 0.25 * einsum("jiab,abji", g[o, o, v, v], t2)
+    e += -0.5 * einsum("jiab,ai,bj", g[o, o, v, v], t1, t1)
+    return float(e)
+
+
+def _singles_residual(t1, t2, f, g, o, v):
+    r = 1.0 * einsum("em->em", f[v, o])
+    r += -1.0 * einsum("im,ei->em", f[o, o], t1)
+    r += 1.0 * einsum("ea,am->em", f[v, v], t1)
+    r += -1.0 * einsum("ia,aemi->em", f[o, v], t2)
+    r += -1.0 * einsum("ia,am,ei->em", f[o, v], t1, t1)
+    r += 1.0 * einsum("ieam,ai->em", g[o, v, v, o], t1)
+    r += -0.5 * einsum("jiam,aeji->em", g[o, o, v, o], t2)
+    r += -0.5 * einsum("ieab,abmi->em", g[o, v, v, v], t2)
+    r += 1.0 * einsum("jiam,ai,ej->em", g[o, o, v, o], t1, t1)
+    r += 1.0 * einsum("ieab,ai,bm->em", g[o, v, v, v], t1, t1)
+    r += 1.0 * einsum("jiab,ai,bemj->em", g[o, o, v, v], t1, t2)
+    r += 0.5 * einsum("jiab,am,beji->em", g[o, o, v, v], t1, t2)
+    r += 0.5 * einsum("jiab,ei,abmj->em", g[o, o, v, v], t1, t2)
+    r += 1.0 * einsum("jiab,ai,bm,ej->em", g[o, o, v, v], t1, t1, t1)
+    return r
+
+
+def _doubles_residual(t1, t2, f, g, o, v):
+    def perm_mn(x):
+        return x - x.transpose(0, 1, 3, 2)
+
+    def perm_ef(x):
+        return x - x.transpose(1, 0, 2, 3)
+
+    def perm_both(x):
+        return perm_mn(perm_ef(x))
+
+    r = perm_mn(-1.0 * einsum("in,efmi->efmn", f[o, o], t2))
+    r += perm_ef(1.0 * einsum("ea,afmn->efmn", f[v, v], t2))
+    r += perm_mn(-1.0 * einsum("ia,an,efmi->efmn", f[o, v], t1, t2))
+    r += perm_ef(-1.0 * einsum("ia,ei,afmn->efmn", f[o, v], t1, t2))
+    r += 1.0 * einsum("efmn->efmn", g[v, v, o, o])
+    r += perm_ef(1.0 * einsum("iemn,fi->efmn", g[o, v, o, o], t1))
+    r += perm_mn(1.0 * einsum("efan,am->efmn", g[v, v, v, o], t1))
+    r += 0.5 * einsum("jimn,efji->efmn", g[o, o, o, o], t2)
+    r += perm_both(1.0 * einsum("iean,afmi->efmn", g[o, v, v, o], t2))
+    r += 0.5 * einsum("efab,abmn->efmn", g[v, v, v, v], t2)
+    r += -1.0 * einsum("jimn,ei,fj->efmn", g[o, o, o, o], t1, t1)
+    r += perm_both(1.0 * einsum("iean,am,fi->efmn", g[o, v, v, o], t1, t1))
+    r += -1.0 * einsum("efab,an,bm->efmn", g[v, v, v, v], t1, t1)
+    r += perm_mn(1.0 * einsum("jian,ai,efmj->efmn", g[o, o, v, o], t1, t2))
+    r += perm_mn(0.5 * einsum("jian,am,efji->efmn", g[o, o, v, o], t1, t2))
+    r += perm_both(-1.0 * einsum("jian,ei,afmj->efmn", g[o, o, v, o], t1, t2))
+    r += perm_ef(1.0 * einsum("ieab,ai,bfmn->efmn", g[o, v, v, v], t1, t2))
+    r += perm_both(-1.0 * einsum("ieab,an,bfmi->efmn", g[o, v, v, v], t1, t2))
+    r += perm_ef(0.5 * einsum("ieab,fi,abmn->efmn", g[o, v, v, v], t1, t2))
+    r += perm_mn(-0.5 * einsum("jiab,abni,efmj->efmn", g[o, o, v, v], t2, t2))
+    r += 0.25 * einsum("jiab,abmn,efji->efmn", g[o, o, v, v], t2, t2)
+    r += -0.5 * einsum("jiab,aeji,bfmn->efmn", g[o, o, v, v], t2, t2)
+    r += perm_mn(1.0 * einsum("jiab,aeni,bfmj->efmn", g[o, o, v, v], t2, t2))
+    r += -0.5 * einsum("jiab,aemn,bfji->efmn", g[o, o, v, v], t2, t2)
+    r += perm_mn(-1.0 * einsum("jian,am,ei,fj->efmn", g[o, o, v, o],
+                               t1, t1, t1))
+    r += perm_ef(-1.0 * einsum("ieab,an,bm,fi->efmn", g[o, v, v, v],
+                               t1, t1, t1))
+    r += perm_mn(1.0 * einsum("jiab,ai,bn,efmj->efmn", g[o, o, v, v],
+                              t1, t1, t2))
+    r += perm_ef(1.0 * einsum("jiab,ai,ej,bfmn->efmn", g[o, o, v, v],
+                              t1, t1, t2))
+    r += -0.5 * einsum("jiab,an,bm,efji->efmn", g[o, o, v, v], t1, t1, t2)
+    r += perm_both(1.0 * einsum("jiab,an,ei,bfmj->efmn", g[o, o, v, v],
+                                t1, t1, t2))
+    r += -0.5 * einsum("jiab,ei,fj,abmn->efmn", g[o, o, v, v], t1, t1, t2)
+    r += 1.0 * einsum("jiab,an,bm,ei,fj->efmn", g[o, o, v, v],
+                      t1, t1, t1, t1)
+    return r

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 from conftest import random_integral_set
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
                                 mp2_amplitudes, mp2_energy, save_amplitudes,
                                 top_amplitudes)
 from duccvqe.cli import EXIT_DATA, EXIT_OK, main
-from duccvqe.fermion import (ActiveSpace, exact_ground_state,
+from duccvqe.fermion import (ActiveSpace, exact_ground_state, fock_matrix,
                              hf_determinant, hf_energy)
-from duccvqe.integrals import builtin_fixture
+from duccvqe.integrals import FIXTURE_NAMES, builtin_fixture
 
 # frozen correlation energies on the 10 a.u. fixture
 CCSD_ECORR_10 = -0.2389165340
@@ -62,7 +63,6 @@ def test_mp2_closed_form(rng):
     t = mp2_amplitudes(spin, ref)
     assert not t.t1.any()
     g = spin.antisymmetrized()
-    from duccvqe.fermion import fock_matrix
     eps = np.diag(fock_matrix(spin, ref))
     for (i, j, a, b), v in (e for e in t.items() if len(e[0]) == 4):
         denom = eps[i] + eps[j] - eps[a] - eps[b]
@@ -227,18 +227,80 @@ def test_ccsd_matches_fci_on_random_systems(rng):
         assert hf_energy(spin, ref) + e_corr == pytest.approx(e_fci, abs=1e-8)
 
 
-@pytest.mark.parametrize("n_orbitals,n_electrons", [(3, 2), (5, 4), (6, 6)])
-def test_ccsd_contraction_paths_match_plain_einsum(monkeypatch, n_orbitals,
-                                                   n_electrons):
+SEEDED = {f"seeded_{n}_{e}": (n, e)
+          for n, e in ((3, 2), (5, 4), (6, 6), (8, 4), (12, 6))}
+
+
+def _system(name):
+    """(spin integrals, electrons) of a fixture or of a SEEDED system."""
+    if name in FIXTURE_NAMES:
+        return _spin(name), 2
+    n_orbitals, n_electrons = SEEDED[name]
     spin = random_integral_set(np.random.default_rng(n_orbitals), n_orbitals,
                                gap=3.0).to_spin_orbital()
+    return spin, n_electrons
+
+
+def _ccsd_blocks(spin, n_electrons):
+    """f, <pq||rs>, o, v in the occupied-then-virtual order of ccsd_solve."""
     ref = hf_determinant(n_electrons)
+    occ, virt = amplitudes._occ_virt(spin, ref)
+    order = occ + virt
+    f = fock_matrix(spin, ref)[np.ix_(order, order)]
+    g = spin.antisymmetrized()[np.ix_(order, order, order, order)]
+    return f, g, slice(0, len(occ)), slice(len(occ), len(order))
+
+
+@pytest.mark.parametrize("system", [*SEEDED, *FIXTURE_NAMES])
+def test_ccsd_residuals_match_oracle(system):
+    # random, non-converged amplitudes: at convergence every residual is
+    # near zero and a wrong term would not show
+    f, g, o, v = _ccsd_blocks(*_system(system))
+    assert np.abs(f - np.diag(np.diag(f))).max() > 1e-3
+    nv, no = v.stop - v.start, o.stop
+    rng = np.random.default_rng(nv)
+    t1 = 0.1 * rng.normal(size=(nv, no))
+    t2 = amplitudes._antisymmetric(0.1 * rng.normal(size=(nv, nv, no, no)))
+    assert np.abs(t1).min() > 0.0
+    r1, r2 = amplitudes._residuals(t1, t2, f, g, o, v)
+    np.testing.assert_allclose(
+        r1, oracles._singles_residual(t1, t2, f, g, o, v), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        r2, oracles._doubles_residual(t1, t2, f, g, o, v), rtol=0, atol=1e-12)
+    assert amplitudes.correlation_energy(f, g, t1, t2, o, v) == pytest.approx(
+        oracles.correlation_energy(f, g, t1, t2, o, v), abs=1e-12)
+
+
+def _counted(residuals, calls):
+    def wrapped(*args):
+        calls.append(None)
+        return residuals(*args)
+    return wrapped
+
+
+def _oracle_residuals(t1, t2, f, g, o, v):
+    return (oracles._singles_residual(t1, t2, f, g, o, v),
+            oracles._doubles_residual(t1, t2, f, g, o, v))
+
+
+@pytest.mark.parametrize("system", [*FIXTURE_NAMES, "seeded_5_4",
+                                    "seeded_6_6"])
+def test_ccsd_solve_matches_oracle_driven_solve(monkeypatch, system):
+    spin, n_electrons = _system(system)
+    ref = hf_determinant(n_electrons)
+    fast_calls, oracle_calls = [], []
+    monkeypatch.setattr(amplitudes, "_residuals",
+                        _counted(amplitudes._residuals, fast_calls))
     t, e_corr = ccsd_solve(spin, ref)
-    monkeypatch.setattr(amplitudes, "einsum", np.einsum)
-    t_plain, e_plain = ccsd_solve(spin, ref)
-    assert e_corr == pytest.approx(e_plain, abs=1e-12)
-    np.testing.assert_allclose(t.t1, t_plain.t1, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(t.t2, t_plain.t2, rtol=0, atol=1e-12)
+    monkeypatch.setattr(amplitudes, "_residuals",
+                        _counted(_oracle_residuals, oracle_calls))
+    monkeypatch.setattr(amplitudes, "correlation_energy",
+                        oracles.correlation_energy)
+    t_oracle, e_oracle = ccsd_solve(spin, ref)
+    assert len(fast_calls) == len(oracle_calls) > 1
+    assert e_corr == pytest.approx(e_oracle, abs=1e-12)
+    np.testing.assert_allclose(t.t1, t_oracle.t1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t.t2, t_oracle.t2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("solver", ["mp2", "ccsd"])

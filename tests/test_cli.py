@@ -97,6 +97,21 @@ def test_bad_screening_threshold_rejected(capsys, tmp_path, threshold):
         assert "screening threshold" in err and out == ""
 
 
+@pytest.mark.parametrize("threshold", ["-1e-5", "-1.5E+2", "-inf"])
+def test_spaced_negative_threshold_reaches_the_check(capsys, tmp_path,
+                                                     threshold):
+    # argparse alone reads '--flag -1e-5' as a flag missing its value
+    path = tmp_path / "h2.fcidump"
+    save_fcidump(builtin_fixture("h2_ducc_0.8"), path, nelec=2)
+    for argv in (["vqe", "--fixture", "h2_ducc_0.8",
+                  "--screen-threshold", threshold],
+                 ["resources", "--orbitals", "4", "--electrons", "2",
+                  "--integrals", str(path), "--mp2-threshold", threshold]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert "screening threshold" in err and out == ""
+
+
 def test_eig_fixture(capsys):
     code, out, _ = run(capsys, "eig", "--fixture", "h2_ducc_10.0",
                        "--nelec", "2", "--ms2", "0")
