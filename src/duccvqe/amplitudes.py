@@ -10,17 +10,23 @@ and a < b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from .fermion import fock_matrix
+from .fermion import fock_matrix, reference_modes
 
 DENOMINATOR_FLOOR = 1e-8
 CCSD_TOL = 1e-8
 CCSD_MAX_ITER = 200
 DIIS_SIZE = 6
+# the blocks of the Fock matrix and of <pq||rs> that _residuals and
+# correlation_energy read
+F_BLOCKS = "oo ov vo vv"
+G_BLOCKS = "oooo ooov oovo oovv ovoo ovov ovvo ovvv vovv vvoo vvvo vvvv"
 
 
 class DegenerateReferenceError(Exception):
@@ -120,13 +126,6 @@ def top_amplitudes(t: ClusterAmplitudes, k: int):
     return entries[:k]
 
 
-def _occ_virt(spin_ints, ref):
-    m = spin_ints.n_spin_orbitals
-    occ = [p for p in range(m) if (ref >> p) & 1]
-    virt = [p for p in range(m) if not (ref >> p) & 1]
-    return occ, virt
-
-
 def _denominators(eps_o, eps_v, occ, virt):
     e_ai = eps_o[None, :] - eps_v[:, None]
     e_abij = (eps_o[None, None, :, None] + eps_o[None, None, None, :]
@@ -143,7 +142,7 @@ def _denominators(eps_o, eps_v, occ, virt):
 
 def mp2_amplitudes(spin_ints, ref):
     """t2_ijab = <ij||ab> / (e_i + e_j - e_a - e_b); singles are zero."""
-    occ, virt = _occ_virt(spin_ints, ref)
+    occ, virt = reference_modes(spin_ints.n_spin_orbitals, ref)
     f = fock_matrix(spin_ints, ref)
     g = spin_ints.antisymmetrized()
     eps = np.diag(f)
@@ -154,16 +153,52 @@ def mp2_amplitudes(spin_ints, ref):
                              _antisymmetric(vten / e_abij))
 
 
+@lru_cache(maxsize=None)
+def _contraction_plan(subscripts):
+    """Axis orders of x and y, free-axis count of x and output permutation
+    of a pairwise 'ab,bc->ac' contraction; ValueError unless every index is
+    summed over both operands or in one operand and the output, once each."""
+    operands, arrow, out = subscripts.partition("->")
+    x, comma, y = operands.partition(",")
+    summed = [i for i in y if i in x]
+    free = [i for i in x + y if i not in summed]
+    if not (arrow and comma) or "," in y or sorted(free) != sorted(out) \
+            or any(len(set(s)) != len(s) for s in (x, y, out)):
+        raise ValueError(f"not a pairwise contraction: {subscripts!r}")
+    n = len(x) - len(summed)
+    return ([x.index(i) for i in free[:n] + summed],
+            [y.index(i) for i in summed + free[n:]], n,
+            [free.index(i) for i in out])
+
+
+def contract(subscripts, x, y):
+    """np.einsum(subscripts, x, y) as one matrix product over the summed
+    indices, without einsum's per-call parsing; an operand whose summed
+    axes trail (x) or lead (y), in their order in y, is not copied."""
+    x_axes, y_axes, n, perm = _contraction_plan(subscripts)
+    x, y = x.transpose(x_axes), y.transpose(y_axes)
+    rows, cols, k = x.shape[:n], y.shape[x.ndim - n:], math.prod(x.shape[n:])
+    product = x.reshape(math.prod(rows), k) @ y.reshape(k, math.prod(cols))
+    return product.reshape(rows + cols).transpose(perm)
+
+
 def _tau(t1, t2, weight=1.0):
     """t_ijab + weight (t_ia t_jb - t_ib t_ja), laid out as t2."""
-    tt = np.einsum("ai,bj->abij", t1, t1)
+    tt = contract("ai,bj->abij", t1, t1)
     return t2 + weight * (tt - tt.transpose(0, 1, 3, 2))
 
 
-def correlation_energy(f, g, t1, t2, o, v):
-    """f_ia t_ia + 1/4 <ij||ab> tau_ijab."""
-    return float(np.einsum("ia,ai", f[o, v], t1)
-                 + 0.25 * np.einsum("ijab,abij", g[o, o, v, v], _tau(t1, t2)))
+def _blocks(x, occ, virt, keys):
+    """Contiguous blocks of x over occupied ('o') and virtual ('v') modes,
+    by key: 'ov' is x[occ][:, virt]."""
+    modes = {"o": occ, "v": virt}
+    return {k: x[np.ix_(*(modes[c] for c in k))] for k in keys.split()}
+
+
+def correlation_energy(f, g, t1, t2):
+    """f_ia t_ia + 1/4 <ij||ab> tau_ijab; f, g: _blocks."""
+    return float(contract("ia,ai->", f["ov"], t1)
+                 + 0.25 * contract("ijab,abij->", g["oovv"], _tau(t1, t2)))
 
 
 def mp2_energy(spin_ints, t: ClusterAmplitudes):
@@ -172,16 +207,16 @@ def mp2_energy(spin_ints, t: ClusterAmplitudes):
     return sum(v * g[key] for key, v in t.items() if len(key) == 4)
 
 
-def _residuals(t1, t2, f, g, o, v):
+def _residuals(t1, t2, f, g):
     """Singles and doubles CCSD residuals from the intermediates of Stanton
-    and Gauss, J. Chem. Phys. 94, 4334 (1991), each a pairwise contraction.
+    and Gauss, J. Chem. Phys. 94, 4334 (1991), each a pairwise contraction;
+    f, g: _blocks.
 
     F_ae and F_mi keep the diagonal of the Fock matrix, so the residuals are
     the full projections <ai|H e^T|0> and <abij|H e^T|0>. W_abef, a v^4
     array, is never formed: its parts act on tau one by one.
     """
-    def c(subscripts, x, y):
-        return np.einsum(subscripts, x, y, optimize=True)
+    c = contract
 
     def p_ab(x):
         return x - x.transpose(1, 0, 2, 3)
@@ -189,45 +224,45 @@ def _residuals(t1, t2, f, g, o, v):
     def p_ij(x):
         return x - x.transpose(0, 1, 3, 2)
 
-    f_ov = f[o, v]
-    g_oovv = g[o, o, v, v]
+    f_ov = f["ov"]
+    g_oovv = g["oovv"]
     tau = _tau(t1, t2)
     tau_tilde = _tau(t1, t2, 0.5)
 
     f_me = f_ov + c("fn,mnef->me", t1, g_oovv)
-    f_ae = (f[v, v] - 0.5 * c("me,am->ae", f_ov, t1)
-            + c("fm,mafe->ae", t1, g[o, v, v, v])
+    f_ae = (f["vv"] - 0.5 * c("me,am->ae", f_ov, t1)
+            + c("fm,mafe->ae", t1, g["ovvv"])
             - 0.5 * c("afmn,mnef->ae", tau_tilde, g_oovv))
-    f_mi = (f[o, o] + 0.5 * c("ei,me->mi", t1, f_ov)
-            + c("en,mnie->mi", t1, g[o, o, o, v])
+    f_mi = (f["oo"] + 0.5 * c("ei,me->mi", t1, f_ov)
+            + c("en,mnie->mi", t1, g["ooov"])
             + 0.5 * c("efin,mnef->mi", tau_tilde, g_oovv))
     # the 1/8 tau <mn||ef> tau part of 1/2 tau W_abef is folded in here by
     # doubling the 1/4 of W_mnij
-    w_mnij = (g[o, o, o, o] + p_ij(c("ej,mnie->mnij", t1, g[o, o, o, v]))
+    w_mnij = (g["oooo"] + p_ij(c("ej,mnie->mnij", t1, g["ooov"]))
               + 0.5 * c("efij,mnef->mnij", tau, g_oovv))
-    w_mbej = (g[o, v, v, o] + c("fj,mbef->mbej", t1, g[o, v, v, v])
-              - c("bn,mnej->mbej", t1, g[o, o, v, o]))
+    w_mbej = (g["ovvo"] + c("mbef,fj->mbej", g["ovvv"], t1)
+              - c("bn,mnej->mbej", t1, g["oovo"]))
     w_mbej -= c("fbjn,mnef->mbej",
-                0.5 * t2 + np.einsum("fj,bn->fbjn", t1, t1), g_oovv)
+                0.5 * t2 + c("fj,bn->fbjn", t1, t1), g_oovv)
 
-    r1 = (f[v, o] + c("ei,ae->ai", t1, f_ae) - c("am,mi->ai", t1, f_mi)
-          + c("aeim,me->ai", t2, f_me) - c("fn,naif->ai", t1, g[o, v, o, v])
-          - 0.5 * c("efim,maef->ai", t2, g[o, v, v, v])
-          - 0.5 * c("aemn,nmei->ai", t2, g[o, o, v, o]))
+    r1 = (f["vo"] + c("ei,ae->ai", t1, f_ae) - c("am,mi->ai", t1, f_mi)
+          + c("aeim,me->ai", t2, f_me) - c("fn,naif->ai", t1, g["ovov"])
+          - 0.5 * c("efim,maef->ai", t2, g["ovvv"])
+          - 0.5 * c("aemn,nmei->ai", t2, g["oovo"]))
 
     z = p_ab(c("aeij,be->abij", t2, f_ae - 0.5 * c("bm,me->be", t1, f_me)))
     z -= p_ij(c("abim,mj->abij", t2, f_mi + 0.5 * c("ej,me->mj", t1, f_me)))
     z += 0.5 * c("abmn,mnij->abij", tau, w_mnij)
     # 1/2 tau W_abef, less its 1/8 tau <mn||ef> tau part (in W_mnij)
-    z += 0.5 * c("efij,abef->abij", tau, g[v, v, v, v])
+    z += 0.5 * c("abef,efij->abij", g["vvvv"], tau)
     z -= p_ab(0.5 * c("bm,amij->abij", t1,
-                      c("efij,amef->amij", tau, g[v, o, v, v])))
+                      c("amef,efij->amij", g["vovv"], tau)))
     x = c("aeim,mbej->abij", t2, w_mbej) \
-        - c("am,mbij->abij", t1, c("ei,mbej->mbij", t1, g[o, v, v, o]))
+        - c("am,mbij->abij", t1, c("ei,mbej->mbij", t1, g["ovvo"]))
     z += p_ij(p_ab(x))
-    z += p_ij(c("ei,abej->abij", t1, g[v, v, v, o]))
-    z -= p_ab(c("am,mbij->abij", t1, g[o, v, o, o]))
-    return r1, g[v, v, o, o] + z
+    z += p_ij(c("ei,abej->abij", t1, g["vvvo"]))
+    z -= p_ab(c("am,mbij->abij", t1, g["ovoo"]))
+    return r1, g["vvoo"] + z
 
 
 class _Diis:
@@ -261,27 +296,22 @@ class _Diis:
 
 def ccsd_solve(spin_ints, ref):
     """Solve the projected CCSD equations; returns (amplitudes, E_corr)."""
-    occ, virt = _occ_virt(spin_ints, ref)
+    occ, virt = reference_modes(spin_ints.n_spin_orbitals, ref)
     f = fock_matrix(spin_ints, ref)
-    g = spin_ints.antisymmetrized()
     eps = np.diag(f)
-    no, nv = len(occ), len(virt)
-    order = occ + virt
-    f = f[np.ix_(order, order)]
-    g = g[np.ix_(order, order, order, order)]
-    o = slice(0, no)
-    v = slice(no, no + nv)
+    f = _blocks(f, occ, virt, F_BLOCKS)
+    g = _blocks(spin_ints.antisymmetrized(), occ, virt, G_BLOCKS)
     e_ai, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
 
-    t1 = np.zeros((nv, no))
-    t2 = g[v, v, o, o] / e_abij
+    t1 = np.zeros((len(virt), len(occ)))
+    t2 = g["vvoo"] / e_abij
     diis = _Diis()
     for _ in range(CCSD_MAX_ITER):
-        r1, r2 = _residuals(t1, t2, f, g, o, v)
+        r1, r2 = _residuals(t1, t2, f, g)
         res_norm = max(np.abs(r1).max(initial=0.0),
                        np.abs(r2).max(initial=0.0))
         if res_norm <= CCSD_TOL:
-            ecorr = correlation_energy(f, g, t1, t2, o, v)
+            ecorr = correlation_energy(f, g, t1, t2)
             return ClusterAmplitudes(tuple(occ), tuple(virt), t1,
                                      _antisymmetric(t2)), ecorr
         d1, d2 = r1 / e_ai, r2 / e_abij

@@ -282,16 +282,21 @@ def resource_report(exc: ExcitationList) -> ResourceReport:
                           max(level, default=0))
 
 
+def check_threshold(threshold: float):
+    """AnsatzError for a screening threshold that is NaN, infinite or
+    negative."""
+    if not 0.0 <= threshold < math.inf:
+        raise AnsatzError(f"screening threshold must be finite and "
+                          f"non-negative, got {threshold}")
+
+
 def screen_excitations(exc: ExcitationList, amps,
                        threshold: float) -> ExcitationList:
     """Drop doubles whose amplitude magnitude is below threshold.
 
-    Singles always survive, matching the MP2-screened UCCS(D) ansatz. A
-    threshold that is NaN, infinite or negative is an AnsatzError.
+    Singles always survive, matching the MP2-screened UCCS(D) ansatz.
     """
-    if not 0.0 <= threshold < math.inf:
-        raise AnsatzError(f"screening threshold must be finite and "
-                          f"non-negative, got {threshold}")
+    check_threshold(threshold)
     kept = tuple(key for key in exc.doubles
                  if abs(amps.get_t2(*key)) >= threshold)
     return ExcitationList(exc.n_spin_orbitals, exc.singles, kept)

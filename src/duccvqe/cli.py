@@ -22,7 +22,8 @@ from .amplitudes import (ConvergenceError, DegenerateReferenceError,
                          ccsd_solve, load_amplitudes, mp2_amplitudes,
                          mp2_energy, save_amplitudes, top_amplitudes)
 from .fermion import (ActiveSpace, NonFiniteError, SectorError, SpaceError,
-                      exact_ground_state, hf_determinant, hf_energy)
+                      exact_ground_state, hf_determinant, hf_energy,
+                      reference_modes)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,6 +82,8 @@ def cmd_resources(args):
         raise _CliDataError(f"--orbitals {args.orbitals} is below 1")
     if args.electrons < 0:
         raise _CliDataError(f"--electrons {args.electrons} is negative")
+    # read only with --integrals, but checked without it too
+    ansatz_mod.check_threshold(args.mp2_threshold)
     o, v = args.electrons // 2, args.orbitals - args.electrons // 2
     if args.electrons % 2:
         raise _CliDataError("closed-shell resources need an even --electrons")
@@ -163,10 +166,8 @@ def cmd_downfold(args):
     space = _parse_active(args.active, spin.n_spin_orbitals // 2, nelec)
     ref = hf_determinant(nelec)
     if args.amplitudes:
-        m = spin.n_spin_orbitals
-        occ = [p for p in range(m) if (ref >> p) & 1]
-        virt = [p for p in range(m) if not (ref >> p) & 1]
-        t = load_amplitudes(args.amplitudes, occ, virt)
+        t = load_amplitudes(args.amplitudes,
+                            *reference_modes(spin.n_spin_orbitals, ref))
     else:
         t, _ = ccsd_solve(spin, ref)
     dh = ducc_mod.downfold(spin, space, t)

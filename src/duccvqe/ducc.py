@@ -12,16 +12,23 @@ the Hartree-Fock reference with X2 antisymmetric; each commutator keeps
 its zero-, one- and two-body parts (the IMSRG(2) commutator, Hergert et
 al., Phys. Rep. 621, 165 (2016)). That cut is exact here: [F_N, s] has no
 higher part, and the projection drops the three-body parts anyway.
-The same expansion on operator strings, every string formed, is the test
-oracle of the tensors and of the sigma_ext tensors that ``downfold`` masks
-out of the amplitude arrays.
+
+Only the inner bracket [F_N, s] is formed over all m spin orbitals, at
+O(m^5). The two outer brackets, [H_N, s] and [[F_N, s], s], are needed
+only where every index is one of the a active spin orbitals: their
+operands are cut along the output axes and summed over the others, at
+O(m^2 a^4 + m^3 a^2) instead of O(m^6). Every term is one matrix product
+(``amplitudes.contract``). The same expansion on operator strings, every
+string formed, and on full tensors are the test oracles of the tensors
+and of the sigma_ext tensors that ``downfold`` masks out of the amplitude
+arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .amplitudes import ClusterAmplitudes
+from .amplitudes import ClusterAmplitudes, contract
 from .fermion import (PRUNE_THRESHOLD, ActiveSpace, NonFiniteError,
                       fock_matrix, hf_energy)
 from .integrals import SpinIntegralSet
@@ -59,44 +66,62 @@ def _integral_set(scalar, chi1, chi2) -> SpinIntegralSet:
                            0.5 * np.einsum("prqs->pqrs", chi2), scalar)
 
 
-def _half(a, b, n):
-    """The IMSRG(2) commutator terms with A on the left; n: occupations.
+def _half(a, b, n, out=slice(None)):
+    """The IMSRG(2) commutator terms with A on the left; n: the 0/1
+    occupations of the reference.
 
     Each term of the rank <= 2 part of [A, B] is written once as a product
     A B, so that [A, B] = _half(A, B) - _half(B, A). A two-body slot of
-    None is a zero tensor: the terms it multiplies are skipped.
+    None is a zero tensor: the terms it multiplies are skipped. The one-
+    and two-body parts are formed over the indices ``out`` alone: the
+    operands are cut along the output axes and summed over the others in
+    full. The zero-body part reads only the occupied/hole blocks.
     """
     _, a1, a2 = a
     _, b1, b2 = b
     h = 1.0 - n
-    nn = np.subtract.outer(n, n)
+    index = {"p": out, "o": np.flatnonzero(n), "h": np.flatnonzero(h)}
 
-    def e(*args):
-        return np.einsum(*args, optimize=True)
+    def cut(x, axes):
+        """x cut on each axis to the indices of its letter; ':' keeps all."""
+        for k, c in enumerate(axes):
+            if c != ":":
+                x = x[(slice(None),) * k + (index[c],)]
+        return x
 
-    c0 = e("p,pq,qp", n, a1, b1)
-    c1 = a1 @ b1
+    c0 = contract("pq,qp->", cut(a1, "o"), cut(b1, ":o"))
+    c1 = cut(a1, "p") @ cut(b1, ":p")
     if b2 is None:
         return c0, c1, 0.0
-    c1 = c1 + e("rs,sprq->pq", nn * a1, b2)
+    c1 = c1 + contract("rs,sprq->pq", np.subtract.outer(n, n) * a1,
+                       cut(b2, ":p:p"))
     # the terms in z take (1 - P_pq)(1 - P_rs); each A1 term already has
     # one of the two antisymmetries, hence its factor 1/2
-    z = 0.5 * (e("pt,tqrs->pqrs", a1, b2) - e("tr,pqts->pqrs", a1, b2))
+    # B2 is antisymmetric in its last pair: - A1_tr B2_pqts = B2_pqst A1_tr,
+    # a product that needs no reordered copy of B2
+    z = contract("pt,tqrs->pqrs", cut(a1, "p"), cut(b2, ":ppp"))
+    z += contract("pqst,tr->pqrs", cut(b2, "ppp:"), cut(a1, ":p"))
+    z *= 0.5
     c2 = 0.0
     if a2 is not None:
-        c0 = c0 + 0.25 * e("p,q,r,s,pqrs,rspq", n, n, h, h, a2, b2)
-        c1 = c1 + 0.5 * e("rst,tprs,rstq->pq",
-                          np.multiply.outer(np.outer(n, n), h)
-                          + np.multiply.outer(np.outer(h, h), n), a2, b2)
-        z = z - e("t,uqts,tpur->pqrs", n, a2, b2)
-        c2 = 0.5 * e("pqtu,tu,turs->pqrs", a2, 1.0 - n[:, None] - n, b2)
+        c0 = c0 + 0.25 * contract("pqrs,rspq->", cut(a2, "oohh"),
+                                  cut(b2, "hhoo"))
+        w = np.multiply.outer(np.outer(n, n), h) \
+            + np.multiply.outer(np.outer(h, h), n)
+        c1 = c1 + 0.5 * contract("tprs,rstq->pq", cut(a2, ":p"),
+                                 w[..., None] * cut(b2, ":::p"))
+        z -= contract("uqts,tpur->pqrs", cut(a2, ":pop"), cut(b2, "op:p"))
+        c2 = 0.5 * contract("pqtu,turs->pqrs",
+                            cut(a2, "pp") * (h[:, None] - n), cut(b2, "::pp"))
     z = z - z.transpose(1, 0, 2, 3)
     return c0, c1, c2 + (z - z.transpose(0, 1, 3, 2))
 
 
-def _bracket(a, b, n):
-    """Zero-, one- and two-body parts of [A, B] for normal-ordered tensors."""
-    return tuple(x - y for x, y in zip(_half(a, b, n), _half(b, a, n)))
+def _bracket(a, b, n, out=slice(None)):
+    """Zero-, one- and two-body parts of [A, B] for normal-ordered tensors,
+    the one- and two-body parts over the indices ``out``."""
+    return tuple(x - y for x, y in zip(_half(a, b, n, out),
+                                       _half(b, a, n, out)))
 
 
 def _reference(spin_ints, space: ActiveSpace):
@@ -110,12 +135,10 @@ def _reference(spin_ints, space: ActiveSpace):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _active_block(x, space: ActiveSpace) -> SpinIntegralSet:
-    """Active part of normal-ordered (X0, X1, X2), in plain form."""
+    """Plain form of normal-ordered (X0, X1, X2) over the active spin
+    orbitals, occupied first."""
     x0, x1, x2 = x
-    act = space.active_spin
     o = slice(0, len(space.occupied_spin))
-    x1 = x1[np.ix_(act, act)]
-    x2 = x2[np.ix_(act, act, act, act)]
     chi1 = x1 - np.einsum("piqi->pq", x2[:, o, :, o])
     scalar = x0 - np.trace(x1[o, o]) \
         + 0.5 * np.einsum("ijij->", x2[o, o, o, o])
@@ -131,14 +154,21 @@ def downfold(spin_ints, space: ActiveSpace,
              t: ClusterAmplitudes) -> SpinIntegralSet:
     """Full pipeline: external rotation, expansion, projection."""
     n, h_n = _reference(spin_ints, space)
+    act = space.active_spin
     sigma = _sigma_ext(t, space, spin_ints.n_spin_orbitals)
     f_n = (0.0, h_n[1], None)
-    once = _bracket(h_n, sigma, n)
-    twice = _bracket(_bracket(f_n, sigma, n), sigma, n)
-    return _active_block(
-        [x + y + 0.5 * z for x, y, z in zip(h_n, once, twice)], space)
+    once = _bracket(h_n, sigma, n, act)
+    twice = _bracket(_bracket(f_n, sigma, n), sigma, n, act)
+    return _active_block([x + y + 0.5 * z for x, y, z in
+                          zip(_restrict(h_n, act), once, twice)], space)
+
+
+def _restrict(x, out):
+    """(X0, X1, X2) with every index cut to ``out``."""
+    return x[0], x[1][np.ix_(out, out)], x[2][np.ix_(out, out, out, out)]
 
 
 def bare_restriction(spin_ints, space: ActiveSpace) -> SpinIntegralSet:
     """Active-space cut of the untransformed Hamiltonian (sigma_ext = 0)."""
-    return _active_block(_reference(spin_ints, space)[1], space)
+    return _active_block(_restrict(_reference(spin_ints, space)[1],
+                                   space.active_spin), space)

@@ -208,22 +208,29 @@ def hf_determinant(n_electrons: int) -> int:
     return (1 << n_electrons) - 1
 
 
+def reference_modes(n_modes: int, ref: int):
+    """The occupied and the virtual modes of determinant ``ref``."""
+    return ([p for p in range(n_modes) if (ref >> p) & 1],
+            [p for p in range(n_modes) if not (ref >> p) & 1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def fock_matrix(spin_ints, ref: int) -> np.ndarray:
-    """f_pq = h_pq + sum_{i occ} <pi||qi>."""
-    occ = [m for m in range(spin_ints.n_spin_orbitals) if (ref >> m) & 1]
-    g = spin_ints.antisymmetrized()
-    f = spin_ints.h1.copy()
-    for i in occ:
-        f += g[:, i, :, i]
-    return f
+    """f_pq = h_pq + sum_{i occ} <pi||qi> = h_pq + sum_i [(pq|ii) - (pi|iq)],
+    read from the chemists' h2 over the occupied indices alone."""
+    occ = reference_modes(spin_ints.n_spin_orbitals, ref)[0]
+    h2 = spin_ints.h2
+    return spin_ints.h1 + h2[:, :, occ, occ].sum(axis=2) \
+        - h2[:, occ, occ, :].sum(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hf_energy(spin_ints, ref: int) -> float:
-    occ = [m for m in range(spin_ints.n_spin_orbitals) if (ref >> m) & 1]
-    g = spin_ints.antisymmetrized()
-    e = spin_ints.scalar_shift + sum(spin_ints.h1[i, i] for i in occ)
-    e += 0.5 * sum(g[i, j, i, j] for i in occ for j in occ)
-    return e
+    """E_0 + sum_i h_ii + 1/2 sum_ij [(ii|jj) - (ij|ji)]."""
+    occ = reference_modes(spin_ints.n_spin_orbitals, ref)[0]
+    h2 = spin_ints.h2[np.ix_(occ, occ, occ, occ)]
+    return float(spin_ints.scalar_shift + sum(spin_ints.h1[i, i] for i in occ)
+                 + 0.5 * (np.einsum("iijj->", h2) - np.einsum("ijji->", h2)))
 
 
 def sector_dimension(n_modes: int, n_electrons: int, ms2: int) -> int:

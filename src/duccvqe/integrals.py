@@ -20,8 +20,8 @@ DUPLICATE_TOL = 1e-12
 # Loading a file forms dense spin-orbital tensors of m^4 entries, and the
 # downfold holds several more: measured with BLAS on 1 thread on a 2-vCPU
 # VM, `ducc-vqe downfold --active 1,2,3` on a seeded 2-electron system
-# peaked at 921 MB in 17 s for 56 spin orbitals (H2/cc-pVTZ size) and at
-# 1.51 GB in 38 s for 64. The cap keeps one run within about 1.5 GB.
+# peaked at 545 MB in 2.1 s for 56 spin orbitals (H2/cc-pVTZ size) and at
+# 864 MB in 3.6 s for 64. The cap keeps one run within about 1 GB.
 SPIN_ORBITAL_CAP = 64
 
 FIXTURE_NAMES = ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0")

@@ -12,6 +12,12 @@ Each is the plain form of a computation the package does another way:
 - the downfold on operator strings: ``sigma_ext_operator``,
   ``commutator_expand`` and ``project_active``, with ``_tensors`` reading
   an operator back as (scalar, X1, X2);
+- ``fock_matrix`` and ``hf_energy`` read off the full <pq||rs>, the
+  oracles of the package's forms on the occupied blocks of (pq|rs);
+- the downfold on full tensors: ``half``, ``bracket`` and
+  ``full_tensor_downfold`` form every bracket on all m^4 entries with
+  ``np.einsum`` and occupation weight tensors, the oracle of the brackets
+  that ``ducc.downfold`` cuts to the active block;
 - ``jordan_wigner``, which expands one ladder operator after the other
   with ``pauli_multiply``, the oracle of ``mapping.jordan_wigner``;
 - ``expectation``, one full gather of the state per Pauli string, the
@@ -30,7 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from duccvqe.amplitudes import ClusterAmplitudes
-from duccvqe.ducc import _integral_set
+from duccvqe.ducc import (_active_block, _integral_set, _reference,
+                          _sigma_ext)
 from duccvqe.fermion import (HERMITIAN_TOL, ActiveSpace, FermionOperator,
                              NonFiniteError, excitation_generator)
 from duccvqe.integrals import SpinIntegralSet
@@ -242,6 +249,84 @@ def project_active(h_bar: FermionOperator, space: ActiveSpace,
         if len(ops) <= 4 and all(mode in active for mode, _ in ops):
             kept.add_term(tuple((compact[mode], dag) for mode, dag in ops), c)
     return _integral_set(*_tensors(normal_order(kept), space.n_active_spin))
+
+
+def fock_matrix(spin_ints, ref: int) -> np.ndarray:
+    """f_pq = h_pq + sum_{i occ} <pi||qi> on the full <pq||rs>."""
+    occ = [m for m in range(spin_ints.n_spin_orbitals) if (ref >> m) & 1]
+    g = spin_ints.antisymmetrized()
+    f = spin_ints.h1.copy()
+    for i in occ:
+        f += g[:, i, :, i]
+    return f
+
+
+def hf_energy(spin_ints, ref: int) -> float:
+    occ = [m for m in range(spin_ints.n_spin_orbitals) if (ref >> m) & 1]
+    g = spin_ints.antisymmetrized()
+    e = spin_ints.scalar_shift + sum(spin_ints.h1[i, i] for i in occ)
+    e += 0.5 * sum(g[i, j, i, j] for i in occ for j in occ)
+    return e
+
+
+def half(a, b, n):
+    """The IMSRG(2) commutator terms with A on the left; n: occupations.
+
+    The full-tensor form, every output index over all m spin orbitals and
+    the occupations as weight tensors: the oracle of ``ducc._half``.
+    Each term of the rank <= 2 part of [A, B] is written once as a product
+    A B, so that [A, B] = half(A, B) - half(B, A). A two-body slot of
+    None is a zero tensor: the terms it multiplies are skipped.
+    """
+    _, a1, a2 = a
+    _, b1, b2 = b
+    h = 1.0 - n
+    nn = np.subtract.outer(n, n)
+
+    def e(*args):
+        return np.einsum(*args, optimize=True)
+
+    c0 = e("p,pq,qp", n, a1, b1)
+    c1 = a1 @ b1
+    if b2 is None:
+        return c0, c1, 0.0
+    c1 = c1 + e("rs,sprq->pq", nn * a1, b2)
+    # the terms in z take (1 - P_pq)(1 - P_rs); each A1 term already has
+    # one of the two antisymmetries, hence its factor 1/2
+    z = 0.5 * (e("pt,tqrs->pqrs", a1, b2) - e("tr,pqts->pqrs", a1, b2))
+    c2 = 0.0
+    if a2 is not None:
+        c0 = c0 + 0.25 * e("p,q,r,s,pqrs,rspq", n, n, h, h, a2, b2)
+        c1 = c1 + 0.5 * e("rst,tprs,rstq->pq",
+                          np.multiply.outer(np.outer(n, n), h)
+                          + np.multiply.outer(np.outer(h, h), n), a2, b2)
+        z = z - e("t,uqts,tpur->pqrs", n, a2, b2)
+        c2 = 0.5 * e("pqtu,tu,turs->pqrs", a2, 1.0 - n[:, None] - n, b2)
+    z = z - z.transpose(1, 0, 2, 3)
+    return c0, c1, c2 + (z - z.transpose(0, 1, 3, 2))
+
+
+def bracket(a, b, n):
+    """Zero-, one- and two-body parts of [A, B] on all m^4 entries."""
+    return tuple(x - y for x, y in zip(half(a, b, n), half(b, a, n)))
+
+
+def active_cut(x, space: ActiveSpace):
+    """(X0, X1, X2) cut to the active spin orbitals, occupied first."""
+    act = space.active_spin
+    return x[0], x[1][np.ix_(act, act)], x[2][np.ix_(act, act, act, act)]
+
+
+def full_tensor_downfold(spin_ints, space: ActiveSpace,
+                         t: ClusterAmplitudes) -> SpinIntegralSet:
+    """``ducc.downfold`` with both outer brackets formed in full and cut
+    to the active block afterwards."""
+    n, h_n = _reference(spin_ints, space)
+    sigma = _sigma_ext(t, space, spin_ints.n_spin_orbitals)
+    once = bracket(h_n, sigma, n)
+    twice = bracket(bracket((0.0, h_n[1], None), sigma, n), sigma, n)
+    return _active_block(active_cut(
+        [x + y + 0.5 * z for x, y, z in zip(h_n, once, twice)], space), space)
 
 
 def _mode_image(mode, dagger):

@@ -1,4 +1,6 @@
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -14,7 +16,7 @@ from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
                                 top_amplitudes)
 from duccvqe.cli import EXIT_DATA, EXIT_OK, main
 from duccvqe.fermion import (ActiveSpace, exact_ground_state, fock_matrix,
-                             hf_determinant, hf_energy)
+                             hf_determinant, hf_energy, reference_modes)
 from duccvqe.integrals import FIXTURE_NAMES, builtin_fixture
 
 # frozen correlation energies on the 10 a.u. fixture
@@ -242,33 +244,87 @@ def _system(name):
 
 
 def _ccsd_blocks(spin, n_electrons):
-    """f, <pq||rs>, o, v in the occupied-then-virtual order of ccsd_solve."""
+    """The Fock matrix and <pq||rs> as amplitudes._blocks, as ccsd_solve
+    takes them."""
     ref = hf_determinant(n_electrons)
-    occ, virt = amplitudes._occ_virt(spin, ref)
-    order = occ + virt
-    f = fock_matrix(spin, ref)[np.ix_(order, order)]
-    g = spin.antisymmetrized()[np.ix_(order, order, order, order)]
-    return f, g, slice(0, len(occ)), slice(len(occ), len(order))
+    occ, virt = reference_modes(spin.n_spin_orbitals, ref)
+    return (amplitudes._blocks(fock_matrix(spin, ref), occ, virt,
+                               amplitudes.F_BLOCKS),
+            amplitudes._blocks(spin.antisymmetrized(), occ, virt,
+                               amplitudes.G_BLOCKS))
+
+
+def _assembled(f, g):
+    """f, <pq||rs>, o, v in the occupied-then-virtual order of the oracle,
+    from amplitudes._blocks; NaN in the blocks those leave out."""
+    no, nv = f["ov"].shape
+    o, v = slice(0, no), slice(no, no + nv)
+
+    def full(blocks, rank):
+        x = np.full((no + nv,) * rank, np.nan)
+        for key, block in blocks.items():
+            x[tuple(o if c == "o" else v for c in key)] = block
+        return x
+
+    return full(f, 2), full(g, 4), o, v
 
 
 @pytest.mark.parametrize("system", [*SEEDED, *FIXTURE_NAMES])
 def test_ccsd_residuals_match_oracle(system):
     # random, non-converged amplitudes: at convergence every residual is
     # near zero and a wrong term would not show
-    f, g, o, v = _ccsd_blocks(*_system(system))
+    blocks = _ccsd_blocks(*_system(system))
+    f, g, o, v = _assembled(*blocks)
     assert np.abs(f - np.diag(np.diag(f))).max() > 1e-3
     nv, no = v.stop - v.start, o.stop
     rng = np.random.default_rng(nv)
     t1 = 0.1 * rng.normal(size=(nv, no))
     t2 = amplitudes._antisymmetric(0.1 * rng.normal(size=(nv, nv, no, no)))
     assert np.abs(t1).min() > 0.0
-    r1, r2 = amplitudes._residuals(t1, t2, f, g, o, v)
+    r1, r2 = amplitudes._residuals(t1, t2, *blocks)
     np.testing.assert_allclose(
         r1, oracles._singles_residual(t1, t2, f, g, o, v), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         r2, oracles._doubles_residual(t1, t2, f, g, o, v), rtol=0, atol=1e-12)
-    assert amplitudes.correlation_energy(f, g, t1, t2, o, v) == pytest.approx(
+    assert amplitudes.correlation_energy(*blocks, t1, t2) == pytest.approx(
         oracles.correlation_energy(f, g, t1, t2, o, v), abs=1e-12)
+
+
+SRC = Path(amplitudes.__file__).parent
+
+
+def test_contract_matches_einsum_on_every_src_subscripts():
+    # every pairwise subscripts literal in the package, whichever name the
+    # call site gives contract
+    pattern = re.compile(r'"([a-z]+,[a-z]+->[a-z]*)"')
+    found = {m for path in SRC.glob("*.py")
+             for m in pattern.findall(path.read_text())}
+    assert len(found) >= 40
+    rng = np.random.default_rng(7)
+    size = {i: int(rng.integers(2, 5)) for i in "abcdefghijklmnopqrstuvwxyz"}
+    for subscripts in sorted(found):
+        x, y = (rng.normal(size=[size[i] for i in spec])
+                for spec in subscripts.split("->")[0].split(","))
+        np.testing.assert_allclose(amplitudes.contract(subscripts, x, y),
+                                   np.einsum(subscripts, x, y),
+                                   rtol=1e-13, atol=1e-13,
+                                   err_msg=subscripts)
+
+
+@pytest.mark.parametrize("subscripts", [
+    "ij,jk->ijk",      # j summed and kept: a batch index
+    "ij,jk->ki j",     # not an index
+    "ii,ij->j",        # repeated within one operand
+    "ij,jk->iik",      # repeated in the output
+    "ij,jk->i",        # k neither summed nor kept
+    "ij,jk->ikl",      # l in neither operand
+    "ij,jk,kl->il",    # three operands
+    "ij,jk",           # no output
+])
+def test_contract_rejects_what_is_not_a_pairwise_product(subscripts):
+    x = np.ones((2, 2))
+    with pytest.raises(ValueError, match="not a pairwise contraction"):
+        amplitudes.contract(subscripts, x, x)
 
 
 def _counted(residuals, calls):
@@ -278,9 +334,15 @@ def _counted(residuals, calls):
     return wrapped
 
 
-def _oracle_residuals(t1, t2, f, g, o, v):
+def _oracle_residuals(t1, t2, f, g):
+    f, g, o, v = _assembled(f, g)
     return (oracles._singles_residual(t1, t2, f, g, o, v),
             oracles._doubles_residual(t1, t2, f, g, o, v))
+
+
+def _oracle_energy(f, g, t1, t2):
+    f, g, o, v = _assembled(f, g)
+    return oracles.correlation_energy(f, g, t1, t2, o, v)
 
 
 @pytest.mark.parametrize("system", [*FIXTURE_NAMES, "seeded_5_4",
@@ -294,8 +356,7 @@ def test_ccsd_solve_matches_oracle_driven_solve(monkeypatch, system):
     t, e_corr = ccsd_solve(spin, ref)
     monkeypatch.setattr(amplitudes, "_residuals",
                         _counted(_oracle_residuals, oracle_calls))
-    monkeypatch.setattr(amplitudes, "correlation_energy",
-                        oracles.correlation_energy)
+    monkeypatch.setattr(amplitudes, "correlation_energy", _oracle_energy)
     t_oracle, e_oracle = ccsd_solve(spin, ref)
     assert len(fast_calls) == len(oracle_calls) > 1
     assert e_corr == pytest.approx(e_oracle, abs=1e-12)

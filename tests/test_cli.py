@@ -97,6 +97,14 @@ def test_bad_screening_threshold_rejected(capsys, tmp_path, threshold):
         assert "screening threshold" in err and out == ""
 
 
+@pytest.mark.parametrize("threshold", ["-1e-5", "nan", "inf"])
+def test_screening_threshold_checked_without_integrals(capsys, threshold):
+    code, out, err = run(capsys, "resources", "--orbitals", "4",
+                         "--electrons", "2", "--mp2-threshold", threshold)
+    assert code == EXIT_DATA
+    assert "screening threshold" in err and out == ""
+
+
 @pytest.mark.parametrize("threshold", ["-1e-5", "-1.5E+2", "-inf"])
 def test_spaced_negative_threshold_reaches_the_check(capsys, tmp_path,
                                                      threshold):

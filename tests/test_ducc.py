@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import (dense_operator, random_fermion_operator,
                       random_integral_set)
-from oracles import (_tensors, commutator, commutator_expand, normal_order,
+from oracles import (_tensors, active_cut, bracket, commutator,
+                     commutator_expand, full_tensor_downfold, normal_order,
                      project_active, sigma_ext_operator)
 
 from duccvqe import ducc
@@ -253,3 +254,62 @@ def test_dressed_hamiltonian_metadata():
     g = dh.h2
     np.testing.assert_allclose(g, g.transpose(1, 0, 3, 2), atol=1e-10)
     np.testing.assert_allclose(g, g.transpose(2, 3, 0, 1), atol=1e-10)
+
+
+def _assert_parts_close(got, want):
+    for mine, oracle in zip(got, want):
+        np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-12)
+
+
+def _full_tensor_cases():
+    """(spin integrals, CCSD amplitudes, active space): the fixtures and
+    seeded 2-, 4- and 6-electron systems, most with two active virtuals."""
+    cases = [(*_fixture_setup(name), HALF_SPACE)
+             for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0",
+                          "h2_ducc_10.0")]
+    for n_orbitals, n_electrons, occupied, active_virtual in (
+            (4, 2, (1,), (2,)), (5, 2, (1,), (2, 4)), (5, 4, (1, 2), (3, 5)),
+            (6, 4, (1, 2), (4,)), (6, 6, (1, 2, 3), (4, 5))):
+        rng = np.random.default_rng(10 * n_orbitals + n_electrons)
+        spin = random_integral_set(rng, n_orbitals, gap=3.0,
+                                   noise=0.15).to_spin_orbital()
+        t, _ = ccsd_solve(spin, hf_determinant(n_electrons))
+        cases.append((spin, t, ActiveSpace.build(n_orbitals, occupied,
+                                                 active_virtual)))
+    return cases
+
+
+def test_sliced_downfold_matches_full_tensor_oracle():
+    for spin, t, space in _full_tensor_cases():
+        n, h_n = ducc._reference(spin, space)
+        act = np.array(space.active_spin)
+        sigma = ducc._sigma_ext(t, space, spin.n_spin_orbitals)
+        inner = ducc._bracket((0.0, h_n[1], None), sigma, n)
+        _assert_parts_close(inner, bracket((0.0, h_n[1], None), sigma, n))
+        for a in (h_n, inner):
+            _assert_parts_close(ducc._bracket(a, sigma, n, act),
+                                active_cut(bracket(a, sigma, n), space))
+        dh, oracle = downfold(spin, space, t), full_tensor_downfold(
+            spin, space, t)
+        np.testing.assert_allclose(dh.h1, oracle.h1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dh.h2, oracle.h2, rtol=0, atol=1e-12)
+        assert dh.scalar_shift == pytest.approx(oracle.scalar_shift,
+                                                abs=1e-12)
+        bare = bare_restriction(spin, space)
+        want = ducc._active_block(active_cut(h_n, space), space)
+        assert np.array_equal(bare.h1, want.h1)
+        assert np.array_equal(bare.h2, want.h2)
+        assert bare.scalar_shift == want.scalar_shift
+
+
+def test_sliced_bracket_of_dense_operators_matches_oracle(rng):
+    # dense operators fill every block that the sigma_ext shapes leave zero
+    for n_orbitals, occupied, active_virtual in (
+            (3, (1,), (3,)), (4, (1, 2), (3,)), (4, (1,), (2, 4))):
+        space = ActiveSpace.build(n_orbitals, occupied, active_virtual)
+        n, a = ducc._reference(_random_operator(rng, 2 * n_orbitals), space)
+        b = ducc._reference(_random_operator(rng, 2 * n_orbitals), space)[1]
+        act = np.array(space.active_spin)
+        for x, y in ((a, b), (a, (0.0, b[1], None)), ((0.0, a[1], None), b)):
+            _assert_parts_close(ducc._bracket(x, y, n, act),
+                                active_cut(bracket(x, y, n), space))

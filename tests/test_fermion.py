@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (apply_string, commutator, is_hermitian, multiply,
                      normal_order, ph_normal_order, sector_matrix)
+from oracles import fock_matrix as oracle_fock_matrix
+from oracles import hf_energy as oracle_hf_energy
 
 from duccvqe import fermion
 from duccvqe.ansatz import enumerate_excitations
@@ -191,6 +193,39 @@ def test_fock_diagonal_dominates(rng):
     # orbital energies follow the engineered gap ordering
     eps = np.diag(f)
     assert eps[0] < eps[2] < eps[4] < eps[6]
+
+
+def _spin_resolved_set(rng, n_orbitals):
+    """Spin integrals whose alpha and beta orbitals differ, as in a UHF
+    file: every spin block of h1 and h2 drawn on its own."""
+    m = 2 * n_orbitals
+    h1, h2 = np.zeros((m, m)), np.zeros((m,) * 4)
+    for s in (0, 1):
+        h1[s::2, s::2] = random_integral_set(rng, n_orbitals).h1_matrix()
+        for t in (0, 1):
+            h2[s::2, s::2, t::2, t::2] = random_integral_set(
+                rng, n_orbitals).h2_tensor()
+    return SpinIntegralSet(m, h1, h2, float(rng.normal()))
+
+
+def test_fock_and_hf_energy_match_antisymmetrized_form(rng):
+    cases = [(builtin_fixture(name).to_spin_orbital(), hf_determinant(2))
+             for name in FIXTURES]
+    cases += [(_spin_resolved_set(rng, 4), ref)
+              for ref in (hf_determinant(2), 0b1001, 0b0111)]
+    # both forms are identities for any h2, symmetric or not
+    cases += [(SpinIntegralSet(6, rng.normal(size=(6, 6)),
+                               rng.normal(size=(6,) * 4), 0.5), ref)
+              for ref in (0b000011, 0b100110)]
+    for n_orbitals, n_electrons in ((3, 2), (5, 4), (6, 6)):
+        spin = random_integral_set(rng, n_orbitals).to_spin_orbital()
+        cases.append((spin, hf_determinant(n_electrons)))
+    for spin, ref in cases:
+        np.testing.assert_allclose(fermion.fock_matrix(spin, ref),
+                                   oracle_fock_matrix(spin, ref),
+                                   rtol=0, atol=1e-12)
+        assert hf_energy(spin, ref) == pytest.approx(
+            oracle_hf_energy(spin, ref), abs=1e-12)
 
 
 # every (N, Sz) sector of 6 modes, the empty ones included
