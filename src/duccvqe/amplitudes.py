@@ -37,12 +37,15 @@ class ConvergenceError(Exception):
     """CCSD iterations did not reach the residual tolerance."""
 
 
+def _canonical(nv, no):
+    """Mask of the a < b, i < j entries of a t2[a, b, i, j] array."""
+    return np.triu(np.ones((nv, nv), bool), 1)[:, :, None, None] \
+        & np.triu(np.ones((no, no), bool), 1)
+
+
 def _antisymmetric(t2):
     """t2 rebuilt from its a < b, i < j entries, exactly antisymmetric."""
-    nv, _, no, _ = t2.shape
-    upper = np.triu(np.ones((nv, nv), bool), 1)[:, :, None, None] \
-        & np.triu(np.ones((no, no), bool), 1)
-    t2 = np.where(upper, t2, 0.0)
+    t2 = np.where(_canonical(*t2.shape[1:3]), t2, 0.0)
     t2 = t2 - t2.transpose(1, 0, 2, 3)
     return t2 - t2.transpose(0, 1, 3, 2)
 
@@ -140,17 +143,34 @@ def _denominators(eps_o, eps_v, occ, virt):
     return e_ai, e_abij
 
 
+def _cut(x, *modes):
+    """x[np.ix_(*modes)] as a contiguous array, by basic slices where every
+    mode list is an ascending run, as for an ``hf_determinant`` reference."""
+    runs = [slice(m[0], m[0] + len(m)) for m in modes
+            if len(m) and list(m) == list(range(m[0], m[0] + len(m)))]
+    if len(runs) < len(modes):
+        return x[np.ix_(*modes)]
+    return np.ascontiguousarray(x[tuple(runs)])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _exchange_pairs(spin_ints, outer, inner):
+    """<pq||rs> = (pr|qs) - (ps|qr) for p, q in ``outer`` and r, s in
+    ``inner``, laid out [p, q, r, s], read from the chemists' h2 block
+    (pr|qs) alone."""
+    x = _cut(spin_ints.h2, outer, inner, outer, inner)
+    return x.transpose(0, 2, 1, 3) - x.transpose(0, 2, 3, 1)
+
+
 def mp2_amplitudes(spin_ints, ref):
-    """t2_ijab = <ij||ab> / (e_i + e_j - e_a - e_b); singles are zero."""
+    """t2_abij = <ab||ij> / (e_i + e_j - e_a - e_b); singles are zero."""
     occ, virt = reference_modes(spin_ints.n_spin_orbitals, ref)
-    f = fock_matrix(spin_ints, ref)
-    g = spin_ints.antisymmetrized()
-    eps = np.diag(f)
+    eps = np.diag(fock_matrix(spin_ints, ref))
     _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
-    vten = g[np.ix_(virt, virt, occ, occ)]
+    g = _exchange_pairs(spin_ints, virt, occ)   # [a, b, i, j]
     return ClusterAmplitudes(tuple(occ), tuple(virt),
                              np.zeros((len(virt), len(occ))),
-                             _antisymmetric(vten / e_abij))
+                             _antisymmetric(g / e_abij))
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +212,7 @@ def _blocks(x, occ, virt, keys):
     """Contiguous blocks of x over occupied ('o') and virtual ('v') modes,
     by key: 'ov' is x[occ][:, virt]."""
     modes = {"o": occ, "v": virt}
-    return {k: x[np.ix_(*(modes[c] for c in k))] for k in keys.split()}
+    return {k: _cut(x, *(modes[c] for c in k)) for k in keys.split()}
 
 
 def correlation_energy(f, g, t1, t2):
@@ -202,9 +222,10 @@ def correlation_energy(f, g, t1, t2):
 
 
 def mp2_energy(spin_ints, t: ClusterAmplitudes):
-    """Sum over canonical doubles of t_ijab * <ij||ab>."""
-    g = spin_ints.antisymmetrized()
-    return sum(v * g[key] for key, v in t.items() if len(key) == 4)
+    """Sum over canonical doubles, i < j and a < b, of t_ijab * <ij||ab>."""
+    g = _exchange_pairs(spin_ints, t.occupied, t.virtual)   # [i, j, a, b]
+    upper = _canonical(len(t.virtual), len(t.occupied))
+    return float(np.sum(t.t2[upper] * g.transpose(2, 3, 0, 1)[upper]))
 
 
 def _residuals(t1, t2, f, g):

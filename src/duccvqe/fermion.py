@@ -19,12 +19,23 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 PRUNE_THRESHOLD = 1e-12
 # largest |H - H^+| entry accepted as rounding in a Hermiticity check
 HERMITIAN_TOL = 1e-10
-DENSE_SECTOR_LIMIT = 2000
+# sectors of fewer determinants are dense arrays, of more CSR, for both
+# exact_ground_state and VqeProblem. Measured with BLAS on 1 thread on a
+# 2-vCPU VM on seeded systems of 5-8 orbitals, seeds 0 and 1:
+#   determinants   lowest pair: dense eigh / eigsh   one v.Hv: dense / CSR
+#   100            0.44-0.46 / 2.4-2.6 ms            5.0 / 12-13 us
+#   400            7.2-7.5 / 6.1-6.9 ms              30-34 / 46-48 us
+#   560            19-30 / 15-23 ms                  83-94 / 98-101 us
+#   735            37-38 / 15-17 ms                  186-187 / 129-131 us
+#   1225           163-178 / 28-34 ms                551-552 / 241-256 us
+# The solve crosses near 400 determinants and the product between 560 and
+# 735; a VQE takes hundreds of products to one solve, so the limit follows
+# the product.
+DENSE_SECTOR_LIMIT = 600
 # exact_ground_state costs about 34 B and 0.6 us a non-zero of the sector
 # matrix of H, on top of the integrals: measured with BLAS on 1 thread on
 # a 2-vCPU VM on seeded systems, 14,400 determinants (10 orbitals, 6
@@ -449,7 +460,10 @@ def checked_sector_hamiltonian(spin_ints, dets):
 
 @np.errstate(over="ignore", invalid="ignore")
 def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
-    """Lowest eigenpair of H in the (N, Sz) determinant sector.
+    """Lowest eigenpair of H in the (N, Sz) determinant sector, and only
+    that pair: LAPACK's partial ``eigh`` on a dense H, ARPACK's Lanczos
+    ``eigsh`` from a fixed start vector on a CSR H (see
+    ``checked_sector_hamiltonian``), so the energy repeats bit for bit.
 
     SectorError when H is not Hermitian in the sector to
     ``HERMITIAN_TOL``; NonFiniteError when a matrix entry or the energy is
@@ -461,10 +475,16 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
         raise SectorError(
             f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
     mat = checked_sector_hamiltonian(spin_ints, dets)
+    # SciPy's solvers are imported where they run, not with the package
     if sp.issparse(mat):
-        w, v = spla.eigsh(mat, k=1, which="SA")
+        import scipy.sparse.linalg as spla
+        # a random start: a unit vector can be orthogonal, by symmetry, to
+        # the ground state
+        start = np.random.default_rng(0).standard_normal(len(dets))
+        w, v = spla.eigsh(mat, k=1, which="SA", v0=start)
     else:
-        w, v = np.linalg.eigh(mat)
+        import scipy.linalg as sla
+        w, v = sla.eigh(mat, subset_by_index=(0, 0))
     if not np.isfinite(w[0]):
         raise NonFiniteError(f"ground-state energy overflowed: {w[0]}")
     return float(w[0]), v[:, 0]

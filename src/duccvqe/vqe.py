@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .ansatz import ExcitationList
 from .fermion import (checked_sector_hamiltonian, excitation_matrix,
@@ -158,6 +157,9 @@ def minimize(problem: VqeProblem) -> VqeResult:
     if n_params == 0:
         energy = tracker(np.zeros(0))
         return VqeResult(energy, np.zeros(0), 1, tracker.trace, True)
+    # imported here, not with the package: eig, ccsd and downfold never
+    # load scipy.optimize
+    from scipy import optimize
     try:
         res = optimize.minimize(
             tracker, problem.initial_params, method="COBYLA",

@@ -14,6 +14,9 @@ Each is the plain form of a computation the package does another way:
   an operator back as (scalar, X1, X2);
 - ``fock_matrix`` and ``hf_energy`` read off the full <pq||rs>, the
   oracles of the package's forms on the occupied blocks of (pq|rs);
+- ``mp2_amplitudes`` and ``mp2_energy`` read off the full <pq||rs>, the
+  energy summed double by double, the oracles of the package's forms on
+  the occupied-virtual block of (pq|rs);
 - the downfold on full tensors: ``half``, ``bracket`` and
   ``full_tensor_downfold`` form every bracket on all m^4 entries with
   ``np.einsum`` and occupation weight tensors, the oracle of the brackets
@@ -35,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from duccvqe.amplitudes import ClusterAmplitudes
+from duccvqe.amplitudes import (ClusterAmplitudes, _antisymmetric,
+                                _denominators)
 from duccvqe.ducc import (_active_block, _integral_set, _reference,
                           _sigma_ext)
 from duccvqe.fermion import (HERMITIAN_TOL, ActiveSpace, FermionOperator,
@@ -267,6 +271,24 @@ def hf_energy(spin_ints, ref: int) -> float:
     e = spin_ints.scalar_shift + sum(spin_ints.h1[i, i] for i in occ)
     e += 0.5 * sum(g[i, j, i, j] for i in occ for j in occ)
     return e
+
+
+def mp2_amplitudes(spin_ints, ref):
+    """t2_abij = <ab||ij> / (e_i + e_j - e_a - e_b) on the full <pq||rs>."""
+    occ = [m for m in range(spin_ints.n_spin_orbitals) if (ref >> m) & 1]
+    virt = [m for m in range(spin_ints.n_spin_orbitals) if m not in occ]
+    eps = np.diag(fock_matrix(spin_ints, ref))
+    _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
+    vten = spin_ints.antisymmetrized()[np.ix_(virt, virt, occ, occ)]
+    return ClusterAmplitudes(tuple(occ), tuple(virt),
+                             np.zeros((len(virt), len(occ))),
+                             _antisymmetric(vten / e_abij))
+
+
+def mp2_energy(spin_ints, t: ClusterAmplitudes):
+    """Sum over canonical doubles of t_ijab * <ij||ab>, one at a time."""
+    g = spin_ints.antisymmetrized()
+    return sum(v * g[key] for key, v in t.items() if len(key) == 4)
 
 
 def half(a, b, n):

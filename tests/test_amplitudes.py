@@ -17,7 +17,7 @@ from duccvqe.amplitudes import (ClusterAmplitudes, DegenerateReferenceError,
 from duccvqe.cli import EXIT_DATA, EXIT_OK, main
 from duccvqe.fermion import (ActiveSpace, exact_ground_state, fock_matrix,
                              hf_determinant, hf_energy, reference_modes)
-from duccvqe.integrals import FIXTURE_NAMES, builtin_fixture
+from duccvqe.integrals import FIXTURE_NAMES, SpinIntegralSet, builtin_fixture
 
 # frozen correlation energies on the 10 a.u. fixture
 CCSD_ECORR_10 = -0.2389165340
@@ -252,6 +252,45 @@ def _ccsd_blocks(spin, n_electrons):
                                amplitudes.F_BLOCKS),
             amplitudes._blocks(spin.antisymmetrized(), occ, virt,
                                amplitudes.G_BLOCKS))
+
+
+def _references(system):
+    """(spin integrals, reference) pairs: the system's Hartree-Fock
+    determinant, whose modes are two runs, and one whose are not."""
+    spin, n_electrons = _system(system)
+    scattered = hf_determinant(n_electrons - 1) | 1 << n_electrons
+    return [(spin, hf_determinant(n_electrons)), (spin, scattered)]
+
+
+@pytest.mark.parametrize("system", [*SEEDED, *FIXTURE_NAMES])
+def test_blocks_are_the_fancy_index_cut(system):
+    for spin, ref in _references(system):
+        occ, virt = reference_modes(spin.n_spin_orbitals, ref)
+        modes = {"o": occ, "v": virt}
+        for x, keys in ((fock_matrix(spin, ref), amplitudes.F_BLOCKS),
+                        (spin.antisymmetrized(), amplitudes.G_BLOCKS)):
+            for key, block in amplitudes._blocks(x, occ, virt, keys).items():
+                assert block.flags.c_contiguous
+                assert np.array_equal(
+                    block, x[np.ix_(*(modes[c] for c in key))])
+
+
+@pytest.mark.parametrize("system", [*SEEDED, *FIXTURE_NAMES, "asymmetric"])
+def test_mp2_matches_full_tensor_oracle(system, rng):
+    if system == "asymmetric":
+        # both forms are identities for any h2, symmetric or not
+        spin = SpinIntegralSet(6, np.diag(np.arange(6.0)),
+                               rng.normal(size=(6,) * 4))
+        cases = [(spin, 0b000011), (spin, 0b100110)]
+    else:
+        cases = _references(system)
+    for spin, ref in cases:
+        t, want = mp2_amplitudes(spin, ref), oracles.mp2_amplitudes(spin, ref)
+        assert (t.occupied, t.virtual) == (want.occupied, want.virtual)
+        assert not t.t1.any()
+        np.testing.assert_allclose(t.t2, want.t2, rtol=0, atol=1e-14)
+        assert mp2_energy(spin, t) == pytest.approx(
+            oracles.mp2_energy(spin, want), abs=1e-14)
 
 
 def _assembled(f, g):

@@ -1,6 +1,10 @@
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import sector_matrix
 
+import duccvqe
 from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
 from duccvqe.ducc import downfold
-from duccvqe.fermion import (ActiveSpace, build_hamiltonian, hf_determinant,
-                             sector_determinants)
+from duccvqe.fermion import (DENSE_SECTOR_LIMIT, ActiveSpace,
+                             build_hamiltonian, hf_determinant,
+                             sector_determinants, sector_dimension)
 from duccvqe.integrals import (FIXTURE_NAMES, builtin_fixture, load_fcidump,
                                load_spin_fcidump, read_fcidump, save_fcidump,
                                save_spin_fcidump)
@@ -147,6 +153,36 @@ def test_eig_matches_string_path(capsys, tmp_path, nelec, ms2):
     want = _string_path_energy(load_fcidump(path).to_spin_orbital(), nelec,
                                ms2)
     assert json.loads(out)["energy"] == pytest.approx(want, abs=1e-12)
+
+
+def _fresh_interpreter(*args):
+    """stdout of ``python args`` in a new process importing this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(duccvqe.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_eig_repeats_across_processes(tmp_path):
+    # above DENSE_SECTOR_LIMIT eigsh runs from a fixed start vector, so a
+    # new process gives the same bits
+    path = tmp_path / "system.fcidump"
+    save_fcidump(random_integral_set(np.random.default_rng([7, 6, 0]), 7),
+                 path, nelec=6)
+    assert sector_dimension(14, 6, 0) > DENSE_SECTOR_LIMIT
+    first, second = (_fresh_interpreter("-m", "duccvqe.cli", "eig",
+                                        "--integrals", str(path))
+                     for _ in range(2))
+    assert first == second
+    assert json.loads(first)["nelec"] == 6
+
+
+def test_eig_leaves_scipy_optimize_unloaded():
+    # only vqe.minimize imports scipy.optimize
+    out = _fresh_interpreter(
+        "-c", "import sys; from duccvqe.cli import main; "
+        "main(sys.argv[1:]); print('scipy.optimize' in sys.modules)",
+        "eig", "--fixture", "h2_ducc_0.8")
+    assert out.splitlines()[-1] == "False"
 
 
 def test_eig_of_spin_resolved_file_with_spin_flips(capsys, tmp_path):

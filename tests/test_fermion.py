@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import (FIXTURES, dense_operator, one_body_integrals,
                       random_fermion_operator, random_integral_set)
 from hypothesis import given, settings
@@ -15,10 +16,10 @@ from duccvqe import fermion
 from duccvqe.ansatz import enumerate_excitations
 from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
                              SectorError, SpaceError, build_hamiltonian,
-                             exact_ground_state, excitation_generator,
-                             excitation_matrix, hf_determinant, hf_energy,
-                             sector_determinants, sector_dimension,
-                             sector_hamiltonian)
+                             checked_sector_hamiltonian, exact_ground_state,
+                             excitation_generator, excitation_matrix,
+                             hf_determinant, hf_energy, sector_determinants,
+                             sector_dimension, sector_hamiltonian)
 from duccvqe.integrals import SpinIntegralSet, builtin_fixture
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
@@ -297,9 +298,10 @@ def test_build_hamiltonian_string_count(rng):
     assert len(h) == 1818
 
 
-def test_exact_ground_state_averages_as_the_sparse_sum(rng):
-    # in place where H and its transpose share a pattern, by sparse sums
-    # where an entry's mirror is missing; either way (H + H^T) / 2 exactly
+def test_exact_ground_state_averages_as_the_sparse_sum(monkeypatch, rng):
+    # the H exact_ground_state diagonalizes: in place where H and its
+    # transpose share a pattern, by sparse sums where an entry's mirror is
+    # missing; either way (H + H^T) / 2 exactly, dense or CSR
     h1 = np.diag([-1.0, -1.0, 0.5, 0.5])
     h1[2, 0] = 5e-11      # kept by the pruning, inside HERMITIAN_TOL
     cases = [(builtin_fixture(name).to_spin_orbital(), 2, 0)
@@ -307,13 +309,44 @@ def test_exact_ground_state_averages_as_the_sparse_sum(rng):
     cases += [(random_integral_set(rng, 4).to_spin_orbital(), 4, 0),
               (random_integral_set(rng, 5).to_spin_orbital(), 3, 1),
               (one_body_integrals(h1), 2, 0)]
-    for spin, n_electrons, ms2 in cases:
-        mat = sector_hamiltonian(spin, sector_determinants(
-            spin.n_spin_orbitals, n_electrons, ms2))
-        want = np.linalg.eigh(((mat + mat.T) / 2).toarray())[0][0]
-        assert exact_ground_state(spin, n_electrons, ms2)[0] == want
+    for limit, layout in ((fermion.DENSE_SECTOR_LIMIT, np.ndarray),
+                          (1, sp.csr_matrix)):
+        monkeypatch.setattr(fermion, "DENSE_SECTOR_LIMIT", limit)
+        for spin, n_electrons, ms2 in cases:
+            dets = sector_determinants(spin.n_spin_orbitals, n_electrons,
+                                       ms2)
+            mat = sector_hamiltonian(spin, dets)
+            got = checked_sector_hamiltonian(spin, dets)
+            assert isinstance(got, layout)
+            if sp.issparse(got):
+                got = got.toarray()
+            assert np.array_equal(got, ((mat + mat.T) / 2).toarray())
     # the last case has a missing mirror, so it took the sparse sums
     assert not np.array_equal(mat.indices, mat.T.tocsr().indices)
+
+
+# (orbitals, electrons, 2 Sz): 100, 300, 400, 735, 784 and 1225
+# determinants, on both sides of DENSE_SECTOR_LIMIT, and a sector of one
+GROUND_STATE_SECTORS = [(5, 4, 0), (6, 5, 1), (6, 6, 0), (7, 5, 1),
+                        (8, 4, 0), (7, 6, 0), (3, 6, 0)]
+
+
+@pytest.mark.parametrize("n_orbitals,n_electrons,ms2", GROUND_STATE_SECTORS)
+def test_exact_ground_state_is_the_lowest_eigenpair(n_orbitals, n_electrons,
+                                                    ms2):
+    spin = random_integral_set(np.random.default_rng(
+        [n_orbitals, n_electrons, ms2]), n_orbitals).to_spin_orbital()
+    dets = sector_determinants(2 * n_orbitals, n_electrons, ms2)
+    mat = sector_hamiltonian(spin, dets)
+    dense = ((mat + mat.T) / 2).toarray()
+    (e, v), (again, _) = (exact_ground_state(spin, n_electrons, ms2)
+                          for _ in range(2))
+    assert e == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(dense @ v - e * v) <= 1e-10
+    # bit for bit: above DENSE_SECTOR_LIMIT eigsh starts from a fixed
+    # vector, where ARPACK's own random start changes the last bits
+    assert again == e
 
 
 def test_non_hermitian_operator_rejected():
