@@ -144,22 +144,21 @@ def _denominators(eps_o, eps_v, occ, virt):
 
 
 def _cut(x, *modes):
-    """x[np.ix_(*modes)] as a contiguous array, by basic slices where every
-    mode list is an ascending run, as for an ``hf_determinant`` reference."""
+    """x[np.ix_(*modes)], a view by basic slices where every mode list is
+    an ascending run, as for an ``hf_determinant`` reference."""
     runs = [slice(m[0], m[0] + len(m)) for m in modes
             if len(m) and list(m) == list(range(m[0], m[0] + len(m)))]
-    if len(runs) < len(modes):
-        return x[np.ix_(*modes)]
-    return np.ascontiguousarray(x[tuple(runs)])
+    return x[tuple(runs)] if len(runs) == len(modes) else x[np.ix_(*modes)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _exchange_pairs(spin_ints, outer, inner):
-    """<pq||rs> = (pr|qs) - (ps|qr) for p, q in ``outer`` and r, s in
-    ``inner``, laid out [p, q, r, s], read from the chemists' h2 block
-    (pr|qs) alone."""
-    x = _cut(spin_ints.h2, outer, inner, outer, inner)
-    return x.transpose(0, 2, 1, 3) - x.transpose(0, 2, 3, 1)
+def _antisymmetrized(h2, p, q, r, s):
+    """<pq||rs> = (pr|qs) - (ps|qr) over the mode lists p, q, r and s, a
+    contiguous [p, q, r, s] array read from two blocks of the chemists' h2,
+    never the whole <pq||rs>."""
+    g = _cut(h2, p, r, q, s).transpose(0, 2, 1, 3).copy()
+    g -= _cut(h2, p, s, q, r).transpose(0, 2, 3, 1)
+    return g
 
 
 def mp2_amplitudes(spin_ints, ref):
@@ -167,7 +166,7 @@ def mp2_amplitudes(spin_ints, ref):
     occ, virt = reference_modes(spin_ints.n_spin_orbitals, ref)
     eps = np.diag(fock_matrix(spin_ints, ref))
     _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
-    g = _exchange_pairs(spin_ints, virt, occ)   # [a, b, i, j]
+    g = _antisymmetrized(spin_ints.h2, virt, virt, occ, occ)
     return ClusterAmplitudes(tuple(occ), tuple(virt),
                              np.zeros((len(virt), len(occ))),
                              _antisymmetric(g / e_abij))
@@ -208,11 +207,12 @@ def _tau(t1, t2, weight=1.0):
     return t2 + weight * (tt - tt.transpose(0, 1, 3, 2))
 
 
-def _blocks(x, occ, virt, keys):
+def _blocks(x, occ, virt, keys, cut=_cut):
     """Contiguous blocks of x over occupied ('o') and virtual ('v') modes,
-    by key: 'ov' is x[occ][:, virt]."""
+    by key: 'ov' is cut(x, occ, virt), x[occ][:, virt] by default."""
     modes = {"o": occ, "v": virt}
-    return {k: _cut(x, *(modes[c] for c in k)) for k in keys.split()}
+    return {k: np.ascontiguousarray(cut(x, *(modes[c] for c in k)))
+            for k in keys.split()}
 
 
 def correlation_energy(f, g, t1, t2):
@@ -223,7 +223,8 @@ def correlation_energy(f, g, t1, t2):
 
 def mp2_energy(spin_ints, t: ClusterAmplitudes):
     """Sum over canonical doubles, i < j and a < b, of t_ijab * <ij||ab>."""
-    g = _exchange_pairs(spin_ints, t.occupied, t.virtual)   # [i, j, a, b]
+    g = _antisymmetrized(spin_ints.h2, t.occupied, t.occupied, t.virtual,
+                         t.virtual)
     upper = _canonical(len(t.virtual), len(t.occupied))
     return float(np.sum(t.t2[upper] * g.transpose(2, 3, 0, 1)[upper]))
 
@@ -321,7 +322,7 @@ def ccsd_solve(spin_ints, ref):
     f = fock_matrix(spin_ints, ref)
     eps = np.diag(f)
     f = _blocks(f, occ, virt, F_BLOCKS)
-    g = _blocks(spin_ints.antisymmetrized(), occ, virt, G_BLOCKS)
+    g = _blocks(spin_ints.h2, occ, virt, G_BLOCKS, _antisymmetrized)
     e_ai, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
 
     t1 = np.zeros((len(virt), len(occ)))

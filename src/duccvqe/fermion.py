@@ -6,8 +6,10 @@ writes H in the canonical vacuum normal form, creation operators first, each
 group by ascending mode; normal ordering itself is a test oracle.
 
 Sector matrices are built on ``uint64`` determinants: H from the integrals
-(``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``) and the
-UCC generators (``excitation_matrix``). H as operator strings
+(``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``, dense
+below ``DENSE_SECTOR_LIMIT`` and CSR above) and the UCC generators as
+signed index maps (``excitation_matrix``). SciPy is imported only where a
+CSR matrix or a solver is made. H as operator strings
 (``build_hamiltonian``) is the Jordan-Wigner input and the test oracle.
 """
 
@@ -18,7 +20,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 PRUNE_THRESHOLD = 1e-12
 # largest |H - H^+| entry accepted as rounding in a Hermiticity check
@@ -313,46 +314,31 @@ def _connected(dets, rows, *modes):
     return np.where(dets[pos] == new, pos, -1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def sector_hamiltonian(spin_ints, dets):
-    """CSR matrix of H on ``dets``, straight from the integrals.
-
-    ``dets`` are determinants of one (N, Sz) sector in ascending order, as
-    from ``sector_determinants``. Entry (R, D) is <R|H|D> of the operator
-    of ``build_hamiltonian``, by the Slater-Condon rules (Szabo & Ostlund,
-    Modern Quantum Chemistry, section 2.3):
-
-    - D = R: shift + sum_i h_ii + sum_{i<j} <ij||ij>;
-    - D = R with a replaced by i: s (h_ai + sum_k <ak||ik>), k over the
-      occupied modes of R (<aa||ia> vanishes);
-    - D = R with a < b replaced by i < j: s <ab||ij>;
-
-    where s is the sign ``_string_sign`` gives a_a^+ a_i, or
-    a_a^+ a_b^+ a_j a_i, on D. Integrals are pruned as in
-    ``build_hamiltonian`` and terms summed in its term order; exact zeros
-    are left out. Only excitations that keep Sz are formed, for chunks of
-    rows with about ``CHUNK_EXCITATIONS`` of them, so that memory follows
-    the non-zero count.
-    """
+def _sector_entries(spin_ints, dets):
+    """The non-zero entries of H on the sorted ``dets``, one chunk of rows
+    at a time: (first row, row count, rows within the chunk, columns,
+    values); see ``sector_hamiltonian``. Callers iterate it under
+    ``np.errstate(over="ignore", invalid="ignore")``, so that an overflow
+    leaves inf or NaN for their finiteness checks."""
     m = spin_ints.n_spin_orbitals
     if m > 64:
         raise SectorError(f"{m} modes do not fit a 64-bit determinant")
     dets = np.asarray(dets, dtype=np.uint64)
     n = len(dets)
     if not n:
-        return sp.csr_matrix((0, 0))
+        return
     alphas = np.bitwise_count(dets & _ALPHA)
     if np.ptp(np.bitwise_count(dets)) or np.ptp(alphas):
         raise SectorError("determinants of more than one (N, Sz) sector")
     n_el = int(np.bitwise_count(dets[0]))
-    h1, g = _kept(spin_ints.h1), spin_ints.antisymmetrized()
-    coulomb = _kept(np.einsum("pqpq->pq", g))   # <pq||pq>
-    single = _kept(np.einsum("akik->aik", g))   # <ak||ik>
+    # <pq||rs> = (pr|qs) - (ps|qr), read off the chemists' h2
+    h1, h2 = _kept(spin_ints.h1), spin_ints.h2
+    coulomb = _kept(np.einsum("ppqq->pq", h2) - np.einsum("pqqp->pq", h2))
+    single = _kept(np.einsum("aikk->aik", h2) - np.einsum("akki->aik", h2))
     modes = np.arange(m, dtype=np.uint64)
     holes, particles = np.triu_indices(n_el, 1), np.triu_indices(m - n_el, 1)
     per_row = 1 + n_el * (m - n_el) + len(holes[0]) * len(particles[0])
     step = max(1, CHUNK_EXCITATIONS // per_row)
-    blocks = []
     for start in range(0, n, step):
         rows = dets[start:start + step]
         c = len(rows)
@@ -385,25 +371,54 @@ def sector_hamiltonian(spin_ints, dets):
         found = col2 >= 0
         r2, col2 = r2[found], col2[found]
         a, b, i, j = a[found], b[found], i[found], j[found]
-        val2 = _kept(g[a, b, i, j]) * _string_sign(dets[col2], a, b, j, i)
+        val2 = _kept(h2[a, i, b, j] - h2[a, j, b, i]) \
+            * _string_sign(dets[col2], a, b, j, i)
 
         row = np.concatenate([np.arange(c), r1, r2])
         col = np.concatenate([np.arange(start, start + c), col1, col2])
         val = np.concatenate([diag, val1, val2])
         kept = val != 0     # NaN is kept
-        blocks.append(sp.csr_matrix((val[kept], (row[kept], col[kept])),
-                                    shape=(c, n)))
-    return sp.vstack(blocks, format="csr")
+        yield start, c, row[kept], col[kept], val[kept]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def sector_hamiltonian(spin_ints, dets):
+    """CSR matrix of H on ``dets``, straight from the integrals.
+
+    ``dets`` are determinants of one (N, Sz) sector in ascending order, as
+    from ``sector_determinants``. Entry (R, D) is <R|H|D> of the operator
+    of ``build_hamiltonian``, by the Slater-Condon rules (Szabo & Ostlund,
+    Modern Quantum Chemistry, section 2.3):
+
+    - D = R: shift + sum_i h_ii + sum_{i<j} <ij||ij>;
+    - D = R with a replaced by i: s (h_ai + sum_k <ak||ik>), k over the
+      occupied modes of R (<aa||ia> vanishes);
+    - D = R with a < b replaced by i < j: s <ab||ij>;
+
+    where s is the sign ``_string_sign`` gives a_a^+ a_i, or
+    a_a^+ a_b^+ a_j a_i, on D. Each <pq||rs> is read off the chemists'
+    (pq|rs) as (pr|qs) - (ps|qr). Integrals are pruned as in
+    ``build_hamiltonian`` and terms summed in its term order; exact zeros
+    are left out. Only excitations that keep Sz are formed, for chunks of
+    rows with about ``CHUNK_EXCITATIONS`` of them, so that memory follows
+    the non-zero count.
+    """
+    import scipy.sparse as sp
+    blocks = [sp.csr_matrix((val, (row, col)), shape=(c, len(dets)))
+              for _, c, row, col, val in _sector_entries(spin_ints, dets)]
+    return sp.vstack(blocks, format="csr") if blocks \
+        else sp.csr_matrix((0, 0))
 
 
 def excitation_matrix(key, dets):
-    """CSR matrix of kappa = E - E^+, the operator of
-    ``excitation_generator(key)``, on the sorted determinants ``dets``.
+    """kappa = E - E^+, the operator of ``excitation_generator(key)``, on
+    the sorted determinants ``dets``, as (rows, cols, signs): kappa v is
+    the vector with signs * v[cols] at rows and zeros elsewhere.
 
     E acts on the determinants that hold every hole of the key, (i,) or
     (i, j), and none of its particles, (a,) or (a, b); -E^+ the other way
-    round. Targets outside ``dets`` are dropped, so each column holds at
-    most one non-zero. The modes of ``key`` are distinct.
+    round. Targets outside ``dets`` are dropped, so each row and each
+    column holds at most one non-zero. The modes of ``key`` are distinct.
     """
     dets = np.asarray(dets, dtype=np.uint64)
     holes, particles = np.asarray(key, dtype=np.uint64).reshape(2, -1)
@@ -416,8 +431,7 @@ def excitation_matrix(key, dets):
         row = _connected(dets, dets[col], *string)
         col, row = col[row >= 0], row[row >= 0]
         parts.append((row, col, sign * _string_sign(dets[col], *string)))
-    row, col, val = map(np.concatenate, zip(*parts))
-    return sp.csr_matrix((val, (row, col)), shape=(len(dets), len(dets)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _max_difference(a, b):
@@ -430,32 +444,41 @@ def _max_difference(a, b):
 
 @np.errstate(over="ignore", invalid="ignore")
 def checked_sector_hamiltonian(spin_ints, dets):
-    """(H + H^T) / 2 on the sorted determinants ``dets``, H from
-    ``sector_hamiltonian``: a dense array below ``DENSE_SECTOR_LIMIT``
-    determinants and CSR above.
+    """(H + H^T) / 2 on the sorted determinants ``dets``, H the matrix of
+    ``sector_hamiltonian``: a dense array, filled straight from the
+    entries, below ``DENSE_SECTOR_LIMIT`` determinants and CSR above.
 
     SectorError when H is not Hermitian in the sector to
     ``HERMITIAN_TOL``; NonFiniteError when an entry is inf or NaN.
     """
-    mat = sector_hamiltonian(spin_ints, dets)
-    # H is averaged with its one transposed copy; where the two share a
-    # pattern, as they do unless an entry's mirror is an exact zero, entry
-    # by entry and in place, without a third matrix
-    mat_t = mat.T.tocsr()
-    if (np.array_equal(mat.indptr, mat_t.indptr)
-            and np.array_equal(mat.indices, mat_t.indices)):
-        worst = _max_difference(mat.data, mat_t.data)
-        mat.data += mat_t.data
+    if len(dets) < DENSE_SECTOR_LIMIT:
+        mat = np.zeros((len(dets), len(dets)))
+        for start, _, row, col, val in _sector_entries(spin_ints, dets):
+            mat[start + row, col] = val
+        worst = np.abs(mat - mat.T).max(initial=0.0)
+        mat = (mat + mat.T) / 2
+        data = mat
     else:
-        worst = abs(mat - mat_t).max()
-        mat = mat + mat_t
-    del mat_t
+        mat = sector_hamiltonian(spin_ints, dets)
+        # H is averaged with its one transposed copy; where the two share
+        # a pattern, as they do unless an entry's mirror is an exact zero,
+        # entry by entry and in place, without a third matrix
+        mat_t = mat.T.tocsr()
+        if (np.array_equal(mat.indptr, mat_t.indptr)
+                and np.array_equal(mat.indices, mat_t.indices)):
+            worst = _max_difference(mat.data, mat_t.data)
+            mat.data += mat_t.data
+        else:
+            worst = abs(mat - mat_t).max()
+            mat = mat + mat_t
+        del mat_t
+        mat.data /= 2
+        data = mat.data
     if worst > HERMITIAN_TOL:
         raise SectorError("Hamiltonian is not Hermitian in the sector")
-    mat.data /= 2
-    if not np.isfinite(mat.data).all():
+    if not np.isfinite(data).all():
         raise NonFiniteError("sector matrix has an inf or NaN entry")
-    return mat.toarray() if len(dets) < DENSE_SECTOR_LIMIT else mat
+    return mat
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -476,7 +499,7 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
             f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
     mat = checked_sector_hamiltonian(spin_ints, dets)
     # SciPy's solvers are imported where they run, not with the package
-    if sp.issparse(mat):
+    if not isinstance(mat, np.ndarray):
         import scipy.sparse.linalg as spla
         # a random start: a unit vector can be orthogonal, by symmetry, to
         # the ground state

@@ -3,14 +3,20 @@
 Two-electron integrals are stored in Mulliken/chemists' order (ij|kl).
 Only the four permutations (ij|kl) = (ji|lk) = (kl|ij) = (lk|ji) are
 assumed; dressed integrals need not carry the full 8-fold real symmetry.
+A file (Knowles and Handy, Comput. Phys. Commun. 54, 75 (1989)) is parsed
+once into index and value arrays, checked on those, and scattered orbit
+member by member into dense tensors.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, count
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,52 +26,70 @@ DUPLICATE_TOL = 1e-12
 # Loading a file forms dense spin-orbital tensors of m^4 entries, and the
 # downfold holds several more: measured with BLAS on 1 thread on a 2-vCPU
 # VM, `ducc-vqe downfold --active 1,2,3` on a seeded 2-electron system
-# peaked at 545 MB in 2.1 s for 56 spin orbitals (H2/cc-pVTZ size) and at
-# 864 MB in 3.6 s for 64. The cap keeps one run within about 1 GB.
+# peaked at 490-493 MB in 1.2 s for 56 spin orbitals (H2/cc-pVTZ size) and
+# at 813 MB in 2.4-2.8 s for 64. The cap keeps one run within about 1 GB.
 SPIN_ORBITAL_CAP = 64
 
 FIXTURE_NAMES = ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0")
 
 DATA_DIR_ENV = "DUCC_VQE_DATA_DIR"
 
+# the index permutations onto the members of a one- or two-body orbit
+ORBITS = {2: ((0, 1), (1, 0)),
+          4: ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
+_MEMBERS = {k: [itemgetter(*p) for p in perms] for k, perms in ORBITS.items()}
+_DIGITS = str.maketrans("", "", "0123456789 ")
+
 
 class IntegralError(Exception):
     """Malformed integral file or inconsistent integral data."""
 
 
-def _set_once(table, key, value, kind):
-    """table[key] = value; an earlier value that differs is an error."""
-    old = table.get(key)
-    if old is not None and abs(old - value) > DUPLICATE_TOL:
-        raise IntegralError(
-            f"conflicting duplicate {kind} entry {key}: {old} vs {value}")
-    table[key] = value
+def _orbits(idx, values, n):
+    """For 0-based (rows, k) indices into an n^k array and their values, in
+    order: the flat index arrays of the rows' orbit members, the canonical
+    (least) ones, the rows last in their orbit by canonical index, and the
+    (row, earlier row) of the first value off the one before it in its
+    orbit by more than DUPLICATE_TOL, or None."""
+    place = n ** np.arange(idx.shape[1] - 1, -1, -1)
+    members = [idx[:, list(p)] @ place for p in ORBITS[idx.shape[1]]]
+    keys = np.minimum.reduce(members)
+    order = np.argsort(keys, kind="stable")
+    later, earlier = order[1:], order[:-1]
+    same = keys[later] == keys[earlier]
+    bad = same & (np.abs(values[later] - values[earlier]) > DUPLICATE_TOL)
+    last = order[np.append(~same, True)[:len(order)]]
+    hit = None
+    if bad.any():
+        first = np.argmin(later[bad])
+        hit = later[bad][first], earlier[bad][first]
+    return members, keys, last, hit
 
 
-def _canonical_h1(i, j):
-    return (i, j) if i <= j else (j, i)
+def _conflict(key, shape, old, value):
+    """The error of two values of the orbit of canonical flat index key."""
+    kind = "one-body" if len(shape) == 2 else "two-body"
+    key = tuple(int(p) + 1 for p in np.unravel_index(key, shape))
+    return IntegralError(f"conflicting duplicate {kind} entry {key}: "
+                         f"{float(old)} vs {float(value)}")
 
 
-def _h2_orbit(i, j, k, l):
-    return ((i, j, k, l), (j, i, l, k), (k, l, i, j), (l, k, j, i))
-
-
-def _canonical_h2(i, j, k, l):
-    return min(_h2_orbit(i, j, k, l))
-
-
-@dataclass
+@dataclass(eq=False)
 class IntegralSet:
-    """Spatial-orbital integrals in Hartree, 1-based indices.
-
-    Entries enter through ``set_h1`` and ``set_h2``, which key them by the
-    canonical member of their symmetry orbit.
-    """
+    """Spatial-orbital integrals in Hartree, dense and 0-based: h1[i, j],
+    h2[i, j, k, l] = (ij|kl). ``set_h1``/``set_h2`` take 1-based indices and
+    fill an orbit; ``given1``/``given2`` mark the canonical member of each
+    orbit given a value, the entries ``save_fcidump`` writes. Sets compare
+    by identity."""
 
     n_orbitals: int
-    h1: dict = field(default_factory=dict, init=False)
-    h2: dict = field(default_factory=dict, init=False)
     scalar_shift: float = 0.0
+
+    def __post_init__(self):
+        n = self.n_orbitals
+        self.h1, self.h2 = np.zeros((n, n)), np.zeros((n,) * 4)
+        self.given1 = np.zeros((n, n), dtype=bool)
+        self.given2 = np.zeros((n,) * 4, dtype=bool)
 
     def _check_range(self, *indices):
         for p in indices:
@@ -75,51 +99,42 @@ class IntegralSet:
 
     def get_h1(self, i, j):
         self._check_range(i, j)
-        return self.h1.get(_canonical_h1(i, j), 0.0)
+        return float(self.h1[i - 1, j - 1])
 
     def get_h2(self, i, j, k, l):
         self._check_range(i, j, k, l)
-        return self.h2.get(_canonical_h2(i, j, k, l), 0.0)
+        return float(self.h2[i - 1, j - 1, k - 1, l - 1])
+
+    def _set(self, x, given, idx, value):
+        """The orbit of the 1-based idx in x = value; an earlier value of
+        the orbit that differs is an error."""
+        self._check_range(*idx)
+        idx = [p - 1 for p in idx]
+        members = [member(idx) for member in _MEMBERS[len(idx)]]
+        key = min(members)
+        if given.item(key) and abs(x.item(key) - value) > DUPLICATE_TOL:
+            raise _conflict(np.ravel_multi_index(key, x.shape), x.shape,
+                            x.item(key), value)
+        for member in members:
+            x[member] = value
+        given[key] = True
 
     def set_h1(self, i, j, value):
-        self._check_range(i, j)
-        _set_once(self.h1, _canonical_h1(i, j), value, "one-body")
+        self._set(self.h1, self.given1, (i, j), value)
 
     def set_h2(self, i, j, k, l, value):
-        self._check_range(i, j, k, l)
-        _set_once(self.h2, _canonical_h2(i, j, k, l), value, "two-body")
-
-    def h1_matrix(self):
-        n = self.n_orbitals
-        m = np.zeros((n, n))
-        for (i, j), v in self.h1.items():
-            m[i - 1, j - 1] = v
-            m[j - 1, i - 1] = v
-        return m
-
-    def h2_tensor(self):
-        """Dense (ij|kl) tensor, 0-based."""
-        n = self.n_orbitals
-        t = np.zeros((n, n, n, n))
-        for (i, j, k, l), v in self.h2.items():
-            for (a, b, c, d) in _h2_orbit(i, j, k, l):
-                t[a - 1, b - 1, c - 1, d - 1] = v
-        return t
+        self._set(self.h2, self.given2, (i, j, k, l), value)
 
     def to_spin_orbital(self):
         """Expand to 2n interleaved spin orbitals (alpha even, beta odd)."""
-        n = self.n_orbitals
-        m = 2 * n
+        m = 2 * self.n_orbitals
         h1s = np.zeros((m, m))
-        h1 = self.h1_matrix()
-        h1s[0::2, 0::2] = h1
-        h1s[1::2, 1::2] = h1
-        h2 = self.h2_tensor()
+        h1s[0::2, 0::2] = h1s[1::2, 1::2] = self.h1
         h2s = np.zeros((m, m, m, m))
         # (pq|rs) nonzero only for spin(p)=spin(q) and spin(r)=spin(s)
         for sp in (0, 1):
             for sr in (0, 1):
-                h2s[sp::2, sp::2, sr::2, sr::2] = h2
+                h2s[sp::2, sp::2, sr::2, sr::2] = self.h2
         return SpinIntegralSet(m, h1s, h2s, self.scalar_shift)
 
 
@@ -153,37 +168,66 @@ def _parse_header(line):
     return fields
 
 
+def _check_line(path, lineno, line):
+    """IntegralError at path:lineno unless the body line ``line`` reads
+    'i j k l value', four integers and a finite number."""
+    if line.startswith("&"):
+        raise IntegralError(f"{path}:{lineno}: second header line")
+    parts = line.split()
+    if len(parts) != 5:
+        raise IntegralError(
+            f"{path}:{lineno}: expected 'i j k l value', got {line!r}")
+    try:
+        for p in parts[:4]:
+            int(p)
+        value = float(parts[4])
+    except ValueError as exc:
+        raise IntegralError(f"{path}:{lineno}: {exc}") from None
+    if not math.isfinite(value):
+        raise IntegralError(f"{path}:{lineno}: non-finite value {parts[4]!r}")
+
+
+def _indices(columns):
+    """Token lists as one int64 array. ASCII digits alone go through
+    NumPy's parser, which saturates past the int64 range; other integers
+    are clipped to |p| <= 2^62, past any orbital index either way."""
+    text = " ".join(map(" ".join, columns))
+    if text.strip() and not text.translate(_DIGITS):
+        return np.fromstring(text, np.int64, sep=" ")
+    return np.array([min(max(int(t), -1 << 62), 1 << 62)
+                     for t in text.split()], dtype=np.int64)
+
+
 def _read_lines(path):
-    header = None
-    body = []
+    """Parse a file once: (header fields, (lines, linenos, idx, values)) of
+    the stripped body lines but comments, blanks, '/' and '&END'. Lines are
+    split at once, a NUL token after each, and converted a column at a
+    time; if that fails, the first bad line is found."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line or line in ("/", "&END"):
-                continue
-            if line.startswith("&"):
-                if header is not None:
-                    raise IntegralError(f"{path}:{lineno}: second header line")
-                header = _parse_header(line)
-                continue
-            if header is None:
-                raise IntegralError(f"{path}:{lineno}: data before &FCI header")
-            parts = line.split()
-            if len(parts) != 5:
-                raise IntegralError(
-                    f"{path}:{lineno}: expected 'i j k l value', got {line!r}")
-            try:
-                i, j, k, l = (int(p) for p in parts[:4])
-                value = float(parts[4])
-            except ValueError as exc:
-                raise IntegralError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(value):
-                raise IntegralError(
-                    f"{path}:{lineno}: non-finite value {parts[4]!r}")
-            body.append((lineno, i, j, k, l, value))
-    if header is None:
+        lines = list(map(str.strip, re.sub("#.*", "", fh.read()).split("\n")))
+    kept = [k for k in compress(count(), lines)
+            if lines[k] not in ("/", "&END")]
+    if not kept:
         raise IntegralError(f"{path}: missing &FCI header")
-    return header, body
+    if not lines[kept[0]].startswith("&"):
+        raise IntegralError(f"{path}:{kept[0] + 1}: data before &FCI header")
+    header = _parse_header(lines[kept[0]])
+    lines, linenos = [lines[k] for k in kept[1:]], np.add(kept[1:], 1)
+    # a NUL in a line fails the conversions, so NUL tokens sit at every
+    # sixth place exactly when each line has five tokens
+    tokens = " \0 ".join(lines + [""]).split()
+    try:
+        if len(tokens) % 6 or tokens[5::6] != ["\0"] * len(lines):
+            raise ValueError
+        idx = _indices([tokens[c::6] for c in range(4)]).reshape(4, -1).T
+        values = np.fromiter(map(float, tokens[4::6]), float, len(lines))
+        if not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        for lineno, line in zip(linenos.tolist(), lines):
+            _check_line(path, lineno, line)
+        raise
+    return header, (lines, linenos, idx, values)
 
 
 def _header_int(header, key, path, default=None):
@@ -201,27 +245,56 @@ def _is_uhf(header):
     return header.get("UHF", "").upper().strip(".") in ("TRUE", "T")
 
 
-def _spatial(header, body, path, spin_per_orbital=2) -> IntegralSet:
-    """The body as an IntegralSet; each of the NORB orbitals of the header
-    stands for ``spin_per_orbital`` spin orbitals."""
+def _integrals(header, body, path):
+    """The body as an IntegralSet, or for a UHF=.TRUE. header, whose NORB
+    counts spin orbitals, as a SpinIntegralSet.
+
+    NORB is checked against SPIN_ORBITAL_CAP before any tensor is formed;
+    then comes the first line to have an index outside 1..NORB (any of an
+    h2 line, i or j of an h1 line 'i j 0 0', none of the scalar line
+    '0 0 0 0') or a value more than DUPLICATE_TOL from the one before it
+    in its orbit. An orbit, and the scalar, take their last line's value.
+    """
     n = _header_int(header, "NORB", path)
+    spins = 1 if _is_uhf(header) else 2
     if n < 1:
         raise IntegralError(f"{path}: NORB={n} is not positive")
-    if n * spin_per_orbital > SPIN_ORBITAL_CAP:
-        raise IntegralError(
-            f"{path}: NORB={n} gives {n * spin_per_orbital} spin orbitals, "
-            f"above the cap {SPIN_ORBITAL_CAP}")
+    if n * spins > SPIN_ORBITAL_CAP:
+        raise IntegralError(f"{path}: NORB={n} gives {n * spins} spin "
+                            f"orbitals, above the cap {SPIN_ORBITAL_CAP}")
+    lines, linenos, idx, values = body
+    scalar = ~idx.any(axis=1)
+    width = np.where(scalar, 0, np.where(idx[:, 2:].any(axis=1), 4, 2))
+    outside = ((idx < 1) | (idx > n)) & (np.arange(4) < width[:, None])
+    bad = np.flatnonzero(outside.any(axis=1))
+    stop = bad[0] if len(bad) else len(idx)
+    errors, fills = [], []
+    if len(bad):
+        p = next(p for p in map(int, lines[stop].split()[:width[stop]])
+                 if not 1 <= p <= n)
+        errors.append((stop, f"orbital index {p} outside 1..{n}"))
+    for k in (2, 4):
+        rows = np.flatnonzero(width[:stop] == k)
+        members, keys, last, hit = _orbits(idx[rows, :k] - 1, values[rows], n)
+        if hit is not None:
+            at, before = rows[hit[0]], rows[hit[1]]
+            errors.append((at, str(_conflict(keys[hit[0]], (n,) * k,
+                                             values[before], values[at]))))
+        fills.append(([m[last] for m in members], keys[last],
+                      values[rows[last]]))
+    if errors:
+        at, message = min(errors)
+        raise IntegralError(f"{path}:{linenos[at]}: {message}")
     ints = IntegralSet(n_orbitals=n)
-    for lineno, i, j, k, l, value in body:
-        try:
-            if i == j == k == l == 0:
-                ints.scalar_shift = value
-            elif k == 0 and l == 0:
-                ints.set_h1(i, j, value)
-            else:
-                ints.set_h2(i, j, k, l, value)
-        except IntegralError as exc:
-            raise IntegralError(f"{path}:{lineno}: {exc}") from None
+    if scalar.any():
+        ints.scalar_shift = float(values[np.flatnonzero(scalar)[-1]])
+    for x, given, (members, keys, v) in zip(
+            (ints.h1, ints.h2), (ints.given1, ints.given2), fills):
+        for m in members:
+            x.reshape(-1)[m] = v
+        given.reshape(-1)[keys] = True
+    if spins == 1:
+        return SpinIntegralSet(n, ints.h1, ints.h2, ints.scalar_shift)
     return ints
 
 
@@ -231,30 +304,7 @@ def load_fcidump(path) -> IntegralSet:
     if _is_uhf(header):
         raise IntegralError(
             f"{path}: spin-resolved file; use load_spin_fcidump")
-    return _spatial(header, body, path)
-
-
-def _write(ints: IntegralSet, path, fields):
-    """The FCIDUMP body of ``ints`` under a header of NORB and ``fields``."""
-    with open(path, "w") as fh:
-        fh.write(f"&FCI NORB={ints.n_orbitals} {fields}\n")
-        for (i, j, k, l), v in sorted(ints.h2.items()):
-            fh.write(f"{i} {j} {k} {l} {v:.16e}\n")
-        for (i, j), v in sorted(ints.h1.items()):
-            fh.write(f"{i} {j} 0 0 {v:.16e}\n")
-        if ints.scalar_shift:
-            fh.write(f"0 0 0 0 {ints.scalar_shift:.16e}\n")
-
-
-def save_fcidump(ints: IntegralSet, path, nelec, ms2=0):
-    _write(ints, path, f"NELEC={nelec} MS2={ms2}")
-
-
-def _spin(header, body, path) -> SpinIntegralSet:
-    """The spatial parse, with NORB counting spin orbitals."""
-    ints = _spatial(header, body, path, spin_per_orbital=1)
-    return SpinIntegralSet(ints.n_orbitals, ints.h1_matrix(), ints.h2_tensor(),
-                           ints.scalar_shift)
+    return _integrals(header, body, path)
 
 
 def load_spin_fcidump(path) -> SpinIntegralSet:
@@ -263,33 +313,7 @@ def load_spin_fcidump(path) -> SpinIntegralSet:
     if not _is_uhf(header):
         raise IntegralError(
             f"{path}: spatial-orbital file; use load_fcidump")
-    return _spin(header, body, path)
-
-
-def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0):
-    """Write a UHF=.TRUE. file of the integral orbits with an entry above
-    PRUNE_THRESHOLD, each once, with the value of its canonical member.
-
-    Before the file is opened: NonFiniteError when an integral or the
-    scalar is inf or NaN, IntegralError when two members of an orbit
-    differ by more than DUPLICATE_TOL.
-    """
-    if not (np.isfinite(spin_ints.h1).all() and np.isfinite(spin_ints.h2).all()
-            and math.isfinite(spin_ints.scalar_shift)):
-        raise NonFiniteError(
-            f"{path}: not written: an integral is inf or NaN")
-    ints = IntegralSet(spin_ints.n_spin_orbitals,
-                       scalar_shift=spin_ints.scalar_shift)
-    for x, orbit, put in ((spin_ints.h2, _h2_orbit(0, 1, 2, 3), ints.set_h2),
-                          (spin_ints.h1, ((0, 1), (1, 0)), ints.set_h1)):
-        kept = np.abs(x) > PRUNE_THRESHOLD
-        kept = np.logical_or.reduce([kept.transpose(axes) for axes in orbit])
-        # in reverse, so that an orbit's smallest index tuple, the canonical
-        # member, is set last and its value is the one written
-        for idx, v in reversed(list(zip(np.argwhere(kept).tolist(),
-                                        x[kept].tolist()))):
-            put(*(p + 1 for p in idx), v)
-    _write(ints, path, f"NELEC={nelec} MS2={ms2} UHF=.TRUE.")
+    return _integrals(header, body, path)
 
 
 def read_fcidump(path):
@@ -299,9 +323,60 @@ def read_fcidump(path):
     IntegralSet otherwise; NELEC and MS2 read 0 when the header lacks them.
     """
     header, body = _read_lines(path)
-    build = _spin if _is_uhf(header) else _spatial
-    return (build(header, body, path), _header_int(header, "NELEC", path, 0),
+    return (_integrals(header, body, path),
+            _header_int(header, "NELEC", path, 0),
             _header_int(header, "MS2", path, 0))
+
+
+def _write(path, fields, h1, keys1, h2, keys2, scalar):
+    """A file of the orbits whose canonical members sit at the ascending
+    flat indices keys2 of h2, then keys1 of h1, then a non-zero scalar."""
+    lines = [f"&FCI NORB={len(h1)} {fields}\n"]
+    for x, keys, fmt in ((h2, keys2, "{} {} {} {} {:.16e}\n"),
+                         (h1, keys1, "{} {} 0 0 {:.16e}\n")):
+        idx = np.column_stack(np.unravel_index(keys, x.shape)) + 1
+        lines += [fmt.format(*i, v)
+                  for i, v in zip(idx.tolist(), x.flat[keys].tolist())]
+    if scalar:
+        lines.append(f"0 0 0 0 {scalar:.16e}\n")
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def save_fcidump(ints: IntegralSet, path, nelec, ms2=0):
+    _write(path, f"NELEC={nelec} MS2={ms2}", ints.h1,
+           np.flatnonzero(ints.given1), ints.h2, np.flatnonzero(ints.given2),
+           ints.scalar_shift)
+
+
+def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0):
+    """Write a UHF=.TRUE. file of the integral orbits with an entry above
+    PRUNE_THRESHOLD, each once, with the value of its canonical member.
+
+    Before the file is opened: NonFiniteError when an integral or the
+    scalar is inf or NaN, IntegralError when two members of an orbit
+    differ by more than DUPLICATE_TOL, the first such pair in descending
+    index order (that of a fill entry by entry, canonical member last).
+    """
+    if not (np.isfinite(spin_ints.h1).all() and np.isfinite(spin_ints.h2).all()
+            and math.isfinite(spin_ints.scalar_shift)):
+        raise NonFiniteError(
+            f"{path}: not written: an integral is inf or NaN")
+    keys = {}
+    for x in (spin_ints.h2, spin_ints.h1):
+        kept = np.abs(x) > PRUNE_THRESHOLD
+        kept = np.logical_or.reduce([kept.transpose(p)
+                                     for p in ORBITS[x.ndim]])
+        flat = np.flatnonzero(kept)[::-1]
+        _, canonical, last, hit = _orbits(
+            np.column_stack(np.unravel_index(flat, x.shape)), x.flat[flat],
+            len(x))
+        if hit is not None:
+            raise _conflict(canonical[hit[0]], x.shape, x.flat[flat[hit[1]]],
+                            x.flat[flat[hit[0]]])
+        keys[x.ndim] = canonical[last]
+    _write(path, f"NELEC={nelec} MS2={ms2} UHF=.TRUE.", spin_ints.h1, keys[2],
+           spin_ints.h2, keys[4], spin_ints.scalar_shift)
 
 
 def fixture_path(name):

@@ -111,11 +111,12 @@ def objective(problem: VqeProblem, params) -> float:
                        f"{len(problem._generators)} excitation slots")
     v = np.zeros(problem._hamiltonian.shape[0])
     v[problem._reference] = 1.0
-    for theta, kappa in zip(params, problem._generators):
-        kv = kappa @ v
+    for theta, (rows, cols, signs) in zip(params, problem._generators):
+        kv, kkv = np.zeros_like(v), np.zeros_like(v)
+        kv[rows] = signs * v[cols]      # kappa v, kappa kv: gathers
+        kkv[rows] = signs * kv[cols]
         # 1 - cos(theta) as 2 sin^2(theta / 2), free of cancellation
-        v = v + math.sin(theta) * kv \
-            + 2.0 * math.sin(0.5 * theta) ** 2 * (kappa @ kv)
+        v = v + math.sin(theta) * kv + 2.0 * math.sin(0.5 * theta) ** 2 * kkv
     return float(v @ (problem._hamiltonian @ v))
 
 

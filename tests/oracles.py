@@ -28,11 +28,17 @@ Each is the plain form of a computation the package does another way:
 - the CCSD residuals and correlation energy term by term, each term of
   three or more factors contracted along a cached ``np.einsum_path``
   order, the oracle of ``amplitudes._residuals`` and
-  ``amplitudes.correlation_energy``.
+  ``amplitudes.correlation_energy``;
+- the FCIDUMP reader and writers on a dict of canonical orbit members,
+  one line at a time (``DictIntegralSet``, ``read_fcidump``,
+  ``save_fcidump``, ``save_spin_fcidump``), the oracles of the array
+  parse and the dense ``IntegralSet`` of ``duccvqe.integrals``.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -42,9 +48,12 @@ from duccvqe.amplitudes import (ClusterAmplitudes, _antisymmetric,
                                 _denominators)
 from duccvqe.ducc import (_active_block, _integral_set, _reference,
                           _sigma_ext)
-from duccvqe.fermion import (HERMITIAN_TOL, ActiveSpace, FermionOperator,
-                             NonFiniteError, excitation_generator)
-from duccvqe.integrals import SpinIntegralSet
+from duccvqe.fermion import (HERMITIAN_TOL, PRUNE_THRESHOLD, ActiveSpace,
+                             FermionOperator, NonFiniteError,
+                             excitation_generator)
+from duccvqe.integrals import (DUPLICATE_TOL, SPIN_ORBITAL_CAP, IntegralError,
+                               SpinIntegralSet, _header_int, _is_uhf,
+                               _parse_header)
 from duccvqe.mapping import PauliString, PauliSum, pauli_multiply
 from duccvqe.simulator import SimulatorError, StateVector
 
@@ -488,3 +497,186 @@ def _doubles_residual(t1, t2, f, g, o, v):
     r += 1.0 * einsum("jiab,an,bm,ei,fj->efmn", g[o, o, v, v],
                       t1, t1, t1, t1)
     return r
+
+
+# The dict-based FCIDUMP reader and writers: one dict entry per canonical
+# orbit member, one file line at a time. The oracles of the array parse,
+# the dense IntegralSet and the masked writers of ``duccvqe.integrals``.
+
+
+def _set_once(table, key, value, kind):
+    """table[key] = value; an earlier value that differs is an error."""
+    old = table.get(key)
+    if old is not None and abs(old - value) > DUPLICATE_TOL:
+        raise IntegralError(
+            f"conflicting duplicate {kind} entry {key}: {old} vs {value}")
+    table[key] = value
+
+
+def _canonical_h1(i, j):
+    return (i, j) if i <= j else (j, i)
+
+
+def _h2_orbit(i, j, k, l):
+    return ((i, j, k, l), (j, i, l, k), (k, l, i, j), (l, k, j, i))
+
+
+def _canonical_h2(i, j, k, l):
+    return min(_h2_orbit(i, j, k, l))
+
+
+@dataclass
+class DictIntegralSet:
+    """Spatial-orbital integrals keyed by the canonical member of their
+    symmetry orbit, 1-based."""
+
+    n_orbitals: int
+    h1: dict = field(default_factory=dict, init=False)
+    h2: dict = field(default_factory=dict, init=False)
+    scalar_shift: float = 0.0
+
+    def _check_range(self, *indices):
+        for p in indices:
+            if not 1 <= p <= self.n_orbitals:
+                raise IntegralError(
+                    f"orbital index {p} outside 1..{self.n_orbitals}")
+
+    def set_h1(self, i, j, value):
+        self._check_range(i, j)
+        _set_once(self.h1, _canonical_h1(i, j), value, "one-body")
+
+    def set_h2(self, i, j, k, l, value):
+        self._check_range(i, j, k, l)
+        _set_once(self.h2, _canonical_h2(i, j, k, l), value, "two-body")
+
+    def h1_matrix(self):
+        n = self.n_orbitals
+        m = np.zeros((n, n))
+        for (i, j), v in self.h1.items():
+            m[i - 1, j - 1] = v
+            m[j - 1, i - 1] = v
+        return m
+
+    def h2_tensor(self):
+        n = self.n_orbitals
+        t = np.zeros((n, n, n, n))
+        for (i, j, k, l), v in self.h2.items():
+            for (a, b, c, d) in _h2_orbit(i, j, k, l):
+                t[a - 1, b - 1, c - 1, d - 1] = v
+        return t
+
+    def to_spin_orbital(self):
+        n = self.n_orbitals
+        m = 2 * n
+        h1s = np.zeros((m, m))
+        h1s[0::2, 0::2] = h1s[1::2, 1::2] = self.h1_matrix()
+        h2 = self.h2_tensor()
+        h2s = np.zeros((m, m, m, m))
+        for sp_ in (0, 1):
+            for sr in (0, 1):
+                h2s[sp_::2, sp_::2, sr::2, sr::2] = h2
+        return SpinIntegralSet(m, h1s, h2s, self.scalar_shift)
+
+
+def read_lines(path):
+    """(header fields, [(lineno, i, j, k, l, value), ...]), line by line."""
+    header = None
+    body = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line or line in ("/", "&END"):
+                continue
+            if line.startswith("&"):
+                if header is not None:
+                    raise IntegralError(f"{path}:{lineno}: second header line")
+                header = _parse_header(line)
+                continue
+            if header is None:
+                raise IntegralError(
+                    f"{path}:{lineno}: data before &FCI header")
+            parts = line.split()
+            if len(parts) != 5:
+                raise IntegralError(
+                    f"{path}:{lineno}: expected 'i j k l value', got {line!r}")
+            try:
+                i, j, k, l = (int(p) for p in parts[:4])
+                value = float(parts[4])
+            except ValueError as exc:
+                raise IntegralError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(value):
+                raise IntegralError(
+                    f"{path}:{lineno}: non-finite value {parts[4]!r}")
+            body.append((lineno, i, j, k, l, value))
+    if header is None:
+        raise IntegralError(f"{path}: missing &FCI header")
+    return header, body
+
+
+def _dict_spatial(header, body, path, spin_per_orbital=2):
+    n = _header_int(header, "NORB", path)
+    if n < 1:
+        raise IntegralError(f"{path}: NORB={n} is not positive")
+    if n * spin_per_orbital > SPIN_ORBITAL_CAP:
+        raise IntegralError(
+            f"{path}: NORB={n} gives {n * spin_per_orbital} spin orbitals, "
+            f"above the cap {SPIN_ORBITAL_CAP}")
+    ints = DictIntegralSet(n_orbitals=n)
+    for lineno, i, j, k, l, value in body:
+        try:
+            if i == j == k == l == 0:
+                ints.scalar_shift = value
+            elif k == 0 and l == 0:
+                ints.set_h1(i, j, value)
+            else:
+                ints.set_h2(i, j, k, l, value)
+        except IntegralError as exc:
+            raise IntegralError(f"{path}:{lineno}: {exc}") from None
+    return ints
+
+
+def read_fcidump(path):
+    """(DictIntegralSet or SpinIntegralSet, nelec, ms2) of any file."""
+    header, body = read_lines(path)
+    if _is_uhf(header):
+        ints = _dict_spatial(header, body, path, spin_per_orbital=1)
+        ints = SpinIntegralSet(ints.n_orbitals, ints.h1_matrix(),
+                               ints.h2_tensor(), ints.scalar_shift)
+    else:
+        ints = _dict_spatial(header, body, path)
+    return (ints, _header_int(header, "NELEC", path, 0),
+            _header_int(header, "MS2", path, 0))
+
+
+def _write(ints: DictIntegralSet, path, fields):
+    with open(path, "w") as fh:
+        fh.write(f"&FCI NORB={ints.n_orbitals} {fields}\n")
+        for (i, j, k, l), v in sorted(ints.h2.items()):
+            fh.write(f"{i} {j} {k} {l} {v:.16e}\n")
+        for (i, j), v in sorted(ints.h1.items()):
+            fh.write(f"{i} {j} 0 0 {v:.16e}\n")
+        if ints.scalar_shift:
+            fh.write(f"0 0 0 0 {ints.scalar_shift:.16e}\n")
+
+
+def save_fcidump(ints: DictIntegralSet, path, nelec, ms2=0):
+    _write(ints, path, f"NELEC={nelec} MS2={ms2}")
+
+
+def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0):
+    """Every kept orbit member set entry by entry, in reverse index order,
+    so that the canonical member is set last and its value written."""
+    if not (np.isfinite(spin_ints.h1).all() and np.isfinite(spin_ints.h2).all()
+            and math.isfinite(spin_ints.scalar_shift)):
+        raise NonFiniteError(
+            f"{path}: not written: an integral is inf or NaN")
+    ints = DictIntegralSet(spin_ints.n_spin_orbitals,
+                           scalar_shift=spin_ints.scalar_shift)
+    for x, orbit, put in ((spin_ints.h2, _h2_orbit(0, 1, 2, 3), ints.set_h2),
+                          (spin_ints.h1, ((0, 1), (1, 0)), ints.set_h1)):
+        kept = np.abs(x) > PRUNE_THRESHOLD
+        kept = np.logical_or.reduce([kept.transpose(axes) for axes in orbit])
+        for idx, v in reversed(list(zip(np.argwhere(kept).tolist(),
+                                        x[kept].tolist()))):
+            put(*(p + 1 for p in idx), v)
+    _write(ints, path, f"NELEC={nelec} MS2={ms2} UHF=.TRUE.")

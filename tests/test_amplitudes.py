@@ -276,6 +276,26 @@ def test_blocks_are_the_fancy_index_cut(system):
 
 
 @pytest.mark.parametrize("system", [*SEEDED, *FIXTURE_NAMES, "asymmetric"])
+def test_antisymmetrized_blocks_are_cut_from_the_full_tensor(system, rng):
+    # ccsd_solve reads each <pq||rs> block off (pq|rs) by the single
+    # subtraction antisymmetrized() makes: the same bits, contiguous
+    if system == "asymmetric":
+        spin = SpinIntegralSet(6, np.zeros((6, 6)), rng.normal(size=(6,) * 4))
+        cases = [(spin, 0b000011), (spin, 0b100110)]
+    else:
+        cases = _references(system)
+    for spin, ref in cases:
+        occ, virt = reference_modes(spin.n_spin_orbitals, ref)
+        want = amplitudes._blocks(spin.antisymmetrized(), occ, virt,
+                                  amplitudes.G_BLOCKS)
+        got = amplitudes._blocks(spin.h2, occ, virt, amplitudes.G_BLOCKS,
+                                 amplitudes._antisymmetrized)
+        for key, block in got.items():
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, want[key])
+
+
+@pytest.mark.parametrize("system", [*SEEDED, *FIXTURE_NAMES, "asymmetric"])
 def test_mp2_matches_full_tensor_oracle(system, rng):
     if system == "asymmetric":
         # both forms are identities for any h2, symmetric or not

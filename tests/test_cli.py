@@ -185,6 +185,27 @@ def test_eig_leaves_scipy_optimize_unloaded():
     assert out.splitlines()[-1] == "False"
 
 
+def test_commands_without_a_solver_load_no_scipy(tmp_path):
+    # below DENSE_SECTOR_LIMIT no sector forms a CSR matrix, so only the
+    # eigensolvers and COBYLA import SciPy, where they run
+    script = ("import sys, duccvqe; from duccvqe.cli import main; "
+              "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+              "print(code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'))")
+    path = tmp_path / "h2.fcidump"
+    save_fcidump(builtin_fixture("h2_ducc_1.4008"), path, nelec=2)
+    for argv in ([], ["downfold", "--integrals", str(path), "--active", "1,2",
+                      "--out", str(tmp_path / "dressed.fcidump")],
+                 ["ccsd", "--integrals", str(path)],
+                 ["mp2", "--fixture", "h2_ducc_0.8", "--nelec", "2"],
+                 ["resources", "--orbitals", "4", "--electrons", "2",
+                  "--integrals", str(path)]):
+        out = _fresh_interpreter("-c", script, *argv)
+        assert out.splitlines()[-1] == "0 []", argv
+    out = _fresh_interpreter("-c", script, "eig", "--integrals", str(path))
+    assert "'scipy.linalg'" in out.splitlines()[-1]
+
+
 def test_eig_of_spin_resolved_file_with_spin_flips(capsys, tmp_path):
     spin = random_integral_set(np.random.default_rng(7), 3).to_spin_orbital()
     for p, q, value in ((0, 1, 0.05), (2, 5, -0.04), (3, 4, 0.03)):

@@ -202,10 +202,10 @@ def _spin_resolved_set(rng, n_orbitals):
     m = 2 * n_orbitals
     h1, h2 = np.zeros((m, m)), np.zeros((m,) * 4)
     for s in (0, 1):
-        h1[s::2, s::2] = random_integral_set(rng, n_orbitals).h1_matrix()
+        h1[s::2, s::2] = random_integral_set(rng, n_orbitals).h1
         for t in (0, 1):
             h2[s::2, s::2, t::2, t::2] = random_integral_set(
-                rng, n_orbitals).h2_tensor()
+                rng, n_orbitals).h2
     return SpinIntegralSet(m, h1, h2, float(rng.normal()))
 
 
@@ -235,7 +235,8 @@ SECTORS_6 = [sector_determinants(6, n, ms2)
 
 
 def _assert_same_csr(key, dets):
-    fast = excitation_matrix(key, dets)
+    rows, cols, signs = excitation_matrix(key, dets)
+    fast = sp.csr_matrix((signs, (rows, cols)), shape=(len(dets),) * 2)
     oracle = sector_matrix(excitation_generator(key, 6), dets)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fast, part), getattr(oracle, part))
@@ -373,6 +374,9 @@ def test_non_finite_sector_matrix_is_a_data_error():
     h1 = np.diag([1e308, 1e308])
     with pytest.raises(NonFiniteError):
         exact_ground_state(one_body_integrals(h1), 2, 0)
+    # the CSR build leaves the overflow as inf, without a RuntimeWarning
+    assert np.isinf(sector_hamiltonian(one_body_integrals(h1),
+                                       [0b11]).toarray()).all()
     h1[0, 0] = np.nan
     with pytest.raises(NonFiniteError):
         exact_ground_state(one_body_integrals(h1), 2, 0)

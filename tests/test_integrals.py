@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -143,8 +146,8 @@ def test_spatial_round_trip(tmp_path, rng):
     back = load_fcidump(path)
     assert back.n_orbitals == 3
     assert back.scalar_shift == pytest.approx(0.7, abs=1e-14)
-    np.testing.assert_allclose(back.h1_matrix(), ints.h1_matrix(), atol=1e-13)
-    np.testing.assert_allclose(back.h2_tensor(), ints.h2_tensor(), atol=1e-13)
+    np.testing.assert_allclose(back.h1, ints.h1, atol=1e-13)
+    np.testing.assert_allclose(back.h2, ints.h2, atol=1e-13)
 
 
 def test_spin_round_trip(tmp_path, rng):
@@ -242,8 +245,8 @@ def test_all_fixtures_load():
     for name in integrals.FIXTURE_NAMES:
         ints = builtin_fixture(name)
         assert ints.n_orbitals == 4
-        assert len(ints.h1) == 6          # upper triangle, all nonzero
-        assert len(ints.h2) == 41         # published canonical entries
+        assert np.count_nonzero(ints.given1) == 6  # upper triangle, nonzero
+        assert np.count_nonzero(ints.given2) == 41  # published canonical
 
 
 def test_fixture_dir_override(tmp_path, monkeypatch):
@@ -262,11 +265,11 @@ def test_spin_expansion_blocks(rng):
     from conftest import random_integral_set
     ints = random_integral_set(rng, 2)
     spin = ints.to_spin_orbital()
-    h2 = ints.h2_tensor()
+    h2 = ints.h2
     # same-spin blocks carry the spatial tensor; spin-off-diagonal vanish
     np.testing.assert_allclose(spin.h2[0::2, 0::2, 1::2, 1::2], h2)
     assert np.all(spin.h2[0::2, 1::2] == 0.0)
-    np.testing.assert_allclose(spin.h1[1::2, 1::2], ints.h1_matrix())
+    np.testing.assert_allclose(spin.h1[1::2, 1::2], ints.h1)
 
 
 @pytest.mark.parametrize("entry", ["h1", "h2", "scalar"])
@@ -323,3 +326,179 @@ def test_fcidump_fuzz(tmp_path_factory, flag, header, lines):
     assert code in (EXIT_OK, EXIT_DATA)
     if code == EXIT_OK:
         assert np.isfinite(json.loads(out.read_text())["energy"])
+
+
+# The array parse, the dense IntegralSet and the masked writers against the
+# dict-based reader and writers of tests/oracles.py: equal bit for bit and
+# byte for byte, errors included.
+
+_COMMENTED = {
+    # repeats of an orbit within DUPLICATE_TOL of the line before, the
+    # last past it from the first: the orbit takes the last value
+    "spatial": "# a two-orbital toy\n\n&FCI NORB=2 NELEC=2 MS2=0\n/\n"
+               "1 1 0 0 -1.0  # diagonal\n\n1 2 1 2 0.5\n"
+               " 2 1 2 1 0.5000000000008 \n1 2 1 2 0.5000000000016\n"
+               "1\t2 0 0 1e-3\n&END\n2 2 0 0 0.0\n0 0 0 0 0.25\n",
+    "spin": "&FCI NORB=4 NELEC=2 MS2=0 UHF=.TRUE.\n# alpha-beta flips\n"
+            "1 2 0 0 0.05\n2 1 0 0 0.0500000000005  # the same orbit\n/\n"
+            "1 2 4 3 0.02\n4 3 1 2 0.02\n3 3 1 1 -0.3\n0 0 0 0 -1.5\n&END\n",
+}
+
+
+def _bench_inputs():
+    """The benchmark's input module, benchmarks/inputs.py."""
+    path = Path(__file__).parents[1] / "benchmarks" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _seeded_sets(monkeypatch, cls):
+    """Seeded spatial sets of 2-6 orbitals built through ``cls``, by the
+    recipes of tests/conftest.py and benchmarks/inputs.py."""
+    from conftest import random_integral_set
+    inputs = _bench_inputs()
+    monkeypatch.setattr(integrals, "IntegralSet", cls)
+    monkeypatch.setattr(inputs, "IntegralSet", cls)
+    sets = []
+    for n in range(2, 7):
+        sets.append(random_integral_set(np.random.default_rng([11, n]), n))
+        sets[-1].scalar_shift = 0.5 * n
+        sets.append(inputs.random_integral_set(np.random.default_rng(n), n))
+    monkeypatch.undo()
+    return sets
+
+
+def _oracle_files(tmp_path, monkeypatch):
+    """Files both readers must read alike: the fixtures, the seeded sets
+    and their spin-resolved expansions, and files with comments, blank
+    lines, '/' and '&END'."""
+    paths = [fixture_path(name) for name in integrals.FIXTURE_NAMES]
+    for k, ints in enumerate(_seeded_sets(monkeypatch, IntegralSet)):
+        for layout, save in (("spatial", save_fcidump),
+                             ("spin", save_spin_fcidump)):
+            path = tmp_path / f"{layout}{k}.fcidump"
+            save(ints if layout == "spatial" else ints.to_spin_orbital(),
+                 path, nelec=2)
+            paths.append(path)
+    for layout, text in _COMMENTED.items():
+        path = tmp_path / f"commented_{layout}.fcidump"
+        path.write_text(text)
+        paths.append(path)
+    return paths
+
+
+def _outcome(read, path):
+    """(spin h1, spin h2, scalar, nelec, ms2) of ``read(path)``, the
+    spatial h1 and h2 added for a spatial file; or the IntegralError."""
+    try:
+        ints, nelec, ms2 = read(path)
+    except IntegralError as exc:
+        return str(exc)
+    out = []
+    if isinstance(ints, IntegralSet):
+        out = [ints.h1, ints.h2]
+    elif isinstance(ints, oracles.DictIntegralSet):
+        out = [ints.h1_matrix(), ints.h2_tensor()]
+    if out:
+        ints = ints.to_spin_orbital()
+    return [*out, ints.h1, ints.h2, ints.scalar_shift, nelec, ms2]
+
+
+def _assert_same_outcome(path):
+    got = _outcome(integrals.read_fcidump, path)
+    want = _outcome(oracles.read_fcidump, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)     # bit for bit: == on floats
+
+
+def test_loaded_integrals_are_the_dict_oracle(tmp_path, monkeypatch):
+    for path in _oracle_files(tmp_path, monkeypatch):
+        _assert_same_outcome(path)
+    # the canonical entries a file lists are the dict oracle's keys
+    got = integrals.read_fcidump(tmp_path / "commented_spatial.fcidump")[0]
+    want = oracles.read_fcidump(tmp_path / "commented_spatial.fcidump")[0]
+    assert [tuple(p + 1 for p in key) for key in np.argwhere(got.given1)] \
+        == sorted(want.h1)
+    assert [tuple(p + 1 for p in key) for key in np.argwhere(got.given2)] \
+        == sorted(want.h2)
+
+
+def test_written_files_are_the_dict_oracle(tmp_path, monkeypatch):
+    new_sets = _seeded_sets(monkeypatch, IntegralSet)
+    old_sets = _seeded_sets(monkeypatch, oracles.DictIntegralSet)
+    # the fixtures, and a file that lists a zero entry
+    commented = tmp_path / "commented.fcidump"
+    commented.write_text(_COMMENTED["spatial"])
+    paths = [fixture_path(name) for name in integrals.FIXTURE_NAMES]
+    new_sets += [load_fcidump(path) for path in [*paths, commented]]
+    old_sets += [oracles.read_fcidump(path)[0] for path in [*paths, commented]]
+    for new, old in zip(new_sets, old_sets):
+        for ints, save in ((new, save_fcidump),
+                           (old, oracles.save_fcidump),
+                           (new.to_spin_orbital(), save_spin_fcidump),
+                           (old.to_spin_orbital(), oracles.save_spin_fcidump)):
+            save(ints, tmp_path / f"{save.__module__}.{save.__name__}",
+                 nelec=2)
+        for name in ("save_fcidump", "save_spin_fcidump"):
+            assert (tmp_path / f"duccvqe.integrals.{name}").read_bytes() \
+                == (tmp_path / f"oracles.{name}").read_bytes()
+
+
+def _written(save, spin, path):
+    """The bytes ``save`` writes for ``spin``, or its error message."""
+    path.unlink(missing_ok=True)
+    try:
+        save(spin, path, nelec=1)
+    except (IntegralError, NonFiniteError) as exc:
+        assert not path.exists()
+        return str(exc)
+    return path.read_bytes()
+
+
+def test_spin_writer_is_the_dict_oracle_on_unsymmetric_tensors(tmp_path):
+    # orbit members equal, within DUPLICATE_TOL and past it, entries at or
+    # below PRUNE_THRESHOLD: the same file or the same error
+    rng = np.random.default_rng(5)
+    values = [0.0, 0.3, 0.3 + 1e-13, 0.3 + 1e-11, 1e-13, -0.2]
+    n_errors = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        h1 = rng.choice(values, size=(m, m))
+        h2 = rng.choice(values + [0.0] * 3, size=(m,) * 4)
+        if rng.random() < 0.5:
+            h1 = np.triu(h1) + np.triu(h1, 1).T
+            h2 = sum(h2.transpose(p) for p in integrals.ORBITS[4])
+        spin = integrals.SpinIntegralSet(m, h1, h2, rng.choice([0.0, -1.5]))
+        got, want = (_written(save, spin, tmp_path / name) for save, name in
+                     ((save_spin_fcidump, "new"),
+                      (oracles.save_spin_fcidump, "old")))
+        assert got == want
+        n_errors += isinstance(got, str)
+    assert 0 < n_errors < 300
+
+
+_LINE = st.tuples(*[st.integers(-1, 4)] * 4,
+                  st.sampled_from(["0.5", "0.5000000000001", "0.5000000001",
+                                   "-0.3", "0.0", "+1", "x", "1e400"]),
+                  st.sampled_from(["", " # c", "\t"])).map(
+    lambda f: " ".join(map(str, f[:5])) + f[5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(norb=st.integers(1, 4), flag=st.sampled_from(["", " UHF=.TRUE."]),
+       lines=st.lists(st.one_of(_LINE, _DATA, _HEADER,
+                                st.sampled_from(["", "/", "&END", "# c"])),
+                      max_size=12))
+@example(norb=2, flag="", lines=["1 1 0 0 1", "99999999999999999999 1 0 0 1"])
+@example(norb=2, flag="", lines=["1 2 1 2 0.5", "2 1 2 1 0.5000000001"])
+def test_parse_is_the_dict_oracle_on_any_file(tmp_path_factory, norb, flag,
+                                              lines):
+    path = tmp_path_factory.mktemp("fcidump") / "any.fcidump"
+    path.write_text("\n".join([f"&FCI NORB={norb} NELEC=2{flag}", *lines]))
+    _assert_same_outcome(path)

@@ -174,7 +174,9 @@ def test_generator_cubes_to_minus_itself():
     exc = enumerate_excitations(ActiveSpace.build(3, (1, 2)), 4)
     dets = sector_determinants(6, 4, 0)
     for key in exc.entries:
-        kappa = excitation_matrix(key, dets).toarray()
+        rows, cols, signs = excitation_matrix(key, dets)
+        kappa = np.zeros((len(dets), len(dets)))
+        kappa[rows, cols] = signs
         assert np.any(kappa)
         np.testing.assert_array_equal(kappa @ kappa @ kappa, -kappa)
 
