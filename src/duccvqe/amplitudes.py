@@ -18,6 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .fermion import fock_matrix, reference_modes
+from .integrals import SpinIntegralSet
 
 DENOMINATOR_FLOOR = 1e-8
 CCSD_TOL = 1e-8
@@ -143,22 +144,13 @@ def _denominators(eps_o, eps_v, occ, virt):
     return e_ai, e_abij
 
 
-def _cut(x, *modes):
-    """x[np.ix_(*modes)], a view by basic slices where every mode list is
-    an ascending run, as for an ``hf_determinant`` reference."""
+def _block(*modes):
+    """The index of the block x[np.ix_(*modes)]: basic slices, for a view,
+    where every mode list is an ascending run, as for an ``hf_determinant``
+    reference."""
     runs = [slice(m[0], m[0] + len(m)) for m in modes
             if len(m) and list(m) == list(range(m[0], m[0] + len(m)))]
-    return x[tuple(runs)] if len(runs) == len(modes) else x[np.ix_(*modes)]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _antisymmetrized(h2, p, q, r, s):
-    """<pq||rs> = (pr|qs) - (ps|qr) over the mode lists p, q, r and s, a
-    contiguous [p, q, r, s] array read from two blocks of the chemists' h2,
-    never the whole <pq||rs>."""
-    g = _cut(h2, p, r, q, s).transpose(0, 2, 1, 3).copy()
-    g -= _cut(h2, p, s, q, r).transpose(0, 2, 3, 1)
-    return g
+    return tuple(runs) if len(runs) == len(modes) else np.ix_(*modes)
 
 
 def mp2_amplitudes(spin_ints, ref):
@@ -166,7 +158,7 @@ def mp2_amplitudes(spin_ints, ref):
     occ, virt = reference_modes(spin_ints.n_spin_orbitals, ref)
     eps = np.diag(fock_matrix(spin_ints, ref))
     _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
-    g = _antisymmetrized(spin_ints.h2, virt, virt, occ, occ)
+    g = spin_ints.antisymmetrized(_block(virt, virt, occ, occ))
     return ClusterAmplitudes(tuple(occ), tuple(virt),
                              np.zeros((len(virt), len(occ))),
                              _antisymmetric(g / e_abij))
@@ -207,11 +199,11 @@ def _tau(t1, t2, weight=1.0):
     return t2 + weight * (tt - tt.transpose(0, 1, 3, 2))
 
 
-def _blocks(x, occ, virt, keys, cut=_cut):
+def _blocks(x, occ, virt, keys, read=np.ndarray.__getitem__):
     """Contiguous blocks of x over occupied ('o') and virtual ('v') modes,
-    by key: 'ov' is cut(x, occ, virt), x[occ][:, virt] by default."""
+    by key: 'ov' is read(x, index) for the index of x[occ][:, virt]."""
     modes = {"o": occ, "v": virt}
-    return {k: np.ascontiguousarray(cut(x, *(modes[c] for c in k)))
+    return {k: np.ascontiguousarray(read(x, _block(*(modes[c] for c in k))))
             for k in keys.split()}
 
 
@@ -223,8 +215,8 @@ def correlation_energy(f, g, t1, t2):
 
 def mp2_energy(spin_ints, t: ClusterAmplitudes):
     """Sum over canonical doubles, i < j and a < b, of t_ijab * <ij||ab>."""
-    g = _antisymmetrized(spin_ints.h2, t.occupied, t.occupied, t.virtual,
-                         t.virtual)
+    g = spin_ints.antisymmetrized(_block(t.occupied, t.occupied, t.virtual,
+                                         t.virtual))
     upper = _canonical(len(t.virtual), len(t.occupied))
     return float(np.sum(t.t2[upper] * g.transpose(2, 3, 0, 1)[upper]))
 
@@ -322,7 +314,8 @@ def ccsd_solve(spin_ints, ref):
     f = fock_matrix(spin_ints, ref)
     eps = np.diag(f)
     f = _blocks(f, occ, virt, F_BLOCKS)
-    g = _blocks(spin_ints.h2, occ, virt, G_BLOCKS, _antisymmetrized)
+    g = _blocks(spin_ints, occ, virt, G_BLOCKS,
+                SpinIntegralSet.antisymmetrized)
     e_ai, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
 
     t1 = np.zeros((len(virt), len(occ)))

@@ -331,10 +331,10 @@ def _sector_entries(spin_ints, dets):
     if np.ptp(np.bitwise_count(dets)) or np.ptp(alphas):
         raise SectorError("determinants of more than one (N, Sz) sector")
     n_el = int(np.bitwise_count(dets[0]))
-    # <pq||rs> = (pr|qs) - (ps|qr), read off the chemists' h2
-    h1, h2 = _kept(spin_ints.h1), spin_ints.h2
-    coulomb = _kept(np.einsum("ppqq->pq", h2) - np.einsum("pqqp->pq", h2))
-    single = _kept(np.einsum("aikk->aik", h2) - np.einsum("akki->aik", h2))
+    h1, g = _kept(spin_ints.h1), spin_ints.antisymmetrized
+    p, q, r = np.ogrid[:m, :m, :m]
+    coulomb = _kept(g((p, q, p, q))[..., 0])    # <pq||pq>
+    single = _kept(g((p, r, q, r)))     # <pr||qr> at [p, q, r]
     modes = np.arange(m, dtype=np.uint64)
     holes, particles = np.triu_indices(n_el, 1), np.triu_indices(m - n_el, 1)
     per_row = 1 + n_el * (m - n_el) + len(holes[0]) * len(particles[0])
@@ -371,8 +371,7 @@ def _sector_entries(spin_ints, dets):
         found = col2 >= 0
         r2, col2 = r2[found], col2[found]
         a, b, i, j = a[found], b[found], i[found], j[found]
-        val2 = _kept(h2[a, i, b, j] - h2[a, j, b, i]) \
-            * _string_sign(dets[col2], a, b, j, i)
+        val2 = _kept(g((a, b, i, j))) * _string_sign(dets[col2], a, b, j, i)
 
         row = np.concatenate([np.arange(c), r1, r2])
         col = np.concatenate([np.arange(start, start + c), col1, col2])
@@ -396,8 +395,8 @@ def sector_hamiltonian(spin_ints, dets):
     - D = R with a < b replaced by i < j: s <ab||ij>;
 
     where s is the sign ``_string_sign`` gives a_a^+ a_i, or
-    a_a^+ a_b^+ a_j a_i, on D. Each <pq||rs> is read off the chemists'
-    (pq|rs) as (pr|qs) - (ps|qr). Integrals are pruned as in
+    a_a^+ a_b^+ a_j a_i, on D. Each <pq||rs> is read entry by entry by
+    ``antisymmetrized``, never the whole tensor. Integrals are pruned as in
     ``build_hamiltonian`` and terms summed in its term order; exact zeros
     are left out. Only excitations that keep Sz are formed, for chunks of
     rows with about ``CHUNK_EXCITATIONS`` of them, so that memory follows

@@ -3,19 +3,17 @@
 Two-electron integrals are stored in Mulliken/chemists' order (ij|kl).
 Only the four permutations (ij|kl) = (ji|lk) = (kl|ij) = (lk|ji) are
 assumed; dressed integrals need not carry the full 8-fold real symmetry.
-A file (Knowles and Handy, Comput. Phys. Commun. 54, 75 (1989)) is parsed
-once into index and value arrays, checked on those, and scattered orbit
-member by member into dense tensors.
+A file (Knowles and Handy, Comput. Phys. Commun. 54, 75 (1989)) is read
+once, line by line, into index and value arrays, checked on those, and
+scattered orbit member by member into dense tensors.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress, count
 from operator import itemgetter
 
 import numpy as np
@@ -26,8 +24,8 @@ DUPLICATE_TOL = 1e-12
 # Loading a file forms dense spin-orbital tensors of m^4 entries, and the
 # downfold holds several more: measured with BLAS on 1 thread on a 2-vCPU
 # VM, `ducc-vqe downfold --active 1,2,3` on a seeded 2-electron system
-# peaked at 490-493 MB in 1.2 s for 56 spin orbitals (H2/cc-pVTZ size) and
-# at 813 MB in 2.4-2.8 s for 64. The cap keeps one run within about 1 GB.
+# peaked at 492-493 MB in 1.5-1.9 s for 56 spin orbitals (H2/cc-pVTZ size)
+# and at 813 MB in 3.0 s for 64. The cap keeps one run within about 1 GB.
 SPIN_ORBITAL_CAP = 64
 
 FIXTURE_NAMES = ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0")
@@ -38,7 +36,6 @@ DATA_DIR_ENV = "DUCC_VQE_DATA_DIR"
 ORBITS = {2: ((0, 1), (1, 0)),
           4: ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
 _MEMBERS = {k: [itemgetter(*p) for p in perms] for k, perms in ORBITS.items()}
-_DIGITS = str.maketrans("", "", "0123456789 ")
 
 
 class IntegralError(Exception):
@@ -148,13 +145,16 @@ class SpinIntegralSet:
     scalar_shift: float = 0.0
 
     @np.errstate(over="ignore", invalid="ignore")
-    def antisymmetrized(self):
-        """<pq||rs> = (pr|qs) - (ps|qr) in physicists' notation.
+    def antisymmetrized(self, index=...):
+        """<pq||rs> = (pr|qs) - (ps|qr) in physicists' notation, laid out
+        [p, q, r, s] and indexed by ``index`` as a NumPy array would be:
+        all of it by default, or a block, a diagonal or single entries,
+        read off two views of the chemists' h2 without forming the rest.
 
         An overflow leaves inf, for the operators built on it to report.
         """
         g = self.h2
-        return np.einsum("prqs->pqrs", g) - np.einsum("psqr->pqrs", g)
+        return g.transpose(0, 2, 1, 3)[index] - g.transpose(0, 2, 3, 1)[index]
 
 
 def _parse_header(line):
@@ -168,66 +168,46 @@ def _parse_header(line):
     return fields
 
 
-def _check_line(path, lineno, line):
-    """IntegralError at path:lineno unless the body line ``line`` reads
-    'i j k l value', four integers and a finite number."""
-    if line.startswith("&"):
-        raise IntegralError(f"{path}:{lineno}: second header line")
-    parts = line.split()
-    if len(parts) != 5:
-        raise IntegralError(
-            f"{path}:{lineno}: expected 'i j k l value', got {line!r}")
-    try:
-        for p in parts[:4]:
-            int(p)
-        value = float(parts[4])
-    except ValueError as exc:
-        raise IntegralError(f"{path}:{lineno}: {exc}") from None
-    if not math.isfinite(value):
-        raise IntegralError(f"{path}:{lineno}: non-finite value {parts[4]!r}")
-
-
-def _indices(columns):
-    """Token lists as one int64 array. ASCII digits alone go through
-    NumPy's parser, which saturates past the int64 range; other integers
-    are clipped to |p| <= 2^62, past any orbital index either way."""
-    text = " ".join(map(" ".join, columns))
-    if text.strip() and not text.translate(_DIGITS):
-        return np.fromstring(text, np.int64, sep=" ")
-    return np.array([min(max(int(t), -1 << 62), 1 << 62)
-                     for t in text.split()], dtype=np.int64)
-
-
 def _read_lines(path):
-    """Parse a file once: (header fields, (lines, linenos, idx, values)) of
-    the stripped body lines but comments, blanks, '/' and '&END'. Lines are
-    split at once, a NUL token after each, and converted a column at a
-    time; if that fails, the first bad line is found."""
+    """Parse a file once, a line at a time: (header fields, (linenos, idx,
+    values, flat)) of the body lines 'i j k l value', comments, blanks,
+    '/' and '&END' left out. ``idx`` is the (n, 4) index array, where an
+    integer of size 2^62 or more, outside any orbital range, reads -1;
+    ``flat`` holds the integers as read."""
+    header, linenos, flat, values = None, [], [], []
     with open(path) as fh:
-        lines = list(map(str.strip, re.sub("#.*", "", fh.read()).split("\n")))
-    kept = [k for k in compress(count(), lines)
-            if lines[k] not in ("/", "&END")]
-    if not kept:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line or line in ("/", "&END"):
+                continue
+            if line.startswith("&"):
+                if header is not None:
+                    raise IntegralError(f"{path}:{lineno}: second header line")
+                header = _parse_header(line)
+                continue
+            if header is None:
+                raise IntegralError(f"{path}:{lineno}: data before &FCI header")
+            parts = line.split()
+            if len(parts) != 5:
+                raise IntegralError(
+                    f"{path}:{lineno}: expected 'i j k l value', got {line!r}")
+            try:
+                flat.extend(map(int, parts[:4]))
+                value = float(parts[4])
+            except ValueError as exc:
+                raise IntegralError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(value):
+                raise IntegralError(
+                    f"{path}:{lineno}: non-finite value {parts[4]!r}")
+            linenos.append(lineno)
+            values.append(value)
+    if header is None:
         raise IntegralError(f"{path}: missing &FCI header")
-    if not lines[kept[0]].startswith("&"):
-        raise IntegralError(f"{path}:{kept[0] + 1}: data before &FCI header")
-    header = _parse_header(lines[kept[0]])
-    lines, linenos = [lines[k] for k in kept[1:]], np.add(kept[1:], 1)
-    # a NUL in a line fails the conversions, so NUL tokens sit at every
-    # sixth place exactly when each line has five tokens
-    tokens = " \0 ".join(lines + [""]).split()
     try:
-        if len(tokens) % 6 or tokens[5::6] != ["\0"] * len(lines):
-            raise ValueError
-        idx = _indices([tokens[c::6] for c in range(4)]).reshape(4, -1).T
-        values = np.fromiter(map(float, tokens[4::6]), float, len(lines))
-        if not np.isfinite(values).all():
-            raise ValueError
-    except ValueError:
-        for lineno, line in zip(linenos.tolist(), lines):
-            _check_line(path, lineno, line)
-        raise
-    return header, (lines, linenos, idx, values)
+        idx = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        idx = np.array([p if abs(p) < 1 << 62 else -1 for p in flat])
+    return header, (linenos, idx.reshape(-1, 4), np.array(values), flat)
 
 
 def _header_int(header, key, path, default=None):
@@ -262,7 +242,7 @@ def _integrals(header, body, path):
     if n * spins > SPIN_ORBITAL_CAP:
         raise IntegralError(f"{path}: NORB={n} gives {n * spins} spin "
                             f"orbitals, above the cap {SPIN_ORBITAL_CAP}")
-    lines, linenos, idx, values = body
+    linenos, idx, values, flat = body
     scalar = ~idx.any(axis=1)
     width = np.where(scalar, 0, np.where(idx[:, 2:].any(axis=1), 4, 2))
     outside = ((idx < 1) | (idx > n)) & (np.arange(4) < width[:, None])
@@ -270,7 +250,7 @@ def _integrals(header, body, path):
     stop = bad[0] if len(bad) else len(idx)
     errors, fills = [], []
     if len(bad):
-        p = next(p for p in map(int, lines[stop].split()[:width[stop]])
+        p = next(p for p in flat[4 * stop:4 * stop + width[stop]]
                  if not 1 <= p <= n)
         errors.append((stop, f"orbital index {p} outside 1..{n}"))
     for k in (2, 4):

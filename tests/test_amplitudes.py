@@ -288,8 +288,8 @@ def test_antisymmetrized_blocks_are_cut_from_the_full_tensor(system, rng):
         occ, virt = reference_modes(spin.n_spin_orbitals, ref)
         want = amplitudes._blocks(spin.antisymmetrized(), occ, virt,
                                   amplitudes.G_BLOCKS)
-        got = amplitudes._blocks(spin.h2, occ, virt, amplitudes.G_BLOCKS,
-                                 amplitudes._antisymmetrized)
+        got = amplitudes._blocks(spin, occ, virt, amplitudes.G_BLOCKS,
+                                 SpinIntegralSet.antisymmetrized)
         for key, block in got.items():
             assert block.flags.c_contiguous
             assert np.array_equal(block, want[key])

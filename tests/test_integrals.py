@@ -272,6 +272,22 @@ def test_spin_expansion_blocks(rng):
     np.testing.assert_allclose(spin.h1[1::2, 1::2], ints.h1)
 
 
+def test_antisymmetrized_reads_any_index_off_the_full_tensor(rng):
+    # h2 without any symmetry, so that a swapped index shows
+    m = 5
+    spin = integrals.SpinIntegralSet(m, np.zeros((m, m)),
+                                     rng.normal(size=(m,) * 4))
+    full = spin.antisymmetrized()
+    g = spin.h2
+    assert np.array_equal(full, np.einsum("prqs->pqrs", g)
+                          - np.einsum("psqr->pqrs", g))
+    p, q, r = np.ogrid[:m, :m, :m]
+    a, b = rng.integers(0, m, size=(2, 7))
+    for index in (np.s_[1:3, :2, 2:, 1:4], np.ix_([4, 0], [1], [3, 2], [0]),
+                  (p, q, p, q), (p, r, q, r), (a, b, b, a)):
+        assert np.array_equal(spin.antisymmetrized(index), full[index])
+
+
 @pytest.mark.parametrize("entry", ["h1", "h2", "scalar"])
 def test_non_finite_integrals_are_not_saved(tmp_path, entry):
     spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
