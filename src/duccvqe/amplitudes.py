@@ -17,8 +17,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .fermion import fock_matrix, reference_modes
-from .integrals import SpinIntegralSet
+from .fermion import DataError, fock_matrix, reference_modes
+from .integrals import SpinIntegralSet, data_lines
 
 DENOMINATOR_FLOOR = 1e-8
 CCSD_TOL = 1e-8
@@ -30,7 +30,7 @@ F_BLOCKS = "oo ov vo vv"
 G_BLOCKS = "oooo ooov oovo oovv ovoo ovov ovvo ovvv vovv vvoo vvvo vvvv"
 
 
-class DegenerateReferenceError(Exception):
+class DegenerateReferenceError(DataError):
     """A perturbative energy denominator fell below the floor."""
 
 
@@ -358,10 +358,7 @@ def load_amplitudes(path, occupied, virtual) -> ClusterAmplitudes:
     t = ClusterAmplitudes.empty(occupied, virtual)
     seen = set()
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(fh):
             try:
                 _load_line(t, line.split(), seen)
             except ValueError as exc:

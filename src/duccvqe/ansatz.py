@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .fermion import ActiveSpace, FermionOperator, excitation_generator
+from .fermion import (ActiveSpace, DataError, FermionOperator,
+                      excitation_generator)
+from .integrals import data_lines
 from .mapping import jordan_wigner
 
 RX_PLUS = math.pi / 2
@@ -21,7 +23,7 @@ RX_PLUS = math.pi / 2
 _GATE_ARITY = {"H": 1, "RX": 1, "RZ": 1, "CNOT": 2}
 
 
-class AnsatzError(Exception):
+class AnsatzError(DataError):
     """Inconsistent excitation/parameter/circuit data."""
 
 
@@ -168,10 +170,7 @@ class Circuit:
     def from_text(cls, n_qubits, n_params, text):
         """Parse ``to_text`` output; AnsatzError on the first bad line."""
         out = cls(n_qubits, n_params)
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(text.splitlines()):
             try:
                 out.add(_parse_gate_line(line))
             except (ValueError, AnsatzError) as exc:

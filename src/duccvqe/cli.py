@@ -8,6 +8,7 @@ files, inconsistent sectors), 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -18,12 +19,11 @@ from . import ansatz as ansatz_mod
 from . import ducc as ducc_mod
 from . import integrals as integrals_mod
 from . import vqe
-from .amplitudes import (ConvergenceError, DegenerateReferenceError,
-                         ccsd_solve, load_amplitudes, mp2_amplitudes,
-                         mp2_energy, save_amplitudes, top_amplitudes)
-from .fermion import (ActiveSpace, NonFiniteError, SectorError, SpaceError,
-                      exact_ground_state, hf_determinant, hf_energy,
-                      reference_modes)
+from .amplitudes import (ConvergenceError, ccsd_solve, load_amplitudes,
+                         mp2_amplitudes, mp2_energy, save_amplitudes,
+                         top_amplitudes)
+from .fermion import (ActiveSpace, DataError, exact_ground_state,
+                      hf_determinant, hf_energy, reference_modes)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,14 +33,6 @@ EXIT_CONVERGENCE = 4
 MP2_SCREEN_DEFAULT = 1e-5
 NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|-(inf|nan)",
                              re.IGNORECASE)
-
-DATA_ERRORS = (OSError, ValueError, integrals_mod.IntegralError, SpaceError,
-               SectorError, NonFiniteError, DegenerateReferenceError,
-               ansatz_mod.AnsatzError, vqe.VqeError)
-
-
-class _CliDataError(Exception):
-    pass
 
 
 def _load_spin(path, nelec=None, ms2=None, reference=False):
@@ -54,11 +46,11 @@ def _load_spin(path, nelec=None, ms2=None, reference=False):
     nelec = file_nelec if nelec is None else nelec
     ms2 = file_ms2 if ms2 is None else ms2
     if nelec < 1 or nelec > spin.n_spin_orbitals:
-        raise _CliDataError(f"bad electron count {nelec} for "
-                            f"{spin.n_spin_orbitals} spin orbitals")
+        raise DataError(f"bad electron count {nelec} for "
+                        f"{spin.n_spin_orbitals} spin orbitals")
     if reference and ms2 != nelec % 2:
-        raise _CliDataError(f"MS2={ms2}, but the reference determinant of "
-                            f"{nelec} electrons has MS2={nelec % 2}")
+        raise DataError(f"MS2={ms2}, but the reference determinant of "
+                        f"{nelec} electrons has MS2={nelec % 2}")
     return spin, nelec, ms2
 
 
@@ -79,16 +71,16 @@ def _emit(args, text):
 
 def cmd_resources(args):
     if args.orbitals < 1:
-        raise _CliDataError(f"--orbitals {args.orbitals} is below 1")
+        raise DataError(f"--orbitals {args.orbitals} is below 1")
     if args.electrons < 0:
-        raise _CliDataError(f"--electrons {args.electrons} is negative")
+        raise DataError(f"--electrons {args.electrons} is negative")
     # read only with --integrals, but checked without it too
     ansatz_mod.check_threshold(args.mp2_threshold)
     o, v = args.electrons // 2, args.orbitals - args.electrons // 2
     if args.electrons % 2:
-        raise _CliDataError("closed-shell resources need an even --electrons")
+        raise DataError("closed-shell resources need an even --electrons")
     if v < 0:
-        raise _CliDataError("--electrons exceeds capacity of --orbitals")
+        raise DataError("--electrons exceeds capacity of --orbitals")
     space = ActiveSpace.build(args.orbitals, tuple(range(1, o + 1)))
     exc = ansatz_mod.enumerate_excitations(space, args.electrons)
     report = ansatz_mod.resource_report(exc)
@@ -103,9 +95,9 @@ def cmd_resources(args):
     if args.integrals:
         spin, _, _ = _load_spin(args.integrals, args.electrons, reference=True)
         if spin.n_spin_orbitals != 2 * args.orbitals:
-            raise _CliDataError(f"{args.integrals} has "
-                                f"{spin.n_spin_orbitals // 2} orbitals, "
-                                f"--orbitals is {args.orbitals}")
+            raise DataError(f"{args.integrals} has "
+                            f"{spin.n_spin_orbitals // 2} orbitals, "
+                            f"--orbitals is {args.orbitals}")
         t_mp2 = mp2_amplitudes(spin, hf_determinant(args.electrons))
         screened = ansatz_mod.screen_excitations(exc, t_mp2,
                                                  args.mp2_threshold)
@@ -135,10 +127,12 @@ def _mp2(spin, ref):
 
 
 def cmd_amplitudes(args):
-    """mp2 and ccsd: args.solve(spin, ref) gives (amplitudes, E_corr)."""
+    """mp2 and ccsd: solve(spin, ref) gives (amplitudes, E_corr); the
+    solver is looked up here, so that a rebinding of ``ccsd_solve`` holds."""
     spin, nelec, _ = _load_input(args)
     ref = hf_determinant(nelec)
-    t, e_corr = args.solve(spin, ref)
+    solve = ccsd_solve if args.command == "ccsd" else _mp2
+    t, e_corr = solve(spin, ref)
     if args.amplitudes_out:
         save_amplitudes(t, args.amplitudes_out)
     e_hf = hf_energy(spin, ref)
@@ -153,8 +147,8 @@ def _parse_active(spec, n_orbitals, nelec):
     occupied = tuple(range(1, nelec // 2 + 1))
     missing = [p for p in occupied if p not in orbitals]
     if missing:
-        raise _CliDataError(f"--active must include occupied orbitals "
-                            f"{missing}")
+        raise DataError(f"--active must include occupied orbitals "
+                        f"{missing}")
     virtuals = tuple(p for p in orbitals if p not in occupied)
     return ActiveSpace.build(n_orbitals, occupied, virtuals)
 
@@ -162,7 +156,7 @@ def _parse_active(spec, n_orbitals, nelec):
 def cmd_downfold(args):
     spin, nelec, _ = _load_input(args)
     if nelec % 2:
-        raise _CliDataError("downfolding assumes a closed-shell reference")
+        raise DataError("downfolding assumes a closed-shell reference")
     space = _parse_active(args.active, spin.n_spin_orbitals // 2, nelec)
     ref = hf_determinant(nelec)
     if args.amplitudes:
@@ -197,7 +191,7 @@ def _vqe_run(spin, nelec, warm, screen_threshold=None,
 def cmd_vqe(args):
     spin, nelec, _ = _load_input(args)
     if nelec % 2:
-        raise _CliDataError("the UCCSD reference here is closed-shell")
+        raise DataError("the UCCSD reference here is closed-shell")
     result = _vqe_run(spin, nelec, args.warm_start, args.screen_threshold,
                       args.max_evaluations)
     _emit(args, result.to_json())
@@ -207,17 +201,14 @@ def cmd_vqe(args):
 def _read_manifest(path):
     rows = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in integrals_mod.data_lines(fh):
             parts = line.split()
             if len(parts) != 2 or "," in parts[0]:
-                raise _CliDataError(f"{path}:{lineno}: expected 'label "
-                                    "fixture-or-file', a label without ','")
+                raise DataError(f"{path}:{lineno}: expected 'label "
+                                "fixture-or-file', a label without ','")
             rows.append(tuple(parts))
     if not rows:
-        raise _CliDataError(f"{path}: empty manifest")
+        raise DataError(f"{path}: empty manifest")
     return rows
 
 
@@ -237,11 +228,11 @@ def cmd_pes(args):
     rows = _read_manifest(args.manifest)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or any(m not in ("eig", "vqe") for m in methods):
-        raise _CliDataError(f"--methods must name eig and/or vqe, "
-                            f"got {args.methods!r}")
+        raise DataError(f"--methods must name eig and/or vqe, "
+                        f"got {args.methods!r}")
     if args.reference is not None and args.reference not in methods:
-        raise _CliDataError(f"--reference {args.reference!r} is not among "
-                            f"--methods {args.methods!r}")
+        raise DataError(f"--reference {args.reference!r} is not among "
+                        f"--methods {args.methods!r}")
     energies = [_pes_point(src, methods, args.nelec, args.ms2)
                 for _, src in rows]
     header = ["label"] + [f"E_{m}" for m in methods]
@@ -269,7 +260,9 @@ def _add_input_flags(p):
     p.add_argument("--nelec", type=int, default=None)
 
 
+@functools.cache
 def build_parser():
+    """The ``ducc-vqe`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ducc-vqe",
         description="Downfolded-Hamiltonian construction and simulated VQE")
@@ -290,13 +283,13 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_eig)
 
-    for name, solve in (("mp2", _mp2), ("ccsd", ccsd_solve)):
+    for name in ("mp2", "ccsd"):
         p = sub.add_parser(name, help=f"{name.upper()} amplitudes + energies")
         _add_input_flags(p)
         p.add_argument("--amplitudes-out", metavar="FILE")
         p.add_argument("--top", type=int, default=5)
         p.add_argument("--out")
-        p.set_defaults(func=cmd_amplitudes, solve=solve)
+        p.set_defaults(func=cmd_amplitudes)
 
     p = sub.add_parser("vqe", help="simulated VQE on the UCCSD ansatz")
     _add_input_flags(p)
@@ -353,7 +346,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (_CliDataError, *DATA_ERRORS) as exc:
+    except (OSError, ValueError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

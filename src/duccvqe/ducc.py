@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import ClusterAmplitudes, contract
-from .fermion import (PRUNE_THRESHOLD, ActiveSpace, NonFiniteError,
-                      fock_matrix, hf_energy)
+from .fermion import (ActiveSpace, NonFiniteError, fock_matrix, hf_energy,
+                      negligible)
 from .integrals import SpinIntegralSet
 
 
@@ -38,7 +38,7 @@ def _sigma_ext(t: ClusterAmplitudes, space: ActiveSpace, m):
     """(0, X1, X2) of the anti-Hermitian sum t_k kappa_k over the external
     amplitudes, those with a virtual index outside the active space.
 
-    The external amplitudes below PRUNE_THRESHOLD are dropped as
+    The ``negligible`` external amplitudes are dropped as
     ``FermionOperator.prune`` drops them, NaN kept.
     """
     active = np.isin(t.virtual, space.active_virtual_spin)
@@ -46,7 +46,7 @@ def _sigma_ext(t: ClusterAmplitudes, space: ActiveSpace, m):
     ext2 = ~(active[:, None] & active)[:, :, None, None]
 
     def kept(x, ext):
-        return np.where(ext & ~(np.abs(x) <= PRUNE_THRESHOLD), x, 0.0)
+        return np.where(ext & ~negligible(x), x, 0.0)
 
     occ, virt = t.occupied, t.virtual
     t1, t2 = kept(t.t1, ext1), kept(t.t2, ext2)

@@ -15,13 +15,15 @@ CSR matrix or a solver is made. H as operator strings
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
+from itertools import combinations, compress
 from math import comb
 
 import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
+# modes a uint64 determinant or Pauli mask holds
+MAX_MODES = 64
 # largest |H - H^+| entry accepted as rounding in a Hermiticity check
 HERMITIAN_TOL = 1e-10
 # sectors of fewer determinants are dense arrays, of more CSR, for both
@@ -52,16 +54,27 @@ SECTOR_DIM_CAP = 25_000
 CHUNK_EXCITATIONS = 1 << 18
 
 
-class SpaceError(Exception):
+class DataError(Exception):
+    """Input data the pipeline cannot use; ``ducc-vqe`` exits 3 on it."""
+
+
+class SpaceError(DataError):
     """Inconsistent active-space partition."""
 
 
-class SectorError(Exception):
+class SectorError(DataError):
     """Empty or oversized particle-number/Sz sector."""
 
 
-class NonFiniteError(Exception):
+class NonFiniteError(DataError):
     """An operator coefficient overflowed to inf or NaN."""
+
+
+def negligible(x):
+    """|x| <= PRUNE_THRESHOLD, elementwise: the coefficients and integrals
+    that are dropped. False for NaN, and for a modulus past the float range,
+    which is inf (callers silence that overflow), so neither is dropped."""
+    return np.abs(x) <= PRUNE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -123,41 +136,58 @@ class ActiveSpace:
         return {g: c for c, g in enumerate(self.active_spin)}
 
 
-@dataclass
-class FermionOperator:
-    """Weighted sum of second-quantized operator strings."""
-
-    n_modes: int
-    terms: dict = field(default_factory=dict)
+class TermSum:
+    """Weighted sum kept as ``terms``, a dict from term to coefficient:
+    sums, scalar multiples and pruning. Subclasses are dataclasses of a
+    size field and ``terms``; results carry the size over."""
 
     @classmethod
-    def zero(cls, n_modes):
-        return cls(n_modes, {})
+    def zero(cls, size):
+        return cls(size, {})
 
-    @classmethod
-    def from_term(cls, n_modes, ops, coeff=1.0):
-        return cls(n_modes, {tuple(ops): coeff})
-
-    def add_term(self, ops, coeff):
-        key = tuple(ops)
+    def add_term(self, key, coeff):
         self.terms[key] = self.terms.get(key, 0.0) + coeff
 
     def __add__(self, other):
-        out = FermionOperator(self.n_modes, dict(self.terms))
-        for ops, c in other.terms.items():
-            out.add_term(ops, c)
+        out = replace(self, terms=dict(self.terms))
+        for key, c in other.terms.items():
+            out.add_term(key, c)
         return out
 
     def __sub__(self, other):
         return self + (other * -1.0)
 
     def __mul__(self, factor):
-        if isinstance(factor, FermionOperator):
+        if isinstance(factor, TermSum):
             return NotImplemented  # scalar factors only
-        return FermionOperator(
-            self.n_modes, {ops: c * factor for ops, c in self.terms.items()})
+        return replace(self, terms={key: c * factor
+                                    for key, c in self.terms.items()})
 
     __rmul__ = __mul__
+
+    @np.errstate(over="ignore")
+    def prune(self):
+        kept = ~negligible(np.array(list(self.terms.values())))
+        self.terms = dict(compress(self.terms.items(), kept))
+        return self
+
+    def __len__(self):
+        return len(self.terms)
+
+
+@dataclass
+class FermionOperator(TermSum):
+    """Weighted sum of second-quantized operator strings."""
+
+    n_modes: int
+    terms: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_term(cls, n_modes, ops, coeff=1.0):
+        return cls(n_modes, {tuple(ops): coeff})
+
+    def add_term(self, ops, coeff):
+        super().add_term(tuple(ops), coeff)
 
     def dagger(self):
         out = FermionOperator.zero(self.n_modes)
@@ -165,15 +195,6 @@ class FermionOperator:
             rev = tuple((mode, 1 - dag) for mode, dag in reversed(ops))
             out.add_term(rev, np.conjugate(c))
         return out
-
-    def prune(self):
-        # written so that a NaN coefficient is kept, never dropped
-        self.terms = {ops: c for ops, c in self.terms.items()
-                      if not abs(c) <= PRUNE_THRESHOLD}
-        return self
-
-    def __len__(self):
-        return len(self.terms)
 
 
 def excitation_generator(key, n_modes) -> FermionOperator:
@@ -203,13 +224,12 @@ def build_hamiltonian(spin_ints) -> FermionOperator:
     op = FermionOperator.zero(m)
     if spin_ints.scalar_shift:
         op.add_term((), spin_ints.scalar_shift)
-    # written as ~(|x| <= cut) so that a NaN entry is kept, never dropped
-    for p, q in np.argwhere(~(np.abs(spin_ints.h1) <= PRUNE_THRESHOLD)):
+    for p, q in np.argwhere(~negligible(spin_ints.h1)):
         op.add_term(((int(p), 1), (int(q), 0)), float(spin_ints.h1[p, q]))
     g = spin_ints.antisymmetrized()
     pair = np.triu(np.ones((m, m), dtype=bool), 1)
     kept = pair[:, :, None, None] & pair[None, None, :, :]
-    kept[kept] = ~(np.abs(g[kept]) <= PRUNE_THRESHOLD)
+    kept[kept] = ~negligible(g[kept])
     for (p, q, r, s), c in zip(np.argwhere(kept).tolist(), g[kept].tolist()):
         op.terms[((p, 1), (q, 1), (r, 0), (s, 0))] = -c
     return op
@@ -300,7 +320,7 @@ def _string_sign(dets, *modes):
 
 def _kept(x):
     """``x`` with the entries ``build_hamiltonian`` prunes set to zero."""
-    return np.where(np.abs(x) <= PRUNE_THRESHOLD, 0.0, x)
+    return np.where(negligible(x), 0.0, x)
 
 
 def _connected(dets, rows, *modes):
@@ -321,7 +341,7 @@ def _sector_entries(spin_ints, dets):
     ``np.errstate(over="ignore", invalid="ignore")``, so that an overflow
     leaves inf or NaN for their finiteness checks."""
     m = spin_ints.n_spin_orbitals
-    if m > 64:
+    if m > MAX_MODES:
         raise SectorError(f"{m} modes do not fit a 64-bit determinant")
     dets = np.asarray(dets, dtype=np.uint64)
     n = len(dets)

@@ -14,11 +14,10 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
-from operator import itemgetter
 
 import numpy as np
 
-from .fermion import PRUNE_THRESHOLD, NonFiniteError
+from .fermion import DataError, NonFiniteError, negligible
 
 DUPLICATE_TOL = 1e-12
 # Loading a file forms dense spin-orbital tensors of m^4 entries, and the
@@ -35,10 +34,9 @@ DATA_DIR_ENV = "DUCC_VQE_DATA_DIR"
 # the index permutations onto the members of a one- or two-body orbit
 ORBITS = {2: ((0, 1), (1, 0)),
           4: ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
-_MEMBERS = {k: [itemgetter(*p) for p in perms] for k, perms in ORBITS.items()}
 
 
-class IntegralError(Exception):
+class IntegralError(DataError):
     """Malformed integral file or inconsistent integral data."""
 
 
@@ -107,7 +105,7 @@ class IntegralSet:
         the orbit that differs is an error."""
         self._check_range(*idx)
         idx = [p - 1 for p in idx]
-        members = [member(idx) for member in _MEMBERS[len(idx)]]
+        members = [tuple(idx[k] for k in p) for p in ORBITS[len(idx)]]
         key = min(members)
         if given.item(key) and abs(x.item(key) - value) > DUPLICATE_TOL:
             raise _conflict(np.ravel_multi_index(key, x.shape), x.shape,
@@ -168,6 +166,15 @@ def _parse_header(line):
     return fields
 
 
+def data_lines(lines):
+    """(line number from 1, text) of each line that keeps some text once a
+    '#' comment and the blanks around it are cut off."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _read_lines(path):
     """Parse a file once, a line at a time: (header fields, (linenos, idx,
     values, flat)) of the body lines 'i j k l value', comments, blanks,
@@ -176,9 +183,8 @@ def _read_lines(path):
     ``flat`` holds the integers as read."""
     header, linenos, flat, values = None, [], [], []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line or line in ("/", "&END"):
+        for lineno, line in data_lines(fh):
+            if line in ("/", "&END"):
                 continue
             if line.startswith("&"):
                 if header is not None:
@@ -344,7 +350,7 @@ def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0):
             f"{path}: not written: an integral is inf or NaN")
     keys = {}
     for x in (spin_ints.h2, spin_ints.h1):
-        kept = np.abs(x) > PRUNE_THRESHOLD
+        kept = ~negligible(x)
         kept = np.logical_or.reduce([kept.transpose(p)
                                      for p in ORBITS[x.ndim]])
         flat = np.flatnonzero(kept)[::-1]

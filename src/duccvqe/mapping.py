@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fermion import HERMITIAN_TOL, PRUNE_THRESHOLD
+from .fermion import HERMITIAN_TOL, MAX_MODES, TermSum, negligible
 
 # powers of i, indexed by the exponent mod 4
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -82,15 +82,11 @@ def pauli_multiply(a: PauliString, b: PauliString):
 
 
 @dataclass
-class PauliSum:
+class PauliSum(TermSum):
     """Weighted sum of Pauli strings on n_qubits."""
 
     n_qubits: int
     terms: dict = field(default_factory=dict)
-
-    @classmethod
-    def zero(cls, n_qubits):
-        return cls(n_qubits, {})
 
     @classmethod
     def from_terms(cls, n_qubits, pairs):
@@ -99,38 +95,15 @@ class PauliSum:
             out.add_term(string, coeff)
         return out
 
-    def add_term(self, string, coeff):
-        self.terms[string] = self.terms.get(string, 0.0) + coeff
-
-    @np.errstate(over="ignore")
-    def prune(self):
-        # written so that a NaN coefficient is kept, never dropped, and
-        # one whose modulus passes the float range is inf and kept
-        self.terms = {s: c for s, c in self.terms.items()
-                      if not np.abs(c) <= PRUNE_THRESHOLD}
-        return self
-
-    def __add__(self, other):
-        out = PauliSum(self.n_qubits, dict(self.terms))
-        for s, c in other.terms.items():
-            out.add_term(s, c)
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
     def __mul__(self, factor):
-        if isinstance(factor, PauliSum):
-            out = PauliSum.zero(self.n_qubits)
-            for s1, c1 in self.terms.items():
-                for s2, c2 in factor.terms.items():
-                    phase, s = pauli_multiply(s1, s2)
-                    out.add_term(s, phase * c1 * c2)
-            return out
-        return PauliSum(self.n_qubits,
-                        {s: c * factor for s, c in self.terms.items()})
-
-    __rmul__ = __mul__
+        if not isinstance(factor, PauliSum):
+            return super().__mul__(factor)
+        out = PauliSum.zero(self.n_qubits)
+        for s1, c1 in self.terms.items():
+            for s2, c2 in factor.terms.items():
+                phase, s = pauli_multiply(s1, s2)
+                out.add_term(s, phase * c1 * c2)
+        return out
 
     def is_hermitian(self):
         return all(abs(c.imag if isinstance(c, complex) else 0.0)
@@ -153,9 +126,6 @@ class PauliSum:
         for s, c in self.terms.items():
             out += c * s.to_dense(self.n_qubits)
         return out
-
-    def __len__(self):
-        return len(self.terms)
 
 
 # Pauli products jordan_wigner forms at once: with BLAS on 1 thread on a
@@ -234,7 +204,7 @@ def jordan_wigner(op) -> PauliSum:
             idx = same[s0:s0 + step]
             ops = np.array([strings[i] for i in idx], np.int64)
             ops = ops.reshape(len(idx), length, 2)
-            if (ops[..., 0] >> 6).any():
+            if ((ops[..., 0] < 0) | (ops[..., 0] >= MAX_MODES)).any():
                 raise ValueError("modes outside 0..63 do not fit a 64-bit "
                                  "Pauli mask")
             pos = (start[idx, None] + np.arange(1 << length)).ravel()
@@ -250,7 +220,7 @@ def jordan_wigner(op) -> PauliSum:
     re = np.bincount(group, cs.real)[by_first]
     im = np.bincount(group, cs.imag)[by_first]
     with np.errstate(over="ignore"):    # pruned as PauliSum.prune prunes
-        kept = ~(np.hypot(re, im) <= PRUNE_THRESHOLD)
+        kept = ~negligible(np.hypot(re, im))
     first = first[by_first][kept]
     values = np.empty(len(first), complex)
     values.real, values.imag = re[kept], im[kept]

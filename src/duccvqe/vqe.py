@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import ExcitationList
-from .fermion import (checked_sector_hamiltonian, excitation_matrix,
-                      hf_determinant, sector_determinants)
+from .fermion import (DataError, checked_sector_hamiltonian,
+                      excitation_matrix, hf_determinant, sector_determinants)
 from .integrals import SpinIntegralSet
 
 RHOBEG = 0.1
@@ -33,7 +33,7 @@ MAX_EVALUATIONS = 100_000
 CHEMICAL_ACCURACY = 1.6e-3
 
 
-class VqeError(Exception):
+class VqeError(DataError):
     """Inconsistent problem definition."""
 
 

@@ -70,6 +70,11 @@ def test_odd_electrons_rejected():
         enumerate_excitations(_space(4, 2), 3)
 
 
+def test_more_electrons_than_spin_orbitals_rejected():
+    with pytest.raises(AnsatzError, match="6 electrons exceed 4 spin"):
+        enumerate_excitations(ActiveSpace.build(2, (1,)), 6)
+
+
 def test_generator_shapes():
     exc = enumerate_excitations(_space(3, 2), 2)
     zero = ucc_generator(exc, np.zeros(len(exc)))
@@ -202,6 +207,8 @@ def test_text_round_trip_and_validation():
         Circuit(2, 1, [Gate("RZ", (0,), slot=3)])
     with pytest.raises(AnsatzError, match="bad gate"):
         Circuit.from_text(2, 0, "FOO 1\n")
+    with pytest.raises(AnsatzError, match="line 3: .*non-finite angle"):
+        Circuit.from_text(2, 0, "H 0  # a comment\n\nRZ nan 1\n")
 
 
 def test_screen_excitations():

@@ -1,6 +1,9 @@
 import contextlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -14,11 +17,12 @@ from hypothesis import strategies as st
 from oracles import sector_matrix
 
 import duccvqe
+from duccvqe import amplitudes, cli
 from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
 from duccvqe.ducc import downfold
-from duccvqe.fermion import (DENSE_SECTOR_LIMIT, ActiveSpace,
+from duccvqe.fermion import (DENSE_SECTOR_LIMIT, ActiveSpace, DataError,
                              build_hamiltonian, hf_determinant,
                              sector_determinants, sector_dimension)
 from duccvqe.integrals import (FIXTURE_NAMES, builtin_fixture, load_fcidump,
@@ -248,6 +252,55 @@ def test_data_errors(capsys, tmp_path):
     assert code == EXIT_DATA
 
 
+def test_file_without_a_header_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "empty.fcidump"
+    path.write_text("# no header, no data\n\n")
+    code, out, err = run(capsys, "eig", "--integrals", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert err == f"error: {path}: missing &FCI header\n"
+
+
+# raised by code the CLI never reaches, or caught inside the package;
+# ConvergenceError is exit 4
+NOT_DATA_ERRORS = {"ConvergenceError", "SimulatorError", "_BudgetSpent"}
+
+
+def test_every_package_error_is_a_data_error():
+    # an error class outside DataError would leave ducc-vqe as a traceback
+    found = set()
+    for info in pkgutil.iter_modules(duccvqe.__path__, "duccvqe."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if (issubclass(cls, BaseException) and cls is not DataError
+                    and cls.__module__ == module.__name__):
+                found.add(name)
+                assert issubclass(cls, DataError) \
+                    == (name not in NOT_DATA_ERRORS), name
+    assert NOT_DATA_ERRORS < found
+
+
+def test_parser_built_once_and_ccsd_looked_up_per_command(capsys,
+                                                          monkeypatch):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "eig", "--fixture", "h2_ducc_0.8")[0] == EXIT_OK
+    assert run(capsys, "mp2", "--fixture", "h2_ducc_0.8")[0] == EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    refs = []
+    monkeypatch.setattr(cli, "ccsd_solve",
+                        lambda spin, ref: refs.append(ref)
+                        or ccsd_solve(spin, ref))
+    assert run(capsys, "ccsd", "--fixture", "h2_ducc_0.8")[0] == EXIT_OK
+    assert refs == [hf_determinant(2)]
+
+
+def test_ccsd_non_convergence_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(amplitudes, "CCSD_MAX_ITER", 1)
+    code, out, err = run(capsys, "ccsd", "--fixture", "h2_ducc_0.8")
+    assert code == EXIT_CONVERGENCE and out == ""
+    assert err.startswith("error: CCSD not converged after 1 iterations")
+
+
 def test_mp2_and_ccsd_pipeline(capsys, tmp_path):
     amp_path = tmp_path / "t.amps"
     code, out, _ = run(capsys, "ccsd", "--fixture", "h2_ducc_10.0",
@@ -294,6 +347,19 @@ def test_vqe_evaluation_budget_honoured(capsys):
                        "--max-evaluations", "0")
     assert code == EXIT_DATA
     assert "budget" in err
+
+
+def test_vqe_without_parameters_is_one_evaluation(capsys, tmp_path):
+    # 1 orbital, 2 electrons: no excitations, the HF state is exact
+    path = tmp_path / "one.fcidump"
+    path.write_text("&FCI NORB=1 NELEC=2 MS2=0\n1 1 1 1 0.6\n"
+                    "1 1 0 0 -1.2\n0 0 0 0 0.3\n")
+    code, out, _ = run(capsys, "vqe", "--integrals", str(path))
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert blob["params"] == [] and blob["n_evaluations"] == 1
+    code, out, _ = run(capsys, "eig", "--integrals", str(path))
+    assert code == EXIT_OK and blob["energy"] == json.loads(out)["energy"]
 
 
 def test_downfold_identity_and_reduced(capsys, tmp_path):
@@ -434,6 +500,18 @@ def test_pes_manifest(capsys, tmp_path):
         energies["10.0"] - min(energies.values()), abs=1e-9)
 
 
+def test_pes_vqe_column_matches_eig(capsys, tmp_path):
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("a h2_ducc_0.8\nb h2_ducc_1.4008\n")
+    code, out, _ = run(capsys, "pes", "--manifest", str(manifest),
+                       "--methods", "eig,vqe", "--reference", "eig")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines[0] == "label,E_eig,E_vqe,err_eig,err_vqe"
+    for line in lines[1:]:
+        assert abs(float(line.split(",")[-1])) < 1e-9
+
+
 def test_pes_single_point(capsys, tmp_path):
     manifest = tmp_path / "one.manifest"
     manifest.write_text("1.4008 h2_ducc_1.4008\n")
@@ -461,6 +539,16 @@ def test_pes_reference_outside_methods_rejected(capsys, tmp_path, reference):
                          "--methods", "eig", "--reference", reference)
     assert code == EXIT_DATA
     assert f"--reference {reference!r}" in err and out == ""
+
+
+def test_non_finite_amplitude_line_is_a_data_error(capsys, tmp_path):
+    amps, out = tmp_path / "bad.amps", tmp_path / "dressed.fcidump"
+    amps.write_text("# singles\nT1 0 2 nan\n")
+    code, stdout, err = run(capsys, "downfold", "--fixture", "h2_ducc_0.8",
+                            "--active", "1,2", "--amplitudes", str(amps),
+                            "--out", str(out))
+    assert code == EXIT_DATA and stdout == "" and not out.exists()
+    assert err == f"error: {amps}:2: non-finite amplitude: 'T1 0 2 nan'\n"
 
 
 def test_pes_bad_manifest(capsys, tmp_path):

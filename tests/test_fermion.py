@@ -369,6 +369,13 @@ def test_sector_cap_checked_before_enumerating():
         exact_ground_state(one_body_integrals(np.zeros((20, 20))), 10, 0)
 
 
+def test_modes_past_a_64_bit_determinant_rejected():
+    # the mode count is checked before an integral is read
+    past = SpinIntegralSet(fermion.MAX_MODES + 1, None, None)
+    with pytest.raises(SectorError, match="65 modes do not fit"):
+        sector_hamiltonian(past, [3])
+
+
 def test_non_finite_sector_matrix_is_a_data_error():
     # two occupied one-body energies sum past the float range
     h1 = np.diag([1e308, 1e308])

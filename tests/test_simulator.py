@@ -113,6 +113,11 @@ def test_slot_mismatch_rejected():
         apply(circ, [], prepare_reference(2, set()))
 
 
+def test_register_mismatch_rejected():
+    with pytest.raises(SimulatorError, match="3-qubit circuit on 2-qubit"):
+        apply(Circuit(3, 0, [Gate("H", (2,))]), [], prepare_reference(2, ()))
+
+
 def test_expectation_basics():
     st = prepare_reference(3, {0})
     ident = PauliSum.from_terms(3, [(PauliString(), 2.5)])
