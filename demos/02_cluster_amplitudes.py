@@ -33,7 +33,7 @@ for label, value in top_amplitudes(t_ccsd, 5):
 # threshold and keeps every single; at a stretched geometry most of the
 # amplitude weight sits in a few slots.
 exc = enumerate_excitations(
-    ActiveSpace.build(spin.n_spin_orbitals // 2, (1,)), 2)
+    ActiveSpace.build(spin.n_spin_orbitals // 2, (1,)))
 for thr in (1e-5, 1e-2, 1e-1):
     kept = screen_excitations(exc, t_ccsd, thr)
     n = np.count_nonzero(warm_start(t_ccsd, kept))

@@ -31,13 +31,13 @@ hf_state = prepare_reference(8, occupied=(0, 1))
 print(f"<HF| H |HF> = {expectation(hp, hf_state):+.10f}")
 
 # The exact ground state comes back in the (N=2, ms=0) sector basis;
-# scatter it onto the full 2^8 register to evaluate the qubit Hamiltonian.
+# scatter it onto a full 2^8 amplitude array, the state form of the
+# simulator, to evaluate the qubit Hamiltonian.
 e_fci, ground = exact_ground_state(spin, 2, 0)
 from duccvqe.fermion import sector_determinants
-from duccvqe.simulator import StateVector
 full = np.zeros(2 ** 8, dtype=complex)
 full[sector_determinants(8, 2, 0)] = ground
-print(f"<FCI| H |FCI> = {expectation(hp, StateVector(8, full)):+.10f}"
+print(f"<FCI| H |FCI> = {expectation(hp, full):+.10f}"
       f"  (exact: {e_fci:+.10f})")
 
 # Weight histogram: how many qubits each Pauli term touches.

@@ -21,7 +21,7 @@ CASES = [(4, 2), (6, 2), (8, 2), (10, 2), (8, 6), (10, 6), (12, 6), (14, 6)]
 print("orbitals electrons qubits excitations   gates    depth")
 for n_orb, n_elec in CASES:
     space = ActiveSpace.build(n_orb, tuple(range(1, n_elec // 2 + 1)))
-    exc = enumerate_excitations(space, n_elec)
+    exc = enumerate_excitations(space)
     rep = resource_report(exc)
     print(f"{n_orb:>8} {n_elec:>9} {rep.n_qubits:>6} {rep.n_excitations:>11} "
           f"{rep.gate_count:>7} {rep.depth:>8}")
@@ -29,7 +29,7 @@ for n_orb, n_elec in CASES:
 # Small circuits can be materialized and serialized to a line-oriented text
 # format (H / RX / CNOT / slot-parameterized RZ), and parsed back.
 space = ActiveSpace.build(2, (1,))
-circ = trotter_circuit(enumerate_excitations(space, 2))
+circ = trotter_circuit(enumerate_excitations(space))
 print(f"\n(2 orbitals, 2 electrons): {len(circ.gates)} gates, "
       f"depth {circ.depth()}, {circ.n_params} parameters")
 text = circ.to_text()

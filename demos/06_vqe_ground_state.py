@@ -1,11 +1,12 @@
 """Simulated VQE: optimize the UCCSD ansatz against exact diagonalization.
 
 The objective is the energy of the Trotterized UCCSD state prepared from
-the Hartree-Fock reference. Each excitation's factor exp(theta kappa) is
-applied in the (N, Sz) determinant sector, which gives the same state as
-the circuit on the full qubit register at a fraction of the cost. COBYLA
-(derivative-free) minimizes it; an MP2 warm start seeds the doubles
-parameters.
+the Hartree-Fock reference. Each excitation's factor exp(theta kappa),
+kappa = E - E^+, is applied in the (N, Sz) determinant sector as a
+rotation of the determinant pairs that E connects, which gives the same
+state as the circuit on the full qubit register at a fraction of the
+cost. COBYLA (derivative-free) minimizes it; an MP2 warm start seeds the
+doubles parameters.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from duccvqe.vqe import CHEMICAL_ACCURACY, VqeProblem
 
 spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
 space = ActiveSpace.build(4, (1,))
-exc = enumerate_excitations(space, 2)
+exc = enumerate_excitations(space)
 e_exact, _ = exact_ground_state(spin, 2, 0)
 
 for label, x0 in (

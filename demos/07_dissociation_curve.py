@@ -18,7 +18,7 @@ GEOMETRIES = [("0.8", "h2_ducc_0.8"), ("1.4008", "h2_ducc_1.4008"),
               ("4.0", "h2_ducc_4.0"), ("10.0", "h2_ducc_10.0")]
 
 space = ActiveSpace.build(4, (1,))
-exc = enumerate_excitations(space, 2)
+exc = enumerate_excitations(space)
 
 rows = []
 print("r (bohr)   E_eig          E_vqe          |E_vqe - E_eig|")

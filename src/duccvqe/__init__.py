@@ -18,7 +18,7 @@ from .integrals import (IntegralSet, SpinIntegralSet, builtin_fixture,
                         load_fcidump, load_spin_fcidump, save_fcidump,
                         save_spin_fcidump)
 from .mapping import PauliString, PauliSum, jordan_wigner
-from .simulator import StateVector, apply, expectation, prepare_reference
+from .simulator import apply, expectation, prepare_reference
 from .vqe import VqeProblem, VqeResult, minimize, objective, warm_start
 
 __all__ = [name for name in dir() if not name.startswith("_")]

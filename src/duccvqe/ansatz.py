@@ -59,20 +59,15 @@ class ExcitationList:
         return len(self.singles) + len(self.doubles)
 
 
-def enumerate_excitations(space: ActiveSpace,
-                          n_electrons: int) -> ExcitationList:
-    """All Sz-conserving singles and doubles in the compact active space.
+def enumerate_excitations(space: ActiveSpace) -> ExcitationList:
+    """All Sz-conserving singles and doubles in the compact active space,
+    holes on the occupied modes of ``space``.
 
     With o occupied and v active-virtual spatial orbitals this yields
     2ov singles and o^2 v^2 + 2 C(o,2) C(v,2) doubles.
     """
-    if n_electrons % 2:
-        raise AnsatzError("closed-shell reference requires even n_electrons")
-    m = space.n_active_spin
-    if n_electrons > m:
-        raise AnsatzError(f"{n_electrons} electrons exceed {m} spin orbitals")
-    occ = range(n_electrons)
-    virt = range(n_electrons, m)
+    m, o = space.n_active_spin, len(space.occupied_spin)
+    occ, virt = range(o), range(o, m)
     # compact interleaving keeps spin = index parity
     singles = tuple((i, a) for i in occ for a in virt if i % 2 == a % 2)
     doubles = tuple((i, j, a, b)

@@ -82,7 +82,7 @@ def cmd_resources(args):
     if v < 0:
         raise DataError("--electrons exceeds capacity of --orbitals")
     space = ActiveSpace.build(args.orbitals, tuple(range(1, o + 1)))
-    exc = ansatz_mod.enumerate_excitations(space, args.electrons)
+    exc = ansatz_mod.enumerate_excitations(space)
     report = ansatz_mod.resource_report(exc)
     row = {
         "orbitals": args.orbitals,
@@ -173,9 +173,11 @@ def cmd_downfold(args):
 
 def _vqe_run(spin, nelec, warm, screen_threshold=None,
              max_evaluations=vqe.MAX_EVALUATIONS):
+    if nelec % 2:
+        raise DataError("the UCCSD reference here is closed-shell")
     n_orbitals = spin.n_spin_orbitals // 2
     space = ActiveSpace.build(n_orbitals, tuple(range(1, nelec // 2 + 1)))
-    exc = ansatz_mod.enumerate_excitations(space, nelec)
+    exc = ansatz_mod.enumerate_excitations(space)
     ref = hf_determinant(nelec)
     if warm == "mp2" or screen_threshold is not None:
         t_mp2 = mp2_amplitudes(spin, ref)
@@ -190,8 +192,6 @@ def _vqe_run(spin, nelec, warm, screen_threshold=None,
 
 def cmd_vqe(args):
     spin, nelec, _ = _load_input(args)
-    if nelec % 2:
-        raise DataError("the UCCSD reference here is closed-shell")
     result = _vqe_run(spin, nelec, args.warm_start, args.screen_threshold,
                       args.max_evaluations)
     _emit(args, result.to_json())

@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import ClusterAmplitudes, contract
-from .fermion import (ActiveSpace, NonFiniteError, fock_matrix, hf_energy,
-                      negligible)
+from .fermion import (ActiveSpace, NonFiniteError, SpaceError, fock_matrix,
+                      hf_energy, negligible)
 from .integrals import SpinIntegralSet
 
 
@@ -152,7 +152,11 @@ def _active_block(x, space: ActiveSpace) -> SpinIntegralSet:
 @np.errstate(over="ignore", invalid="ignore")
 def downfold(spin_ints, space: ActiveSpace,
              t: ClusterAmplitudes) -> SpinIntegralSet:
-    """Full pipeline: external rotation, expansion, projection."""
+    """Full pipeline: external rotation, expansion, projection; SpaceError
+    when ``t`` and ``space`` occupy different modes."""
+    if list(t.occupied) != space.occupied_spin:
+        raise SpaceError(f"amplitudes on occupied modes {list(t.occupied)}, "
+                         f"active space on {space.occupied_spin}")
     n, h_n = _reference(spin_ints, space)
     act = space.active_spin
     sigma = _sigma_ext(t, space, spin_ints.n_spin_orbitals)

@@ -7,7 +7,7 @@ group by ascending mode; normal ordering itself is a test oracle.
 
 Sector matrices are built on ``uint64`` determinants: H from the integrals
 (``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``, dense
-below ``DENSE_SECTOR_LIMIT`` and CSR above) and the UCC generators as
+below ``DENSE_SECTOR_LIMIT`` and CSR above) and the UCC excitations E as
 signed index maps (``excitation_matrix``). SciPy is imported only where a
 CSR matrix or a solver is made. H as operator strings
 (``build_hamiltonian``) is the Jordan-Wigner input and the test oracle.
@@ -430,27 +430,24 @@ def sector_hamiltonian(spin_ints, dets):
 
 
 def excitation_matrix(key, dets):
-    """kappa = E - E^+, the operator of ``excitation_generator(key)``, on
-    the sorted determinants ``dets``, as (rows, cols, signs): kappa v is
-    the vector with signs * v[cols] at rows and zeros elsewhere.
+    """E, the excitation of ``excitation_generator(key)``, on the sorted
+    determinants ``dets``, as (rows, cols, signs): E v has signs * v[cols]
+    at rows and zeros elsewhere, and kappa = E - E^+ adds (cols, rows,
+    -signs).
 
     E acts on the determinants that hold every hole of the key, (i,) or
-    (i, j), and none of its particles, (a,) or (a, b); -E^+ the other way
-    round. Targets outside ``dets`` are dropped, so each row and each
-    column holds at most one non-zero. The modes of ``key`` are distinct.
+    (i, j), and none of its particles, (a,) or (a, b). Targets outside
+    ``dets`` are dropped, so each row and each column holds at most one
+    non-zero; rows and cols are disjoint. The modes of ``key`` are distinct.
     """
     dets = np.asarray(dets, dtype=np.uint64)
     holes, particles = np.asarray(key, dtype=np.uint64).reshape(2, -1)
-    parts = []
-    for filled, empty, sign in ((holes, particles, 1.0),
-                                (particles, holes, -1.0)):
-        string = np.concatenate([empty, filled[::-1]])
-        fill, clear = (np.bitwise_or.reduce(_bits(m)) for m in (filled, empty))
-        col = np.flatnonzero(((dets & fill) == fill) & ((dets & clear) == 0))
-        row = _connected(dets, dets[col], *string)
-        col, row = col[row >= 0], row[row >= 0]
-        parts.append((row, col, sign * _string_sign(dets[col], *string)))
-    return tuple(map(np.concatenate, zip(*parts)))
+    string = np.concatenate([particles, holes[::-1]])
+    fill, clear = (np.bitwise_or.reduce(_bits(m)) for m in (holes, particles))
+    col = np.flatnonzero(((dets & fill) == fill) & ((dets & clear) == 0))
+    row = _connected(dets, dets[col], *string)
+    col, row = col[row >= 0], row[row >= 0]
+    return row, col, _string_sign(dets[col], *string)
 
 
 def _max_difference(a, b):

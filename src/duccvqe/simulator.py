@@ -8,7 +8,6 @@ without forming dense operators, so there is no shot noise anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +21,9 @@ class SimulatorError(Exception):
     """Register-size, slot-count, or hermiticity violations."""
 
 
-@dataclass
-class StateVector:
-    """Normalized complex amplitudes over 2^n_qubits basis states."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def prepare_reference(n_qubits, occupied) -> StateVector:
-    """Computational-basis state with 1s on the occupied qubits."""
+def prepare_reference(n_qubits, occupied) -> np.ndarray:
+    """Complex amplitudes, over 2^n_qubits basis states, of the
+    computational-basis state with 1s on the occupied qubits."""
     if n_qubits > QUBIT_CAP:
         raise SimulatorError(f"{n_qubits} qubits exceed the cap {QUBIT_CAP}")
     occupied = set(occupied)
@@ -43,7 +32,7 @@ def prepare_reference(n_qubits, occupied) -> StateVector:
                              f"outside 0..{n_qubits - 1}")
     amp = np.zeros(1 << n_qubits, dtype=complex)
     amp[sum(1 << q for q in occupied)] = 1.0
-    return StateVector(n_qubits, amp)
+    return amp
 
 
 def _apply_single(amp, q, mat):
@@ -77,17 +66,16 @@ def _rx_matrix(angle):
 _H_MATRIX = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
-def apply(circuit, params, state: StateVector) -> StateVector:
-    """Run the circuit gate by gate on a copy of the state."""
-    if circuit.n_qubits != state.n_qubits:
-        raise SimulatorError(
-            f"{circuit.n_qubits}-qubit circuit on "
-            f"{state.n_qubits}-qubit state")
+def apply(circuit, params, amp) -> np.ndarray:
+    """Run the circuit gate by gate on a copy of the amplitudes ``amp``."""
+    n = circuit.n_qubits
+    if len(amp) != 1 << n:
+        raise SimulatorError(f"{n}-qubit circuit on "
+                             f"{len(amp).bit_length() - 1}-qubit state")
     if len(params) != circuit.n_params:
         raise SimulatorError(
             f"{len(params)} parameters for {circuit.n_params} slots")
-    amp = state.amplitudes.copy()
-    n = state.n_qubits
+    amp = np.array(amp, dtype=complex)
     for g in circuit.gates:
         if g.name == "H":
             _apply_single(amp, g.qubits[0], _H_MATRIX)
@@ -99,11 +87,11 @@ def apply(circuit, params, state: StateVector) -> StateVector:
             _apply_cnot(amp, n, *g.qubits)
         else:
             raise SimulatorError(f"unknown gate {g.name!r}")
-    return StateVector(n, amp)
+    return amp
 
 
-def expectation(h, state: StateVector) -> float:
-    """Exact <psi|H|psi> for a Hermitian PauliSum.
+def expectation(h, amp) -> float:
+    """Exact <psi|H|psi> for a Hermitian PauliSum and amplitudes ``amp``.
 
     P|k> = i^{nY} (-1)^{|k & z|} |k ^ x> for a string P, summed over the
     non-zero amplitudes only, about ``CHUNK_EXCITATIONS`` (string,
@@ -111,7 +99,6 @@ def expectation(h, state: StateVector) -> float:
     """
     if not h.is_hermitian():
         raise SimulatorError("PauliSum has non-real coefficients")
-    amp = state.amplitudes
     kets = np.flatnonzero(amp)
     n = len(h.terms)
     x = np.fromiter((s.x for s in h.terms), np.uint64, n)

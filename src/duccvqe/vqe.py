@@ -43,10 +43,11 @@ class VqeProblem:
 
     Construction builds the sector matrices of the Hamiltonian, by
     ``checked_sector_hamiltonian`` as in ``exact_ground_state``, and of
-    every generator kappa_k, by ``excitation_matrix``, once over the
-    (n_electrons, Sz = 0) determinants; ``objective`` then only multiplies
-    sector vectors. A sector above ``SECTOR_DIM_CAP`` determinants or a
-    non-Hermitian H raises SectorError, an inf or NaN entry NonFiniteError.
+    every excitation E_k, by ``excitation_matrix``, once over the
+    (n_electrons, Sz = 0) determinants; ``objective`` then only rotates and
+    multiplies sector vectors. A sector above ``SECTOR_DIM_CAP``
+    determinants or a non-Hermitian H raises SectorError, an inf or NaN
+    entry NonFiniteError.
     """
 
     integrals: SpinIntegralSet
@@ -112,11 +113,13 @@ def objective(problem: VqeProblem, params) -> float:
     v = np.zeros(problem._hamiltonian.shape[0])
     v[problem._reference] = 1.0
     for theta, (rows, cols, signs) in zip(params, problem._generators):
-        kv, kkv = np.zeros_like(v), np.zeros_like(v)
-        kv[rows] = signs * v[cols]      # kappa v, kappa kv: gathers
-        kkv[rows] = signs * kv[cols]
-        # 1 - cos(theta) as 2 sin^2(theta / 2), free of cancellation
-        v = v + math.sin(theta) * kv + 2.0 * math.sin(0.5 * theta) ** 2 * kkv
+        # v + sin(theta) kappa v + (1 - cos(theta)) kappa^2 v, in place on
+        # the pairs of E, where kappa^2 v = -v; 1 - cos(theta) as
+        # 2 sin^2(theta / 2), free of cancellation
+        s, w = math.sin(theta), 2.0 * math.sin(0.5 * theta) ** 2
+        v_r, v_c = v[rows], v[cols]
+        v[rows] = v_r + s * (signs * v_c) + w * -v_r
+        v[cols] = v_c + s * (-signs * v_r) + w * -v_c
     return float(v @ (problem._hamiltonian @ v))
 
 

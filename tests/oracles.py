@@ -25,6 +25,9 @@ Each is the plain form of a computation the package does another way:
   with ``pauli_multiply``, the oracle of ``mapping.jordan_wigner``;
 - ``expectation``, one full gather of the state per Pauli string, the
   oracle of ``simulator.expectation``;
+- ``objective``, each UCC factor applied as v + sin(theta) kappa v +
+  2 sin^2(theta / 2) kappa^2 v with kappa the ``sector_matrix`` of its
+  ``excitation_generator``, the bit-for-bit oracle of ``vqe.objective``;
 - the CCSD residuals and correlation energy term by term, each term of
   three or more factors contracted along a cached ``np.einsum_path``
   order, the oracle of ``amplitudes._residuals`` and
@@ -50,12 +53,13 @@ from duccvqe.ducc import (_active_block, _integral_set, _reference,
                           _sigma_ext)
 from duccvqe.fermion import (HERMITIAN_TOL, PRUNE_THRESHOLD, ActiveSpace,
                              FermionOperator, NonFiniteError,
-                             excitation_generator)
+                             excitation_generator, hf_determinant,
+                             sector_determinants)
 from duccvqe.integrals import (DUPLICATE_TOL, SPIN_ORBITAL_CAP, IntegralError,
                                SpinIntegralSet, _header_int, _is_uhf,
                                _parse_header)
 from duccvqe.mapping import PauliString, PauliSum, pauli_multiply
-from duccvqe.simulator import SimulatorError, StateVector
+from duccvqe.simulator import SimulatorError
 
 IDENTITY = PauliString()
 
@@ -396,16 +400,31 @@ def _string_expectation(string, amp):
     return (1j ** n_y) * np.dot(bra, signs * amp)
 
 
-def expectation(h, state: StateVector) -> float:
-    """Exact <psi|H|psi> for a Hermitian PauliSum."""
+def expectation(h, amp) -> float:
+    """Exact <psi|H|psi> for a Hermitian PauliSum and amplitudes ``amp``."""
     if not h.is_hermitian():
         raise SimulatorError("PauliSum has non-real coefficients")
     val = 0.0 + 0.0j
     for string, c in h.terms.items():
-        val += c * _string_expectation(string, state.amplitudes)
+        val += c * _string_expectation(string, amp)
     if abs(val.imag) > HERMITIAN_TOL:
         raise SimulatorError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)
+
+
+def objective(problem, params) -> float:
+    """<psi|H|psi> of ``vqe.objective``, with full-length kappa v and
+    kappa^2 v for every factor and H the problem's own sector matrix."""
+    m = problem.excitations.n_spin_orbitals
+    dets = sector_determinants(m, problem.n_electrons, 0)
+    v = np.zeros(len(dets))
+    v[dets.index(hf_determinant(problem.n_electrons))] = 1.0
+    for theta, key in zip(params, problem.excitations.entries):
+        kappa = sector_matrix(excitation_generator(key, m), dets)
+        kv = kappa @ v
+        kkv = kappa @ kv
+        v = v + math.sin(theta) * kv + 2.0 * math.sin(0.5 * theta) ** 2 * kkv
+    return float(v @ (problem._hamiltonian @ v))
 
 
 @lru_cache(maxsize=None)

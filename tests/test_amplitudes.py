@@ -81,6 +81,15 @@ def test_degenerate_reference_detected():
         mp2_amplitudes(ints.to_spin_orbital(), hf_determinant(2))
 
 
+def test_diis_falls_back_on_a_singular_b_matrix():
+    # two equal error vectors make two equal rows of the B matrix
+    diis = amplitudes._Diis()
+    err = np.array([1.0, 2.0])
+    diis.update(np.array([1.0, 1.0]), err)
+    last = np.array([3.0, 4.0])
+    assert diis.update(last, err) is last
+
+
 def test_ccsd_exact_for_two_electrons_on_fixtures():
     for name in ("h2_ducc_0.8", "h2_ducc_10.0"):
         spin = _spin(name)

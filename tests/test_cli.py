@@ -448,6 +448,25 @@ def test_pes_ms2_reaches_eig_only(capsys, tmp_path):
     assert "MS2=2" in err
 
 
+def test_vqe_and_pes_vqe_reject_an_open_shell_reference(capsys, tmp_path):
+    path = tmp_path / "doublet.fcidump"
+    save_fcidump(builtin_fixture("h2_ducc_0.8"), path, nelec=3, ms2=1)
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text(f"a {path}\n")
+    for argv in (["vqe", "--integrals", str(path)],
+                 ["pes", "--manifest", str(manifest), "--methods", "vqe"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_DATA, "")
+        assert "the UCCSD reference here is closed-shell" in err
+
+
+def test_eig_ms2_beyond_the_electron_count_is_an_empty_sector(capsys):
+    code, out, err = run(capsys, "eig", "--fixture", "h2_ducc_0.8",
+                         "--ms2", "4")
+    assert (code, out) == (EXIT_DATA, "")
+    assert "empty sector: N=2, MS2=4, modes=8" in err
+
+
 @pytest.mark.parametrize("source", ["fixture", "seeded_5_orbitals"])
 def test_library_and_cli_give_the_same_dressed_hamiltonian(capsys, tmp_path,
                                                            rng, source):

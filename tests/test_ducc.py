@@ -10,7 +10,7 @@ from duccvqe import ducc
 from duccvqe.amplitudes import (ClusterAmplitudes, ccsd_solve,
                                 mp2_amplitudes)
 from duccvqe.ducc import bare_restriction, downfold
-from duccvqe.fermion import (ActiveSpace, build_hamiltonian,
+from duccvqe.fermion import (ActiveSpace, SpaceError, build_hamiltonian,
                              exact_ground_state, fock_matrix, hf_determinant)
 from duccvqe.integrals import (SpinIntegralSet, builtin_fixture,
                                load_spin_fcidump, read_fcidump,
@@ -24,6 +24,13 @@ def _fixture_setup(name):
     spin = builtin_fixture(name).to_spin_orbital()
     t, _ = ccsd_solve(spin, hf_determinant(2))
     return spin, t
+
+
+def test_downfold_rejects_a_space_of_another_reference():
+    # amplitudes on the reference of orbital 1, a space occupying orbital 2
+    spin, t = _fixture_setup("h2_ducc_1.4008")
+    with pytest.raises(SpaceError, match="occupied modes"):
+        downfold(spin, ActiveSpace.build(4, (2,), (1,)), t)
 
 
 def test_sigma_ext_antihermitian():

@@ -174,6 +174,22 @@ def test_empty_sector_raises():
         exact_ground_state(one_body_integrals(np.zeros((4, 4))), 3, 0)
 
 
+def test_ground_state_energy_overflow_is_non_finite():
+    # one alpha electron in three orbitals: every entry of the 3 x 3 sector
+    # matrix is finite, its lowest eigenvalue 3 * -0.7e308 is not
+    h1 = np.zeros((6, 6))
+    h1[0::2, 0::2] = -0.7e308
+    with pytest.raises(NonFiniteError,
+                       match="ground-state energy overflowed: -inf"):
+        exact_ground_state(one_body_integrals(h1), 1, 1)
+
+
+def test_no_determinants_give_an_empty_matrix():
+    spin = random_integral_set(np.random.default_rng(3), 2).to_spin_orbital()
+    assert sector_hamiltonian(spin, []).shape == (0, 0)
+    assert checked_sector_hamiltonian(spin, []).shape == (0, 0)
+
+
 def test_active_space_partition():
     sp = ActiveSpace.build(4, (1,), (2, 3))
     assert sp.frozen_external == (4,)
@@ -235,8 +251,12 @@ SECTORS_6 = [sector_determinants(6, n, ms2)
 
 
 def _assert_same_csr(key, dets):
+    # kappa = E - E^T from the entries of E
     rows, cols, signs = excitation_matrix(key, dets)
-    fast = sp.csr_matrix((signs, (rows, cols)), shape=(len(dets),) * 2)
+    fast = sp.csr_matrix((np.concatenate([signs, -signs]),
+                          (np.concatenate([rows, cols]),
+                           np.concatenate([cols, rows]))),
+                         shape=(len(dets),) * 2)
     oracle = sector_matrix(excitation_generator(key, 6), dets)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fast, part), getattr(oracle, part))
@@ -245,8 +265,7 @@ def _assert_same_csr(key, dets):
 def test_sector_matrix_of_generators_is_the_double_loop():
     # every canonical key of 6 modes, in every sector
     for occupied in ((1,), (1, 2)):
-        exc = enumerate_excitations(ActiveSpace.build(3, occupied),
-                                    2 * len(occupied))
+        exc = enumerate_excitations(ActiveSpace.build(3, occupied))
         for key in exc.entries:
             for dets in SECTORS_6:
                 _assert_same_csr(key, dets)

@@ -150,7 +150,7 @@ def test_jw_is_the_oracle_on_fixtures(name):
     _assert_same_image(build_hamiltonian(spin))
     for space in (ActiveSpace.build(4, (1,)),
                   ActiveSpace.build(4, (1,), (2,))):
-        for key in enumerate_excitations(space, 2).entries:
+        for key in enumerate_excitations(space).entries:
             _assert_same_image(excitation_generator(key,
                                                     space.n_active_spin))
 
@@ -164,7 +164,7 @@ def test_jw_is_the_oracle_on_seeded_systems(rng, monkeypatch, chunk):
         _assert_same_image(build_hamiltonian(spin))
         space = ActiveSpace.build(n_orbitals,
                                   tuple(range(1, n_electrons // 2 + 1)))
-        for key in enumerate_excitations(space, n_electrons).entries:
+        for key in enumerate_excitations(space).entries:
             _assert_same_image(excitation_generator(key, 2 * n_orbitals))
 
 
@@ -210,10 +210,10 @@ def test_jw_circuits_are_the_oracle_circuits(monkeypatch):
             t_mp2 = mp2_amplitudes(spin, hf_determinant(2))
             for space in (ActiveSpace.build(4, (1,)),
                           ActiveSpace.build(4, (1,), (2,))):
-                exc = enumerate_excitations(space, 2)
+                exc = enumerate_excitations(space)
                 out.append(trotter_circuit(exc).to_text())
             exc = screen_excitations(
-                enumerate_excitations(ActiveSpace.build(4, (1,)), 2),
+                enumerate_excitations(ActiveSpace.build(4, (1,))),
                 t_mp2, 1e-3)
             out.append(trotter_circuit(exc).to_text())
         return out
