@@ -201,25 +201,20 @@ def _pauli_exponentials(key, n_modes):
     return out
 
 
-def _append_string_exponential(circ, string, slot, scale):
+def _basis_change(string, rx_angle):
+    """H on the X qubits of ``string`` and RX(rx_angle) on its Y qubits."""
+    return [Gate("H", (q,)) if string.code(q) == 1
+            else Gate("RX", (q,), angle=rx_angle)
+            for q in string.support if string.code(q) in (1, 3)]
+
+
+def _string_exponential(string, slot, scale):
+    """The gates of one Pauli exponential, as ``trotter_circuit`` lays out."""
     support = string.support
-    for q in support:
-        code = string.code(q)
-        if code == 1:
-            circ.add(Gate("H", (q,)))
-        elif code == 3:
-            circ.add(Gate("RX", (q,), angle=RX_PLUS))
-    for a, b in zip(support, support[1:]):
-        circ.add(Gate("CNOT", (a, b)))
-    circ.add(Gate("RZ", (support[-1],), slot=slot, scale=scale))
-    for a, b in reversed(list(zip(support, support[1:]))):
-        circ.add(Gate("CNOT", (a, b)))
-    for q in support:
-        code = string.code(q)
-        if code == 1:
-            circ.add(Gate("H", (q,)))
-        elif code == 3:
-            circ.add(Gate("RX", (q,), angle=-RX_PLUS))
+    ladder = [Gate("CNOT", pair) for pair in zip(support, support[1:])]
+    return (_basis_change(string, RX_PLUS) + ladder
+            + [Gate("RZ", (support[-1],), slot=slot, scale=scale)]
+            + ladder[::-1] + _basis_change(string, -RX_PLUS))
 
 
 def trotter_circuit(exc: ExcitationList) -> Circuit:
@@ -227,12 +222,13 @@ def trotter_circuit(exc: ExcitationList) -> Circuit:
 
     Each Pauli string exp(i theta w P) becomes basis changes into the Z
     basis, a CNOT parity ladder, Rz(-2 w theta) on the last support qubit,
-    and the mirrored uncomputation.
+    and the mirrored uncomputation. These gates are valid by construction,
+    so they join the circuit without ``Circuit.add``'s check.
     """
     circ = Circuit(exc.n_spin_orbitals, len(exc))
     for slot, key in enumerate(exc.entries):
         for string, w in _pauli_exponentials(key, exc.n_spin_orbitals):
-            _append_string_exponential(circ, string, slot, -2.0 * w)
+            circ.gates += _string_exponential(string, slot, -2.0 * w)
     return circ
 
 

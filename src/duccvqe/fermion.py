@@ -5,7 +5,7 @@ modes, kept as written: nothing here reorders them. ``build_hamiltonian``
 writes H in the canonical vacuum normal form, creation operators first, each
 group by ascending mode; normal ordering itself is a test oracle.
 
-Sector matrices are built on ``uint64`` determinants: H from the integrals
+Sector matrices are built on whole (N, Sz) sectors: H from the integrals
 (``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``, dense
 below ``DENSE_SECTOR_LIMIT`` and CSR above) and the UCC excitations E as
 signed index maps (``excitation_matrix``). SciPy is imported only where a
@@ -277,29 +277,29 @@ def sector_dimension(n_modes: int, n_electrons: int, ms2: int) -> int:
 
 
 def sector_determinants(n_modes: int, n_electrons: int, ms2: int):
-    """All determinants with given electron count and 2*Sz, sorted.
+    """All determinants with given electron count and 2*Sz, ascending, as
+    ``uint64``: each alpha string (even modes) OR-ed with each beta string.
 
     SectorError, before any is formed, when there are more than
-    ``SECTOR_DIM_CAP``.
+    ``SECTOR_DIM_CAP`` or more modes than ``MAX_MODES``.
     """
+    if n_modes > MAX_MODES:
+        raise SectorError(f"{n_modes} modes do not fit a 64-bit determinant")
     dim = sector_dimension(n_modes, n_electrons, ms2)
     if dim > SECTOR_DIM_CAP:
         raise SectorError(
             f"sector dimension {dim} exceeds cap {SECTOR_DIM_CAP}")
     if not dim:
-        return []
-    n_alpha = (n_electrons + ms2) // 2
-    n_beta = (n_electrons - ms2) // 2
-    dets = []
-    for occ_a in combinations(range(0, n_modes, 2), n_alpha):
-        mask_a = sum(1 << m for m in occ_a)
-        for occ_b in combinations(range(1, n_modes, 2), n_beta):
-            dets.append(mask_a + sum(1 << m for m in occ_b))
-    return sorted(dets)
+        return np.zeros(0, dtype=np.uint64)
+    alpha, beta = (np.array([sum(1 << p for p in occ) for occ in
+                             combinations(range(spin, n_modes, 2), count)],
+                            dtype=np.uint64)
+                   for spin, count in ((0, (n_electrons + ms2) // 2),
+                                       (1, (n_electrons - ms2) // 2)))
+    return np.sort((alpha[:, None] | beta).ravel())
 
 
 _ONE = np.uint64(1)
-_ALPHA = np.uint64(0x5555555555555555)   # the even modes
 
 
 def _bits(modes):
@@ -335,21 +335,14 @@ def _connected(dets, rows, *modes):
 
 
 def _sector_entries(spin_ints, dets):
-    """The non-zero entries of H on the sorted ``dets``, one chunk of rows
-    at a time: (first row, row count, rows within the chunk, columns,
-    values); see ``sector_hamiltonian``. Callers iterate it under
-    ``np.errstate(over="ignore", invalid="ignore")``, so that an overflow
-    leaves inf or NaN for their finiteness checks."""
-    m = spin_ints.n_spin_orbitals
-    if m > MAX_MODES:
-        raise SectorError(f"{m} modes do not fit a 64-bit determinant")
-    dets = np.asarray(dets, dtype=np.uint64)
-    n = len(dets)
+    """The non-zero entries of H on ``dets``, the whole sector of
+    ``sector_determinants``, one chunk of rows at a time: (first row, row
+    count, rows within the chunk, columns, values); see ``sector_hamiltonian``.
+    Callers iterate it under ``np.errstate(over="ignore", invalid="ignore")``,
+    so that an overflow leaves inf or NaN for their finiteness checks."""
+    m, n = spin_ints.n_spin_orbitals, len(dets)
     if not n:
         return
-    alphas = np.bitwise_count(dets & _ALPHA)
-    if np.ptp(np.bitwise_count(dets)) or np.ptp(alphas):
-        raise SectorError("determinants of more than one (N, Sz) sector")
     n_el = int(np.bitwise_count(dets[0]))
     h1, g = _kept(spin_ints.h1), spin_ints.antisymmetrized
     p, q, r = np.ogrid[:m, :m, :m]
@@ -375,8 +368,6 @@ def _sector_entries(spin_ints, dets):
         r1, ka, ki = np.nonzero(occ[:, :, None] % 2 == vir[:, None, :] % 2)
         a, i = occ[r1, ka], vir[r1, ki]
         col1 = _connected(dets, rows[r1], a, i)
-        found = col1 >= 0
-        r1, a, i, col1 = r1[found], a[found], i[found], col1[found]
         val1 = h1[a, i]
         for k in range(n_el):
             val1 += single[a, i, occ[r1, k]]
@@ -388,9 +379,6 @@ def _sector_entries(spin_ints, dets):
         a, b = occ[r2, holes[0][kh]], occ[r2, holes[1][kh]]
         i, j = vir[r2, particles[0][kp]], vir[r2, particles[1][kp]]
         col2 = _connected(dets, rows[r2], a, b, i, j)
-        found = col2 >= 0
-        r2, col2 = r2[found], col2[found]
-        a, b, i, j = a[found], b[found], i[found], j[found]
         val2 = _kept(g((a, b, i, j))) * _string_sign(dets[col2], a, b, j, i)
 
         row = np.concatenate([np.arange(c), r1, r2])
@@ -401,13 +389,12 @@ def _sector_entries(spin_ints, dets):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sector_hamiltonian(spin_ints, dets):
-    """CSR matrix of H on ``dets``, straight from the integrals.
+def sector_hamiltonian(spin_ints, n_electrons: int, ms2: int):
+    """CSR matrix of H on the (N, Sz) sector, straight from the integrals.
 
-    ``dets`` are determinants of one (N, Sz) sector in ascending order, as
-    from ``sector_determinants``. Entry (R, D) is <R|H|D> of the operator
-    of ``build_hamiltonian``, by the Slater-Condon rules (Szabo & Ostlund,
-    Modern Quantum Chemistry, section 2.3):
+    Rows and columns follow ``sector_determinants``. Entry (R, D) is
+    <R|H|D> of the operator of ``build_hamiltonian``, by the Slater-Condon
+    rules (Szabo & Ostlund, Modern Quantum Chemistry, section 2.3):
 
     - D = R: shift + sum_i h_ii + sum_{i<j} <ij||ij>;
     - D = R with a replaced by i: s (h_ai + sum_k <ak||ik>), k over the
@@ -418,11 +405,12 @@ def sector_hamiltonian(spin_ints, dets):
     a_a^+ a_b^+ a_j a_i, on D. Each <pq||rs> is read entry by entry by
     ``antisymmetrized``, never the whole tensor. Integrals are pruned as in
     ``build_hamiltonian`` and terms summed in its term order; exact zeros
-    are left out. Only excitations that keep Sz are formed, for chunks of
-    rows with about ``CHUNK_EXCITATIONS`` of them, so that memory follows
-    the non-zero count.
+    are left out. Only excitations that keep Sz are formed, and each lands
+    in the sector, for chunks of rows with about ``CHUNK_EXCITATIONS`` of
+    them, so that memory follows the non-zero count.
     """
     import scipy.sparse as sp
+    dets = sector_determinants(spin_ints.n_spin_orbitals, n_electrons, ms2)
     blocks = [sp.csr_matrix((val, (row, col)), shape=(c, len(dets)))
               for _, c, row, col, val in _sector_entries(spin_ints, dets)]
     return sp.vstack(blocks, format="csr") if blocks \
@@ -430,17 +418,19 @@ def sector_hamiltonian(spin_ints, dets):
 
 
 def excitation_matrix(key, dets):
-    """E, the excitation of ``excitation_generator(key)``, on the sorted
-    determinants ``dets``, as (rows, cols, signs): E v has signs * v[cols]
-    at rows and zeros elsewhere, and kappa = E - E^+ adds (cols, rows,
-    -signs).
+    """E, the excitation of ``excitation_generator(key)``, on ``dets``, a
+    strictly ascending ``uint64`` array such as ``sector_determinants``
+    gives, as (rows, cols, signs): E v has signs * v[cols] at rows and
+    zeros elsewhere, and kappa = E - E^+ adds (cols, rows, -signs).
 
-    E acts on the determinants that hold every hole of the key, (i,) or
-    (i, j), and none of its particles, (a,) or (a, b). Targets outside
-    ``dets`` are dropped, so each row and each column holds at most one
-    non-zero; rows and cols are disjoint. The modes of ``key`` are distinct.
+    E acts on the determinants that hold every hole of the key, (i,) or (i, j),
+    and none of its particles, (a,) or (a, b). Targets outside ``dets`` are
+    dropped, so each row and each column holds at most one non-zero; rows and
+    cols are disjoint. The modes of ``key`` are distinct. SectorError when
+    ``dets`` is not strictly ascending.
     """
-    dets = np.asarray(dets, dtype=np.uint64)
+    if np.any(dets[1:] <= dets[:-1]):
+        raise SectorError("determinants not in strictly ascending order")
     holes, particles = np.asarray(key, dtype=np.uint64).reshape(2, -1)
     string = np.concatenate([particles, holes[::-1]])
     fill, clear = (np.bitwise_or.reduce(_bits(m)) for m in (holes, particles))
@@ -459,14 +449,15 @@ def _max_difference(a, b):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def checked_sector_hamiltonian(spin_ints, dets):
-    """(H + H^T) / 2 on the sorted determinants ``dets``, H the matrix of
+def checked_sector_hamiltonian(spin_ints, n_electrons: int, ms2: int):
+    """(H + H^T) / 2 on the (N, Sz) sector, H the matrix of
     ``sector_hamiltonian``: a dense array, filled straight from the
     entries, below ``DENSE_SECTOR_LIMIT`` determinants and CSR above.
 
     SectorError when H is not Hermitian in the sector to
     ``HERMITIAN_TOL``; NonFiniteError when an entry is inf or NaN.
     """
+    dets = sector_determinants(spin_ints.n_spin_orbitals, n_electrons, ms2)
     if len(dets) < DENSE_SECTOR_LIMIT:
         mat = np.zeros((len(dets), len(dets)))
         for start, _, row, col, val in _sector_entries(spin_ints, dets):
@@ -475,7 +466,7 @@ def checked_sector_hamiltonian(spin_ints, dets):
         mat = (mat + mat.T) / 2
         data = mat
     else:
-        mat = sector_hamiltonian(spin_ints, dets)
+        mat = sector_hamiltonian(spin_ints, n_electrons, ms2)
         # H is averaged with its one transposed copy; where the two share
         # a pattern, as they do unless an entry's mirror is an exact zero,
         # entry by entry and in place, without a third matrix
@@ -509,17 +500,16 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
     inf or NaN.
     """
     m = spin_ints.n_spin_orbitals
-    dets = sector_determinants(m, n_electrons, ms2)
-    if not dets:
+    if not sector_dimension(m, n_electrons, ms2):
         raise SectorError(
             f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
-    mat = checked_sector_hamiltonian(spin_ints, dets)
+    mat = checked_sector_hamiltonian(spin_ints, n_electrons, ms2)
     # SciPy's solvers are imported where they run, not with the package
     if not isinstance(mat, np.ndarray):
         import scipy.sparse.linalg as spla
         # a random start: a unit vector can be orthogonal, by symmetry, to
         # the ground state
-        start = np.random.default_rng(0).standard_normal(len(dets))
+        start = np.random.default_rng(0).standard_normal(mat.shape[0])
         w, v = spla.eigsh(mat, k=1, which="SA", v0=start)
     else:
         import scipy.linalg as sla

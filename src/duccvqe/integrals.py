@@ -142,6 +142,12 @@ class SpinIntegralSet:
     h2: np.ndarray
     scalar_shift: float = 0.0
 
+    def __post_init__(self):
+        m = self.n_spin_orbitals
+        if np.shape(self.h1) != (m,) * 2 or np.shape(self.h2) != (m,) * 4:
+            raise IntegralError(f"h1 of shape {np.shape(self.h1)} and h2 of "
+                                f"shape {np.shape(self.h2)} for {m} modes")
+
     @np.errstate(over="ignore", invalid="ignore")
     def antisymmetrized(self, index=...):
         """<pq||rs> = (pr|qs) - (ps|qr) in physicists' notation, laid out

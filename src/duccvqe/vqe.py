@@ -72,13 +72,15 @@ class VqeProblem:
                 f"{self.integrals.n_spin_orbitals}-mode integrals for "
                 f"{n_modes}-mode excitations")
         dets = sector_determinants(n_modes, self.n_electrons, 0)
-        hf = hf_determinant(self.n_electrons) if dets else None
-        if hf not in dets:
+        # a non-empty Sz = 0 sector holds the lowest n_electrons modes
+        if not len(dets):
             raise VqeError(
                 f"Hartree-Fock determinant of {self.n_electrons} electrons "
                 f"outside the Sz = 0 sector of {n_modes} modes")
-        self._reference = dets.index(hf)
-        self._hamiltonian = checked_sector_hamiltonian(self.integrals, dets)
+        self._reference = int(
+            np.searchsorted(dets, hf_determinant(self.n_electrons)))
+        self._hamiltonian = checked_sector_hamiltonian(self.integrals,
+                                                       self.n_electrons, 0)
         self._generators = [excitation_matrix(key, dets)
                             for key in self.excitations.entries]
 

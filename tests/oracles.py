@@ -2,6 +2,8 @@
 
 Each is the plain form of a computation the package does another way:
 
+- ``sector_determinants``, a nested loop over alpha and beta occupations,
+  the oracle of ``fermion.sector_determinants``;
 - ``sector_matrix``, every operator string applied to every determinant by
   ``apply_string``, the oracle of ``fermion.sector_hamiltonian`` (on the
   strings of ``build_hamiltonian``) and of ``fermion.excitation_matrix``
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +57,7 @@ from duccvqe.ducc import (_active_block, _integral_set, _reference,
 from duccvqe.fermion import (HERMITIAN_TOL, PRUNE_THRESHOLD, ActiveSpace,
                              FermionOperator, NonFiniteError,
                              excitation_generator, hf_determinant,
-                             sector_determinants)
+                             sector_dimension)
 from duccvqe.integrals import (DUPLICATE_TOL, SPIN_ORBITAL_CAP, IntegralError,
                                SpinIntegralSet, _header_int, _is_uhf,
                                _parse_header)
@@ -176,9 +179,26 @@ def apply_string(ops, det: int):
     return sign, det
 
 
+def sector_determinants(n_modes, n_electrons, ms2):
+    """Sorted list of the determinants with given electron count and
+    2*Sz, one alpha occupation and one beta occupation at a time."""
+    if not sector_dimension(n_modes, n_electrons, ms2):
+        return []
+    n_alpha = (n_electrons + ms2) // 2
+    n_beta = (n_electrons - ms2) // 2
+    dets = []
+    for occ_a in combinations(range(0, n_modes, 2), n_alpha):
+        mask_a = sum(1 << m for m in occ_a)
+        for occ_b in combinations(range(1, n_modes, 2), n_beta):
+            dets.append(mask_a + sum(1 << m for m in occ_b))
+    return sorted(dets)
+
+
 def sector_matrix(op: FermionOperator, dets):
     """CSR matrix of ``op`` on the determinants ``dets`` (columns act):
-    every string applied to every determinant, in term order."""
+    every string applied to every determinant, in term order.
+    Determinants are read as Python ints."""
+    dets = [int(d) for d in dets]
     index = {d: i for i, d in enumerate(dets)}
     rows, cols, vals = [], [], []
     for col, det in enumerate(dets):

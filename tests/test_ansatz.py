@@ -184,10 +184,13 @@ def test_circuit_unitary_dense(rng):
 
 
 def test_text_round_trip_and_validation():
-    exc = enumerate_excitations(_space(3, 2))
-    circ = trotter_circuit(exc)
-    back = Circuit.from_text(circ.n_qubits, circ.n_params, circ.to_text())
-    assert back.gates == circ.gates
+    # trotter_circuit skips Circuit.add; every gate it makes still passes
+    # the check that from_text runs
+    for n_orb, nelec in ((2, 2), (3, 2), (4, 4), (3, 4)):
+        circ = trotter_circuit(enumerate_excitations(_space(n_orb, nelec)))
+        back = Circuit.from_text(circ.n_qubits, circ.n_params,
+                                 circ.to_text())
+        assert back.gates == circ.gates
     with pytest.raises(AnsatzError, match="off the"):
         Circuit(2, 0, [Gate("H", (5,))])
     with pytest.raises(AnsatzError, match="slot"):

@@ -1,14 +1,33 @@
-"""Every demo script runs top to bottom against the current API."""
+"""Every demo script, and the README's Quick start, runs top to bottom
+against the current API."""
 
+import os
 import pathlib
+import re
 import runpy
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs():
+    # the first python block of the README, in a fresh interpreter
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    e_vqe, e_exact = map(float, done.stdout.split("\n")[0].split())
+    assert abs(e_vqe - e_exact) < 1e-10

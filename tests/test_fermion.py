@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (apply_string, commutator, is_hermitian, multiply,
                      normal_order, ph_normal_order, sector_matrix)
+from oracles import sector_determinants as oracle_sector_determinants
 from oracles import fock_matrix as oracle_fock_matrix
 from oracles import hf_energy as oracle_hf_energy
 
@@ -138,9 +139,22 @@ def test_sector_determinants_counts():
     dets = sector_determinants(8, 2, 0)
     assert len(dets) == 16  # 4 alpha x 4 beta
     assert hf_determinant(2) in dets
-    assert sector_determinants(8, 2, 2) and len(sector_determinants(8, 2, 2)) == 6
-    assert sector_determinants(4, 3, 0) == []  # parity mismatch
-    assert sector_determinants(4, 6, 0) == []  # overfilled
+    assert len(sector_determinants(8, 2, 2)) == 6
+    assert len(sector_determinants(4, 3, 0)) == 0  # parity mismatch
+    assert len(sector_determinants(4, 6, 0)) == 0  # overfilled
+
+
+def test_sector_determinants_are_the_nested_loop():
+    # every sector of 1-14 modes under the cap, the empty ones included
+    for m in range(1, 15):
+        for n in range(m + 2):
+            for ms2 in range(-n - 1, n + 2):
+                if sector_dimension(m, n, ms2) > fermion.SECTOR_DIM_CAP:
+                    continue
+                dets = sector_determinants(m, n, ms2)
+                assert dets.dtype == np.uint64
+                assert np.array_equal(
+                    dets, oracle_sector_determinants(m, n, ms2))
 
 
 def test_sector_matrix_matches_dense_block(rng):
@@ -185,9 +199,10 @@ def test_ground_state_energy_overflow_is_non_finite():
 
 
 def test_no_determinants_give_an_empty_matrix():
+    # 3 electrons cannot have Sz = 0
     spin = random_integral_set(np.random.default_rng(3), 2).to_spin_orbital()
-    assert sector_hamiltonian(spin, []).shape == (0, 0)
-    assert checked_sector_hamiltonian(spin, []).shape == (0, 0)
+    assert sector_hamiltonian(spin, 3, 0).shape == (0, 0)
+    assert checked_sector_hamiltonian(spin, 3, 0).shape == (0, 0)
 
 
 def test_active_space_partition():
@@ -271,6 +286,14 @@ def test_sector_matrix_of_generators_is_the_double_loop():
                 _assert_same_csr(key, dets)
 
 
+def test_excitation_matrix_rejects_unsorted_determinants():
+    dets = sector_determinants(8, 2, 0)
+    assert len(excitation_matrix((0, 2), dets)[0]) == 4
+    for bad in (dets[::-1], np.insert(dets, 5, dets[5])):
+        with pytest.raises(SectorError, match="strictly ascending"):
+            excitation_matrix((0, 2), bad)
+
+
 def test_sector_matrix_of_random_strings_is_the_double_loop():
     # the two strings of random Sz-keeping keys of distinct modes, in any
     # order, in every sector
@@ -333,10 +356,8 @@ def test_exact_ground_state_averages_as_the_sparse_sum(monkeypatch, rng):
                           (1, sp.csr_matrix)):
         monkeypatch.setattr(fermion, "DENSE_SECTOR_LIMIT", limit)
         for spin, n_electrons, ms2 in cases:
-            dets = sector_determinants(spin.n_spin_orbitals, n_electrons,
-                                       ms2)
-            mat = sector_hamiltonian(spin, dets)
-            got = checked_sector_hamiltonian(spin, dets)
+            mat = sector_hamiltonian(spin, n_electrons, ms2)
+            got = checked_sector_hamiltonian(spin, n_electrons, ms2)
             assert isinstance(got, layout)
             if sp.issparse(got):
                 got = got.toarray()
@@ -356,8 +377,7 @@ def test_exact_ground_state_is_the_lowest_eigenpair(n_orbitals, n_electrons,
                                                     ms2):
     spin = random_integral_set(np.random.default_rng(
         [n_orbitals, n_electrons, ms2]), n_orbitals).to_spin_orbital()
-    dets = sector_determinants(2 * n_orbitals, n_electrons, ms2)
-    mat = sector_hamiltonian(spin, dets)
+    mat = sector_hamiltonian(spin, n_electrons, ms2)
     dense = ((mat + mat.T) / 2).toarray()
     (e, v), (again, _) = (exact_ground_state(spin, n_electrons, ms2)
                           for _ in range(2))
@@ -389,10 +409,12 @@ def test_sector_cap_checked_before_enumerating():
 
 
 def test_modes_past_a_64_bit_determinant_rejected():
-    # the mode count is checked before an integral is read
-    past = SpinIntegralSet(fermion.MAX_MODES + 1, None, None)
+    # the mode count is checked before an integral is read; the two-body
+    # array is a zero-stride view, no 65^4 tensor
+    m = fermion.MAX_MODES + 1
+    past = SpinIntegralSet(m, np.zeros((m, m)), np.broadcast_to(0.0, (m,) * 4))
     with pytest.raises(SectorError, match="65 modes do not fit"):
-        sector_hamiltonian(past, [3])
+        sector_hamiltonian(past, 2, 0)
 
 
 def test_non_finite_sector_matrix_is_a_data_error():
@@ -402,7 +424,7 @@ def test_non_finite_sector_matrix_is_a_data_error():
         exact_ground_state(one_body_integrals(h1), 2, 0)
     # the CSR build leaves the overflow as inf, without a RuntimeWarning
     assert np.isinf(sector_hamiltonian(one_body_integrals(h1),
-                                       [0b11]).toarray()).all()
+                                       2, 0).toarray()).all()
     h1[0, 0] = np.nan
     with pytest.raises(NonFiniteError):
         exact_ground_state(one_body_integrals(h1), 2, 0)
@@ -431,7 +453,7 @@ def _integrals(m, one_body, two_body, shift=0.0):
 def test_sector_hamiltonian_is_the_string_path_on_fixtures(name):
     spin = builtin_fixture(name).to_spin_orbital()
     dets = sector_determinants(8, 2, 0)
-    np.testing.assert_array_equal(sector_hamiltonian(spin, dets).toarray(),
+    np.testing.assert_array_equal(sector_hamiltonian(spin, 2, 0).toarray(),
                                   _string_path(spin, dets).toarray())
 
 
@@ -443,22 +465,23 @@ def test_sector_hamiltonian_matches_string_path(n_orbitals, n_electrons,
     rng = np.random.default_rng(100 * n_orbitals + 10 * n_electrons + ms2)
     spin = random_integral_set(rng, n_orbitals).to_spin_orbital()
     dets = sector_determinants(2 * n_orbitals, n_electrons, ms2)
-    fast, oracle = sector_hamiltonian(spin, dets), _string_path(spin, dets)
+    fast = sector_hamiltonian(spin, n_electrons, ms2)
+    oracle = _string_path(spin, dets)
     assert fast.nnz == np.count_nonzero(oracle.toarray())
     assert abs(fast - oracle).max() <= 1e-12
 
 
 def test_sector_hamiltonian_reaches_the_top_bit():
-    # 64 modes; each determinant holds one of modes 0, 62 (alpha) and one
-    # of modes 1, 63 (beta), so mode 63 is the top bit of a uint64. The
-    # list leaves out 62 + 63, which lies past its last determinant.
+    # the whole (2, 0) sector of 64 modes, 32 alpha x 32 beta orbitals; its
+    # last determinant holds modes 62 and 63, the top bit of a uint64
     rng = np.random.default_rng(63)
     modes = (0, 1, 62, 63)
     one = [(p, q, rng.normal()) for p in modes for q in modes]
     two = [(*rng.choice(modes, 4), rng.normal()) for _ in range(12)]
     spin = _integrals(64, one, two, shift=0.5)
-    dets = [0b11, (1 << 62) | 0b10, (1 << 63) | 0b1]
-    fast = sector_hamiltonian(spin, dets).toarray()
+    dets = sector_determinants(64, 2, 0)
+    assert len(dets) == 1024 and int(dets[-1]) == (1 << 62) | (1 << 63)
+    fast = sector_hamiltonian(spin, 2, 0).toarray()
     assert np.count_nonzero(fast[-1]) >= 2    # a diagonal and a single
     np.testing.assert_allclose(fast, _string_path(spin, dets).toarray(),
                                rtol=0, atol=1e-12)
@@ -473,7 +496,7 @@ def test_sector_hamiltonian_prunes_as_build_hamiltonian():
            (0, 0, 2, 2, 0.5)]
     spin = _integrals(4, one, two)
     dets = sector_determinants(4, 2, 0)
-    np.testing.assert_array_equal(sector_hamiltonian(spin, dets).toarray(),
+    np.testing.assert_array_equal(sector_hamiltonian(spin, 2, 0).toarray(),
                                   _string_path(spin, dets).toarray())
 
 
@@ -493,15 +516,7 @@ def test_sector_hamiltonian_property(data, m):
     n = data.draw(st.integers(0, m))
     ms2 = data.draw(st.sampled_from(range(-n, n + 1, 2)))
     dets = sector_determinants(m, n, ms2)
-    if dets:
+    if len(dets):
         np.testing.assert_allclose(
-            sector_hamiltonian(spin, dets).toarray(),
+            sector_hamiltonian(spin, n, ms2).toarray(),
             _string_path(spin, dets).toarray(), rtol=0, atol=1e-12)
-
-
-def test_sector_hamiltonian_rejects_mixed_sectors():
-    spin = one_body_integrals(np.zeros((4, 4)))
-    with pytest.raises(SectorError, match="sector"):
-        sector_hamiltonian(spin, [0b0011, 0b0101])    # MS2 0 and 2
-    with pytest.raises(SectorError, match="sector"):
-        sector_hamiltonian(spin, [0b0001, 0b0011])    # N 1 and N 2

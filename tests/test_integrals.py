@@ -207,6 +207,18 @@ def test_orbital_count_above_cap_rejected(tmp_path, layout, norb):
     assert isinstance(load(path), (IntegralSet, integrals.SpinIntegralSet))
 
 
+def test_spin_integral_set_checks_its_size():
+    # the 8-mode arrays of a fixture, read as 4 modes, would give a wrong
+    # sector energy rather than an error
+    spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
+    with pytest.raises(IntegralError, match="for 4 modes"):
+        integrals.SpinIntegralSet(4, spin.h1, spin.h2)
+    with pytest.raises(IntegralError, match=r"h2 of shape \(8, 8, 8\)"):
+        integrals.SpinIntegralSet(8, spin.h1, spin.h2[0])
+    with pytest.raises(IntegralError, match=r"h1 of shape \(8,\)"):
+        integrals.SpinIntegralSet(8, spin.h1[0], spin.h2)
+
+
 def test_spin_file_rejected_by_spatial_loader(tmp_path):
     path = tmp_path / "s.fcidump"
     spin = integrals.SpinIntegralSet(2, np.zeros((2, 2)), np.zeros((2,) * 4))
