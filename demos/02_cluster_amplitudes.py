@@ -11,15 +11,16 @@ from duccvqe import (ActiveSpace, builtin_fixture, ccsd_solve,
                      enumerate_excitations, mp2_amplitudes, mp2_energy,
                      top_amplitudes, warm_start)
 from duccvqe.ansatz import screen_excitations
-from duccvqe.fermion import hf_determinant
 
 spin = builtin_fixture("h2_ducc_10.0").to_spin_orbital()
-ref = hf_determinant(2)
 
-t_mp2 = mp2_amplitudes(spin, ref)
+# Both solvers take the electron count N: the reference is the Hartree-Fock
+# determinant with spin orbitals 0..N-1 occupied, so the amplitude arrays
+# hold occupied spin orbitals 0..N-1 and virtual ones N.. in order.
+t_mp2 = mp2_amplitudes(spin, 2)
 print("MP2  correlation energy:", f"{mp2_energy(spin, t_mp2):+.10f}")
 
-t_ccsd, e_ccsd = ccsd_solve(spin, ref)
+t_ccsd, e_ccsd = ccsd_solve(spin, 2)
 print("CCSD correlation energy:", f"{e_ccsd:+.10f}")
 
 # For a two-electron system CCSD is exact, so E_HF + E_CCSD matches the

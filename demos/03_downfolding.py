@@ -11,7 +11,7 @@ bare Hamiltonian to the same orbitals.
 
 from duccvqe import builtin_fixture, ccsd_solve, downfold, exact_ground_state
 from duccvqe.ducc import bare_restriction
-from duccvqe.fermion import ActiveSpace, hf_determinant
+from duccvqe.fermion import ActiveSpace
 from duccvqe.integrals import load_spin_fcidump, save_spin_fcidump
 
 # 4 spatial orbitals, orbital 1 occupied; active space = orbitals {1, 2}.
@@ -20,7 +20,7 @@ space = ActiveSpace.build(4, occupied=(1,), active_virtual=(2,))
 print("geometry     E_FCI(full)    bare error   dressed error")
 for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0"):
     spin = builtin_fixture(name).to_spin_orbital()
-    t, _ = ccsd_solve(spin, hf_determinant(2))
+    t, _ = ccsd_solve(spin, 2)
 
     e_full, _ = exact_ground_state(spin, 2, 0)
     dressed = downfold(spin, space, t)
@@ -35,7 +35,7 @@ for name in ("h2_ducc_0.8", "h2_ducc_1.4008", "h2_ducc_4.0", "h2_ducc_10.0"):
 # Dressed integrals keep only the 4-element chemists symmetry group, so the
 # serialized form is a spin-resolved (UHF) FCIDUMP. Round trip is exact:
 spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
-t, _ = ccsd_solve(spin, hf_determinant(2))
+t, _ = ccsd_solve(spin, 2)
 dressed = downfold(spin, space, t)
 save_spin_fcidump(dressed, "/tmp/dressed_demo.fcidump", nelec=2)
 back = load_spin_fcidump("/tmp/dressed_demo.fcidump")

@@ -13,7 +13,7 @@ import numpy as np
 
 from duccvqe import (builtin_fixture, enumerate_excitations,
                      exact_ground_state, minimize, mp2_amplitudes, warm_start)
-from duccvqe.fermion import ActiveSpace, hf_determinant
+from duccvqe.fermion import ActiveSpace
 from duccvqe.vqe import CHEMICAL_ACCURACY, VqeProblem
 
 spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
@@ -24,7 +24,7 @@ e_exact, _ = exact_ground_state(spin, 2, 0)
 for label, x0 in (
     ("zero start", np.zeros(len(exc))),
     ("MP2 warm start",
-     warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)),
+     warm_start(mp2_amplitudes(spin, 2), exc)),
 ):
     res = minimize(VqeProblem(spin, exc, 2, x0))
     err = res.energy - e_exact

@@ -11,7 +11,7 @@ import numpy as np
 
 from duccvqe import (builtin_fixture, enumerate_excitations,
                      exact_ground_state, minimize, mp2_amplitudes, warm_start)
-from duccvqe.fermion import ActiveSpace, hf_determinant
+from duccvqe.fermion import ActiveSpace
 from duccvqe.vqe import VqeProblem
 
 GEOMETRIES = [("0.8", "h2_ducc_0.8"), ("1.4008", "h2_ducc_1.4008"),
@@ -25,7 +25,7 @@ print("r (bohr)   E_eig          E_vqe          |E_vqe - E_eig|")
 for label, name in GEOMETRIES:
     spin = builtin_fixture(name).to_spin_orbital()
     e_eig, _ = exact_ground_state(spin, 2, 0)
-    x0 = warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)
+    x0 = warm_start(mp2_amplitudes(spin, 2), exc)
     res = minimize(VqeProblem(spin, exc, 2, x0))
     rows.append((label, e_eig, res.energy))
     print(f"{label:>8}   {e_eig:+.10f}  {res.energy:+.10f}  "

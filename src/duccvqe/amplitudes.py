@@ -1,11 +1,13 @@
 """Cluster amplitudes: MP2 closed forms and an iterative spin-orbital CCSD
 solver with DIIS acceleration.
 
-Amplitudes are the solvers' own dense arrays, t1[a, i] and t2[a, b, i, j],
-over the occupied and virtual spin orbitals of the reference; t2 is exactly
-antisymmetric in (a, b) and in (i, j). Keys name global spin orbitals,
-(i, a) for a single and (i, j, a, b) for a double, canonical when i < j
-and a < b.
+The reference is always the Hartree-Fock determinant of N electrons in
+spin orbitals 0..N-1, and the solvers take N: every occupied block of an
+axis is [:N] and every virtual block [N:]. Amplitudes are the solvers' own
+dense arrays t1[a, i] and t2[a, b, i, j]; t2 is exactly antisymmetric in
+(a, b) and in (i, j). Keys name global spin orbitals, (i, a) for a single
+and (i, j, a, b) for a double, canonical when i < j and a < b. An inf or
+NaN orbital energy, amplitude, residual or energy is a NonFiniteError.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .fermion import DataError, fock_matrix, reference_modes
+from .fermion import DataError, check_finite, fock_matrix, hf_determinant
 from .integrals import SpinIntegralSet, data_lines
 
 DENOMINATOR_FLOOR = 1e-8
@@ -53,23 +55,24 @@ def _antisymmetric(t2):
 
 @dataclass
 class ClusterAmplitudes:
-    """Singles t1[a, i] and antisymmetric doubles t2[a, b, i, j].
+    """Singles t1[a, i] and antisymmetric doubles t2[a, b, i, j]: hole i at
+    position i, particle a at a - N, N the length of an occupied axis."""
 
-    Rows of t1 and the first two axes of t2 index ``virtual``; the other
-    axes index ``occupied``. Both mode tuples are ascending.
-    """
-
-    occupied: tuple
-    virtual: tuple
     t1: np.ndarray
     t2: np.ndarray
 
     @classmethod
-    def empty(cls, occupied, virtual):
-        occupied, virtual = tuple(sorted(occupied)), tuple(sorted(virtual))
-        no, nv = len(occupied), len(virtual)
-        return cls(occupied, virtual, np.zeros((nv, no)),
-                   np.zeros((nv, nv, no, no)))
+    def empty(cls, n_electrons, n_modes):
+        no, nv = n_electrons, n_modes - n_electrons
+        return cls(np.zeros((nv, no)), np.zeros((nv, nv, no, no)))
+
+    @property
+    def occupied(self):
+        return range(self.t1.shape[1])
+
+    @property
+    def virtual(self):
+        return range(self.t1.shape[1], sum(self.t1.shape))
 
     def _slots(self, holes, particles):
         """Array positions of the particle modes, then of the hole modes."""
@@ -78,7 +81,7 @@ class ClusterAmplitudes:
         for p, modes, role in roles:
             if p not in modes:
                 raise ValueError(f"index outside the {role} modes: {p}")
-        return tuple(modes.index(p) for p, modes, _ in roles)
+        return tuple(p - modes.start for p, modes, _ in roles)
 
     def set_t1(self, i, a, value):
         self.t1[self._slots((i,), (a,))] = value
@@ -121,47 +124,56 @@ def excitation_label(key):
             f" -> {spin_orbital_label(a)} {spin_orbital_label(b)}")
 
 
-def top_amplitudes(t: ClusterAmplitudes, k: int):
-    """The k largest-magnitude amplitudes as (label, |amplitude|) pairs."""
+def check_top(k):
+    """ValueError unless k, a ``top_amplitudes`` count, is at least 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
+
+
+def top_amplitudes(t: ClusterAmplitudes, k: int):
+    """The k largest-magnitude amplitudes as (label, |amplitude|) pairs."""
+    check_top(k)
     entries = [(excitation_label(key), abs(v)) for key, v in t.items()]
     entries.sort(key=lambda e: (-e[1], e[0]))
     return entries[:k]
 
 
-def _denominators(eps_o, eps_v, occ, virt):
+def _denominators(eps, n_electrons):
+    """e_i - e_a and e_i + e_j - e_a - e_b from the orbital energies."""
+    check_finite("an orbital energy is inf or NaN", eps)
+    eps_o, eps_v = eps[:n_electrons], eps[n_electrons:]
     e_ai = eps_o[None, :] - eps_v[:, None]
     e_abij = (eps_o[None, None, :, None] + eps_o[None, None, None, :]
               - eps_v[:, None, None, None] - eps_v[None, :, None, None])
+    check_finite("an energy denominator is inf or NaN", e_abij)
     bad = np.argwhere(np.abs(e_abij) < DENOMINATOR_FLOOR)
     if bad.size:
         a, b, i, j = bad[0]
         raise DegenerateReferenceError(
             "denominator below floor for excitation "
-            f"({occ[i]},{occ[j]}) -> ({virt[a]},{virt[b]}): "
+            f"({i},{j}) -> ({n_electrons + a},{n_electrons + b}): "
             f"{e_abij[a, b, i, j]:.3e}")
     return e_ai, e_abij
 
 
-def _block(*modes):
-    """The index of the block x[np.ix_(*modes)]: basic slices, for a view,
-    where every mode list is an ascending run, as for an ``hf_determinant``
-    reference."""
-    runs = [slice(m[0], m[0] + len(m)) for m in modes
-            if len(m) and list(m) == list(range(m[0], m[0] + len(m)))]
-    return tuple(runs) if len(runs) == len(modes) else np.ix_(*modes)
+def _blocks(x, n_electrons, keys, read=np.ndarray.__getitem__):
+    """Contiguous blocks of x over the occupied ('o') and the virtual ('v')
+    spin orbitals, by key: 'ov' is read(x, index) for the index of
+    x[:N, N:]."""
+    modes = {"o": slice(n_electrons), "v": slice(n_electrons, None)}
+    return {k: np.ascontiguousarray(read(x, tuple(modes[c] for c in k)))
+            for k in keys.split()}
 
 
-def mp2_amplitudes(spin_ints, ref):
+@np.errstate(over="ignore", invalid="ignore")
+def mp2_amplitudes(spin_ints, n_electrons):
     """t2_abij = <ab||ij> / (e_i + e_j - e_a - e_b); singles are zero."""
-    occ, virt = reference_modes(spin_ints.n_spin_orbitals, ref)
-    eps = np.diag(fock_matrix(spin_ints, ref))
-    _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
-    g = spin_ints.antisymmetrized(_block(virt, virt, occ, occ))
-    return ClusterAmplitudes(tuple(occ), tuple(virt),
-                             np.zeros((len(virt), len(occ))),
-                             _antisymmetric(g / e_abij))
+    eps = np.diag(fock_matrix(spin_ints, hf_determinant(n_electrons)))
+    e_ai, e_abij = _denominators(eps, n_electrons)
+    o, v = slice(n_electrons), slice(n_electrons, None)
+    t2 = spin_ints.antisymmetrized((v, v, o, o)) / e_abij
+    check_finite("an MP2 amplitude is inf or NaN", t2)
+    return ClusterAmplitudes(np.zeros(e_ai.shape), _antisymmetric(t2))
 
 
 @lru_cache(maxsize=None)
@@ -199,26 +211,21 @@ def _tau(t1, t2, weight=1.0):
     return t2 + weight * (tt - tt.transpose(0, 1, 3, 2))
 
 
-def _blocks(x, occ, virt, keys, read=np.ndarray.__getitem__):
-    """Contiguous blocks of x over occupied ('o') and virtual ('v') modes,
-    by key: 'ov' is read(x, index) for the index of x[occ][:, virt]."""
-    modes = {"o": occ, "v": virt}
-    return {k: np.ascontiguousarray(read(x, _block(*(modes[c] for c in k))))
-            for k in keys.split()}
-
-
 def correlation_energy(f, g, t1, t2):
     """f_ia t_ia + 1/4 <ij||ab> tau_ijab; f, g: _blocks."""
     return float(contract("ia,ai->", f["ov"], t1)
                  + 0.25 * contract("ijab,abij->", g["oovv"], _tau(t1, t2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mp2_energy(spin_ints, t: ClusterAmplitudes):
     """Sum over canonical doubles, i < j and a < b, of t_ijab * <ij||ab>."""
-    g = spin_ints.antisymmetrized(_block(t.occupied, t.occupied, t.virtual,
-                                         t.virtual))
-    upper = _canonical(len(t.virtual), len(t.occupied))
-    return float(np.sum(t.t2[upper] * g.transpose(2, 3, 0, 1)[upper]))
+    o, v = slice(len(t.occupied)), slice(len(t.occupied), None)
+    g = spin_ints.antisymmetrized((o, o, v, v))
+    upper = _canonical(*t.t1.shape)
+    energy = float(np.sum(t.t2[upper] * g.transpose(2, 3, 0, 1)[upper]))
+    check_finite("the MP2 energy is inf or NaN", energy)
+    return energy
 
 
 def _residuals(t1, t2, f, g):
@@ -308,27 +315,28 @@ class _Diis:
         return sum(c * v for c, v in zip(coeffs, self.vecs))
 
 
-def ccsd_solve(spin_ints, ref):
+@np.errstate(over="ignore", invalid="ignore")
+def ccsd_solve(spin_ints, n_electrons):
     """Solve the projected CCSD equations; returns (amplitudes, E_corr)."""
-    occ, virt = reference_modes(spin_ints.n_spin_orbitals, ref)
-    f = fock_matrix(spin_ints, ref)
+    f = fock_matrix(spin_ints, hf_determinant(n_electrons))
     eps = np.diag(f)
-    f = _blocks(f, occ, virt, F_BLOCKS)
-    g = _blocks(spin_ints, occ, virt, G_BLOCKS,
+    f = _blocks(f, n_electrons, F_BLOCKS)
+    g = _blocks(spin_ints, n_electrons, G_BLOCKS,
                 SpinIntegralSet.antisymmetrized)
-    e_ai, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
+    e_ai, e_abij = _denominators(eps, n_electrons)
 
-    t1 = np.zeros((len(virt), len(occ)))
+    t1 = np.zeros(e_ai.shape)
     t2 = g["vvoo"] / e_abij
     diis = _Diis()
     for _ in range(CCSD_MAX_ITER):
         r1, r2 = _residuals(t1, t2, f, g)
-        res_norm = max(np.abs(r1).max(initial=0.0),
-                       np.abs(r2).max(initial=0.0))
+        norms = np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0)
+        check_finite("a CCSD residual is inf or NaN", norms)
+        res_norm = max(norms)
         if res_norm <= CCSD_TOL:
             ecorr = correlation_energy(f, g, t1, t2)
-            return ClusterAmplitudes(tuple(occ), tuple(virt), t1,
-                                     _antisymmetric(t2)), ecorr
+            check_finite("the CCSD energy is inf or NaN", ecorr)
+            return ClusterAmplitudes(t1, _antisymmetric(t2)), ecorr
         d1, d2 = r1 / e_ai, r2 / e_abij
         step = np.concatenate([(t1 + d1).ravel(), (t2 + d2).ravel()])
         err = np.concatenate([d1.ravel(), d2.ravel()])
@@ -348,14 +356,14 @@ def save_amplitudes(t: ClusterAmplitudes, path):
                          f"{v:.16e}\n")
 
 
-def load_amplitudes(path, occupied, virtual) -> ClusterAmplitudes:
+def load_amplitudes(path, n_electrons, n_modes) -> ClusterAmplitudes:
     """Read a ``save_amplitudes`` file; ValueError names ``path:line``.
 
-    Each line is ``T1 i a value`` or ``T2 i j a b value`` with i, j in
-    ``occupied``, a, b in ``virtual`` and a finite value; a key may appear
-    once (a doubles key up to the order of its pairs).
+    Each line is ``T1 i a value`` or ``T2 i j a b value`` with i, j below
+    ``n_electrons``, a, b from there below ``n_modes`` and a finite value;
+    a key may appear once (a doubles key up to the order of its pairs).
     """
-    t = ClusterAmplitudes.empty(occupied, virtual)
+    t = ClusterAmplitudes.empty(n_electrons, n_modes)
     seen = set()
     with open(path) as fh:
         for lineno, line in data_lines(fh):

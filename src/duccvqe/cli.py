@@ -19,11 +19,11 @@ from . import ansatz as ansatz_mod
 from . import ducc as ducc_mod
 from . import integrals as integrals_mod
 from . import vqe
-from .amplitudes import (ConvergenceError, ccsd_solve, load_amplitudes,
-                         mp2_amplitudes, mp2_energy, save_amplitudes,
-                         top_amplitudes)
-from .fermion import (ActiveSpace, DataError, exact_ground_state,
-                      hf_determinant, hf_energy, reference_modes)
+from .amplitudes import (ConvergenceError, ccsd_solve, check_top,
+                         load_amplitudes, mp2_amplitudes, mp2_energy,
+                         save_amplitudes, top_amplitudes)
+from .fermion import (ActiveSpace, DataError, check_finite,
+                      exact_ground_state, hf_determinant, hf_energy)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,7 +98,7 @@ def cmd_resources(args):
             raise DataError(f"{args.integrals} has "
                             f"{spin.n_spin_orbitals // 2} orbitals, "
                             f"--orbitals is {args.orbitals}")
-        t_mp2 = mp2_amplitudes(spin, hf_determinant(args.electrons))
+        t_mp2 = mp2_amplitudes(spin, args.electrons)
         screened = ansatz_mod.screen_excitations(exc, t_mp2,
                                                  args.mp2_threshold)
         srep = ansatz_mod.resource_report(screened)
@@ -121,21 +121,23 @@ def cmd_eig(args):
     return EXIT_OK
 
 
-def _mp2(spin, ref):
-    t = mp2_amplitudes(spin, ref)
+def _mp2(spin, nelec):
+    t = mp2_amplitudes(spin, nelec)
     return t, mp2_energy(spin, t)
 
 
 def cmd_amplitudes(args):
-    """mp2 and ccsd: solve(spin, ref) gives (amplitudes, E_corr); the
-    solver is looked up here, so that a rebinding of ``ccsd_solve`` holds."""
+    """mp2 and ccsd: solve(spin, nelec) gives (amplitudes, E_corr); the
+    solver is looked up here, so that a rebinding of ``ccsd_solve`` holds.
+    A bad --top is refused before anything is read, solved or written."""
+    check_top(args.top)
     spin, nelec, _ = _load_input(args)
-    ref = hf_determinant(nelec)
     solve = ccsd_solve if args.command == "ccsd" else _mp2
-    t, e_corr = solve(spin, ref)
+    t, e_corr = solve(spin, nelec)
+    e_hf = hf_energy(spin, hf_determinant(nelec))
+    check_finite("the total energy is inf or NaN", e_hf + e_corr)
     if args.amplitudes_out:
         save_amplitudes(t, args.amplitudes_out)
-    e_hf = hf_energy(spin, ref)
     _emit(args, json.dumps({
         "e_hf": e_hf, "e_corr": e_corr, "e_total": e_hf + e_corr,
         "top_amplitudes": top_amplitudes(t, args.top)}))
@@ -158,12 +160,10 @@ def cmd_downfold(args):
     if nelec % 2:
         raise DataError("downfolding assumes a closed-shell reference")
     space = _parse_active(args.active, spin.n_spin_orbitals // 2, nelec)
-    ref = hf_determinant(nelec)
     if args.amplitudes:
-        t = load_amplitudes(args.amplitudes,
-                            *reference_modes(spin.n_spin_orbitals, ref))
+        t = load_amplitudes(args.amplitudes, nelec, spin.n_spin_orbitals)
     else:
-        t, _ = ccsd_solve(spin, ref)
+        t, _ = ccsd_solve(spin, nelec)
     dh = ducc_mod.downfold(spin, space, t)
     integrals_mod.save_spin_fcidump(dh, args.out, nelec)
     print(json.dumps({"out": args.out, "n_active_spin": dh.n_spin_orbitals,
@@ -178,9 +178,8 @@ def _vqe_run(spin, nelec, warm, screen_threshold=None,
     n_orbitals = spin.n_spin_orbitals // 2
     space = ActiveSpace.build(n_orbitals, tuple(range(1, nelec // 2 + 1)))
     exc = ansatz_mod.enumerate_excitations(space)
-    ref = hf_determinant(nelec)
     if warm == "mp2" or screen_threshold is not None:
-        t_mp2 = mp2_amplitudes(spin, ref)
+        t_mp2 = mp2_amplitudes(spin, nelec)
     if screen_threshold is not None:
         exc = ansatz_mod.screen_excitations(exc, t_mp2, screen_threshold)
     x0 = vqe.warm_start(t_mp2, exc) if warm == "mp2" \

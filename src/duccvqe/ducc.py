@@ -8,10 +8,11 @@ indices active and returned as a SpinIntegralSet over the compact active
 spin orbitals.
 
 ``downfold`` works on tensors (scalar, X1, X2), normal ordered relative to
-the Hartree-Fock reference with X2 antisymmetric; each commutator keeps
-its zero-, one- and two-body parts (the IMSRG(2) commutator, Hergert et
-al., Phys. Rep. 621, 165 (2016)). That cut is exact here: [F_N, s] has no
-higher part, and the projection drops the three-body parts anyway.
+the Hartree-Fock reference, N electrons in spin orbitals 0..N-1 as in
+``amplitudes``, with X2 antisymmetric; each commutator keeps its zero-,
+one- and two-body parts (the IMSRG(2) commutator, Hergert et al., Phys.
+Rep. 621, 165 (2016)). That cut is exact here: [F_N, s] has no higher
+part, and the projection drops the three-body parts anyway.
 
 Only the inner bracket [F_N, s] is formed over all m spin orbitals, at
 O(m^5). The two outer brackets, [H_N, s] and [[F_N, s], s], are needed
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import ClusterAmplitudes, contract
-from .fermion import (ActiveSpace, NonFiniteError, SpaceError, fock_matrix,
+from .fermion import (ActiveSpace, SpaceError, check_finite, fock_matrix,
                       hf_energy, negligible)
 from .integrals import SpinIntegralSet
 
@@ -42,21 +43,17 @@ def _sigma_ext(t: ClusterAmplitudes, space: ActiveSpace, m):
     ``FermionOperator.prune`` drops them, NaN kept.
     """
     active = np.isin(t.virtual, space.active_virtual_spin)
-    ext1 = ~active[:, None]
     ext2 = ~(active[:, None] & active)[:, :, None, None]
-
-    def kept(x, ext):
-        return np.where(ext & ~negligible(x), x, 0.0)
-
-    occ, virt = t.occupied, t.virtual
-    t1, t2 = kept(t.t1, ext1), kept(t.t2, ext2)
+    t1, t2 = (np.where(ext & ~negligible(x), x, 0.0)
+              for x, ext in ((t.t1, ~active[:, None]), (t.t2, ext2)))
+    o, v = slice(len(t.occupied)), slice(len(t.occupied), None)
     x1 = np.zeros((m, m))
     x2 = np.zeros((m, m, m, m))
     # the adjoint blocks are 0 - t, so a dropped entry stays +0.0
-    x1[np.ix_(virt, occ)] = t1
-    x1[np.ix_(occ, virt)] -= t1.T
-    x2[np.ix_(virt, virt, occ, occ)] = t2
-    x2[np.ix_(occ, occ, virt, virt)] -= t2.transpose(2, 3, 0, 1)
+    x1[v, o] = t1
+    x1[o, v] -= t1.T
+    x2[v, v, o, o] = t2
+    x2[o, o, v, v] -= t2.transpose(2, 3, 0, 1)
     return 0.0, x1, x2
 
 
@@ -142,10 +139,8 @@ def _active_block(x, space: ActiveSpace) -> SpinIntegralSet:
     chi1 = x1 - np.einsum("piqi->pq", x2[:, o, :, o])
     scalar = x0 - np.trace(x1[o, o]) \
         + 0.5 * np.einsum("ijij->", x2[o, o, o, o])
-    if not (np.isfinite(scalar) and np.isfinite(chi1).all()
-            and np.isfinite(x2).all()):
-        raise NonFiniteError(
-            "downfold overflowed: a dressed integral is inf or NaN")
+    check_finite("downfold overflowed: a dressed integral is inf or NaN",
+                 scalar, chi1, x2)
     return _integral_set(float(scalar), chi1, x2)
 
 

@@ -67,7 +67,13 @@ class SectorError(DataError):
 
 
 class NonFiniteError(DataError):
-    """An operator coefficient overflowed to inf or NaN."""
+    """A coefficient, amplitude or energy overflowed to inf or NaN."""
+
+
+def check_finite(message, *values):
+    """NonFiniteError(message) when an entry of a value is inf or NaN."""
+    if not all(np.isfinite(x).all() for x in values):
+        raise NonFiniteError(message)
 
 
 def negligible(x):
@@ -240,17 +246,16 @@ def hf_determinant(n_electrons: int) -> int:
     return (1 << n_electrons) - 1
 
 
-def reference_modes(n_modes: int, ref: int):
-    """The occupied and the virtual modes of determinant ``ref``."""
-    return ([p for p in range(n_modes) if (ref >> p) & 1],
-            [p for p in range(n_modes) if not (ref >> p) & 1])
+def _occupied(n_modes: int, ref: int):
+    """The occupied modes of determinant ``ref``."""
+    return [p for p in range(n_modes) if (ref >> p) & 1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def fock_matrix(spin_ints, ref: int) -> np.ndarray:
     """f_pq = h_pq + sum_{i occ} <pi||qi> = h_pq + sum_i [(pq|ii) - (pi|iq)],
     read from the chemists' h2 over the occupied indices alone."""
-    occ = reference_modes(spin_ints.n_spin_orbitals, ref)[0]
+    occ = _occupied(spin_ints.n_spin_orbitals, ref)
     h2 = spin_ints.h2
     return spin_ints.h1 + h2[:, :, occ, occ].sum(axis=2) \
         - h2[:, occ, occ, :].sum(axis=1)
@@ -259,7 +264,7 @@ def fock_matrix(spin_ints, ref: int) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def hf_energy(spin_ints, ref: int) -> float:
     """E_0 + sum_i h_ii + 1/2 sum_ij [(ii|jj) - (ij|ji)]."""
-    occ = reference_modes(spin_ints.n_spin_orbitals, ref)[0]
+    occ = _occupied(spin_ints.n_spin_orbitals, ref)
     h2 = spin_ints.h2[np.ix_(occ, occ, occ, occ)]
     return float(spin_ints.scalar_shift + sum(spin_ints.h1[i, i] for i in occ)
                  + 0.5 * (np.einsum("iijj->", h2) - np.einsum("ijji->", h2)))
@@ -483,8 +488,7 @@ def checked_sector_hamiltonian(spin_ints, n_electrons: int, ms2: int):
         data = mat.data
     if worst > HERMITIAN_TOL:
         raise SectorError("Hamiltonian is not Hermitian in the sector")
-    if not np.isfinite(data).all():
-        raise NonFiniteError("sector matrix has an inf or NaN entry")
+    check_finite("sector matrix has an inf or NaN entry", data)
     return mat
 
 
@@ -514,6 +518,5 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
     else:
         import scipy.linalg as sla
         w, v = sla.eigh(mat, subset_by_index=(0, 0))
-    if not np.isfinite(w[0]):
-        raise NonFiniteError(f"ground-state energy overflowed: {w[0]}")
+    check_finite(f"ground-state energy overflowed: {w[0]}", w[0])
     return float(w[0]), v[:, 0]

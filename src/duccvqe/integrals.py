@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .fermion import DataError, NonFiniteError, negligible
+from .fermion import DataError, check_finite, negligible
 
 DUPLICATE_TOL = 1e-12
 # Loading a file forms dense spin-orbital tensors of m^4 entries, and the
@@ -350,10 +350,8 @@ def save_spin_fcidump(spin_ints: SpinIntegralSet, path, nelec, ms2=0):
     differ by more than DUPLICATE_TOL, the first such pair in descending
     index order (that of a fill entry by entry, canonical member last).
     """
-    if not (np.isfinite(spin_ints.h1).all() and np.isfinite(spin_ints.h2).all()
-            and math.isfinite(spin_ints.scalar_shift)):
-        raise NonFiniteError(
-            f"{path}: not written: an integral is inf or NaN")
+    check_finite(f"{path}: not written: an integral is inf or NaN",
+                 spin_ints.h1, spin_ints.h2, spin_ints.scalar_shift)
     keys = {}
     for x in (spin_ints.h2, spin_ints.h1):
         kept = ~negligible(x)

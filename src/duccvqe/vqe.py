@@ -24,7 +24,7 @@ import numpy as np
 
 from .ansatz import ExcitationList
 from .fermion import (DataError, checked_sector_hamiltonian,
-                      excitation_matrix, hf_determinant, sector_determinants)
+                      excitation_matrix, sector_determinants)
 from .integrals import SpinIntegralSet
 
 RHOBEG = 0.1
@@ -72,13 +72,12 @@ class VqeProblem:
                 f"{self.integrals.n_spin_orbitals}-mode integrals for "
                 f"{n_modes}-mode excitations")
         dets = sector_determinants(n_modes, self.n_electrons, 0)
-        # a non-empty Sz = 0 sector holds the lowest n_electrons modes
+        # a non-empty, sorted Sz = 0 sector starts with the Hartree-Fock
+        # determinant (1 << N) - 1, the smallest integer with N bits set
         if not len(dets):
             raise VqeError(
                 f"Hartree-Fock determinant of {self.n_electrons} electrons "
                 f"outside the Sz = 0 sector of {n_modes} modes")
-        self._reference = int(
-            np.searchsorted(dets, hf_determinant(self.n_electrons)))
         self._hamiltonian = checked_sector_hamiltonian(self.integrals,
                                                        self.n_electrons, 0)
         self._generators = [excitation_matrix(key, dets)
@@ -113,7 +112,7 @@ def objective(problem: VqeProblem, params) -> float:
         raise VqeError(f"{len(params)} parameters for "
                        f"{len(problem._generators)} excitation slots")
     v = np.zeros(problem._hamiltonian.shape[0])
-    v[problem._reference] = 1.0
+    v[0] = 1.0  # the Hartree-Fock determinant, first in the sector
     for theta, (rows, cols, signs) in zip(params, problem._generators):
         # v + sin(theta) kappa v + (1 - cos(theta)) kappa^2 v, in place on
         # the pairs of E, where kappa^2 v = -v; 1 - cos(theta) as
@@ -189,8 +188,5 @@ def warm_start(amps, exc) -> np.ndarray:
     """
     params = np.zeros(len(exc))
     for slot, key in enumerate(exc.entries):
-        if len(key) == 2:
-            params[slot] = amps.get_t1(*key)
-        else:
-            params[slot] = amps.get_t2(*key)
+        params[slot] = (amps.get_t1 if len(key) == 2 else amps.get_t2)(*key)
     return params

@@ -306,15 +306,15 @@ def hf_energy(spin_ints, ref: int) -> float:
     return e
 
 
-def mp2_amplitudes(spin_ints, ref):
-    """t2_abij = <ab||ij> / (e_i + e_j - e_a - e_b) on the full <pq||rs>."""
-    occ = [m for m in range(spin_ints.n_spin_orbitals) if (ref >> m) & 1]
-    virt = [m for m in range(spin_ints.n_spin_orbitals) if m not in occ]
-    eps = np.diag(fock_matrix(spin_ints, ref))
-    _, e_abij = _denominators(eps[occ], eps[virt], occ, virt)
+def mp2_amplitudes(spin_ints, n_electrons):
+    """t2_abij = <ab||ij> / (e_i + e_j - e_a - e_b) on the full <pq||rs>,
+    with spin orbitals 0..N-1 occupied."""
+    occ = list(range(n_electrons))
+    virt = list(range(n_electrons, spin_ints.n_spin_orbitals))
+    eps = np.diag(fock_matrix(spin_ints, hf_determinant(n_electrons)))
+    _, e_abij = _denominators(eps, n_electrons)
     vten = spin_ints.antisymmetrized()[np.ix_(virt, virt, occ, occ)]
-    return ClusterAmplitudes(tuple(occ), tuple(virt),
-                             np.zeros((len(virt), len(occ))),
+    return ClusterAmplitudes(np.zeros((len(virt), len(occ))),
                              _antisymmetric(vten / e_abij))
 
 

@@ -88,7 +88,7 @@ def vqe_runs():
     runs = {}
     for name in GEOMETRIES:
         spin = builtin_fixture(name).to_spin_orbital()
-        x0 = warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)
+        x0 = warm_start(mp2_amplitudes(spin, 2), exc)
         problem = VqeProblem(spin, exc, 2, x0)
         t0 = time.time()
         result = minimize(problem)
@@ -164,7 +164,7 @@ def test_criterion_5_ccsd_equals_fci(rng):
         n_orb = 3 + k % 4  # 3..6 spatial orbitals
         spin = random_integral_set(rng, n_orb).to_spin_orbital()
         ref = hf_determinant(2)
-        _, e_corr = ccsd_solve(spin, ref)
+        _, e_corr = ccsd_solve(spin, 2)
         e_fci, _ = exact_ground_state(spin, 2, 0)
         worst = max(worst, abs(hf_energy(spin, ref) + e_corr - e_fci))
     elapsed = time.time() - t0
@@ -177,7 +177,7 @@ def test_criterion_6_downfolding_identities(rng):
     # (a) sigma_ext = 0 -> term-exact bare restriction
     spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
     space = ActiveSpace.build(4, (1,), (2,))
-    t, _ = ccsd_solve(spin, hf_determinant(2))
+    t, _ = ccsd_solve(spin, 2)
     internal_only = ducc.downfold(
         spin, ActiveSpace.build(4, (1,)), t)  # external side empty
     bare_full = ducc.bare_restriction(spin, ActiveSpace.build(4, (1,)))
@@ -190,7 +190,7 @@ def test_criterion_6_downfolding_identities(rng):
     spec_ok = True
     for name in GEOMETRIES:
         sp = builtin_fixture(name).to_spin_orbital()
-        tt, _ = ccsd_solve(sp, hf_determinant(2))
+        tt, _ = ccsd_solve(sp, 2)
         dh = ducc.downfold(sp, ActiveSpace.build(4, (1,)), tt)
         e_down, _ = exact_ground_state(dh, 2, 0)
         e_fci, _ = exact_ground_state(sp, 2, 0)
@@ -220,7 +220,7 @@ def test_criterion_7_downfolding_improvement(rng):
     ducc_err, bare_err = [], []
     for _ in range(20):
         spin = random_integral_set(rng, 4, noise=0.15).to_spin_orbital()
-        t, _ = ccsd_solve(spin, hf_determinant(2))
+        t, _ = ccsd_solve(spin, 2)
         e_fci, _ = exact_ground_state(spin, 2, 0)
         e_ducc, _ = exact_ground_state(ducc.downfold(spin, half, t), 2, 0)
         e_bare, _ = exact_ground_state(ducc.bare_restriction(spin, half), 2, 0)

@@ -204,7 +204,7 @@ def test_text_round_trip_and_validation():
 def test_screen_excitations():
     from duccvqe.amplitudes import ClusterAmplitudes
     exc = enumerate_excitations(_space(4, 2))
-    t = ClusterAmplitudes.empty((0, 1), tuple(range(2, 8)))
+    t = ClusterAmplitudes.empty(2, 8)
     t.set_t2(0, 1, 2, 3, 0.2)
     kept = screen_excitations(exc, t, 1e-5)
     assert kept.doubles == ((0, 1, 2, 3),)

@@ -23,8 +23,8 @@ from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
 from duccvqe.ducc import downfold
 from duccvqe.fermion import (DENSE_SECTOR_LIMIT, ActiveSpace, DataError,
-                             build_hamiltonian, hf_determinant,
-                             sector_determinants, sector_dimension)
+                             build_hamiltonian, sector_determinants,
+                             sector_dimension)
 from duccvqe.integrals import (FIXTURE_NAMES, builtin_fixture, load_fcidump,
                                load_spin_fcidump, read_fcidump, save_fcidump,
                                save_spin_fcidump)
@@ -286,12 +286,12 @@ def test_parser_built_once_and_ccsd_looked_up_per_command(capsys,
     assert run(capsys, "mp2", "--fixture", "h2_ducc_0.8")[0] == EXIT_OK
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    refs = []
+    counts = []
     monkeypatch.setattr(cli, "ccsd_solve",
-                        lambda spin, ref: refs.append(ref)
-                        or ccsd_solve(spin, ref))
+                        lambda spin, nelec: counts.append(nelec)
+                        or ccsd_solve(spin, nelec))
     assert run(capsys, "ccsd", "--fixture", "h2_ducc_0.8")[0] == EXIT_OK
-    assert refs == [hf_determinant(2)]
+    assert counts == [2]
 
 
 def test_ccsd_non_convergence_exits_4(capsys, monkeypatch):
@@ -299,6 +299,67 @@ def test_ccsd_non_convergence_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "ccsd", "--fixture", "h2_ducc_0.8")
     assert code == EXIT_CONVERGENCE and out == ""
     assert err.startswith("error: CCSD not converged after 1 iterations")
+
+
+@pytest.mark.parametrize("command", ["mp2", "ccsd"])
+@pytest.mark.parametrize("source", ["fixture", "missing"])
+def test_bad_top_refused_before_loading_or_solving(capsys, tmp_path, command,
+                                                   source):
+    # a missing file would be reported if it were read first
+    amps = tmp_path / "t.amps"
+    where = ["--fixture", "h2_ducc_0.8"] if source == "fixture" \
+        else ["--integrals", str(tmp_path / "missing.fcidump")]
+    code, out, err = run(capsys, command, *where, "--top", "0",
+                         "--amplitudes-out", str(amps))
+    assert (code, out, err) == (EXIT_DATA, "", "error: k must be >= 1\n")
+    assert not amps.exists()
+
+
+# 2 orbitals, 2 electrons: the integral lines, and the message of each
+# command. "exchange", (12|12) = 1e308, overflows the MP2 energy and the
+# CCSD residuals; vqe reads only the MP2 amplitudes, which stay finite.
+# "all", 1e308 on all four two-body lines, overflows the orbital energies;
+# "scalar", a core energy of 1e308, the total energy.
+SECTOR = "sector matrix has an inf or NaN entry"
+OVERFLOWING = {
+    "exchange": (["1 1 0 0 -1.0", "2 2 0 0 1.0", "1 2 1 2 1e308"],
+                 {"mp2": "the MP2 energy is inf or NaN",
+                  "ccsd": "a CCSD residual is inf or NaN",
+                  "downfold": "a CCSD residual is inf or NaN",
+                  "vqe": SECTOR}),
+    "all": (["1 1 0 0 -1.0", "2 2 0 0 1.0"]
+            + [f"{key} 1e308" for key in ("1 1 1 1", "1 2 1 2", "1 1 2 2",
+                                          "2 2 2 2")],
+            dict.fromkeys(["mp2", "ccsd", "downfold", "vqe"],
+                          "an orbital energy is inf or NaN")),
+    "scalar": (["1 1 0 0 5e307", "2 2 0 0 1.0", "1 2 1 2 0.1",
+                "0 0 0 0 1e308"],
+               {"mp2": "the total energy is inf or NaN",
+                "ccsd": "the total energy is inf or NaN",
+                "downfold": "downfold overflowed: a dressed integral is inf "
+                            "or NaN",
+                "vqe": SECTOR}),
+}
+
+
+@pytest.mark.parametrize("system", list(OVERFLOWING))
+@pytest.mark.parametrize("command", ["mp2", "ccsd", "downfold", "vqe"])
+def test_overflowing_integrals_exit_3_without_warnings(capsys, tmp_path,
+                                                       command, system):
+    lines, messages = OVERFLOWING[system]
+    path, written = tmp_path / "big.fcidump", tmp_path / "written"
+    path.write_text("\n".join(["&FCI NORB=2 NELEC=2 MS2=0", *lines]) + "\n")
+    extra = {"mp2": ["--amplitudes-out", str(written)],
+             "ccsd": ["--amplitudes-out", str(written)],
+             "downfold": ["--active", "1", "--out", str(written)],
+             "vqe": []}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--integrals", str(path),
+                             *extra)
+    want = f"error: {messages[command]}\n"
+    assert (code, out, err) == (EXIT_DATA, "", want)
+    assert not written.exists()
 
 
 def test_mp2_and_ccsd_pipeline(capsys, tmp_path):
@@ -483,7 +544,7 @@ def test_library_and_cli_give_the_same_dressed_hamiltonian(capsys, tmp_path,
                      "--out", str(dressed))
     assert code == EXIT_OK
     spin = ints.to_spin_orbital()
-    t, _ = ccsd_solve(spin, hf_determinant(2))
+    t, _ = ccsd_solve(spin, 2)
     dh = downfold(spin, ActiveSpace.build(ints.n_orbitals, (1,), (2,)), t)
     back = load_spin_fcidump(dressed)
     np.testing.assert_allclose(back.h1, dh.h1, rtol=0, atol=1e-14)

@@ -22,7 +22,7 @@ HALF_SPACE = ActiveSpace.build(4, (1,), (2,))
 
 def _fixture_setup(name):
     spin = builtin_fixture(name).to_spin_orbital()
-    t, _ = ccsd_solve(spin, hf_determinant(2))
+    t, _ = ccsd_solve(spin, 2)
     return spin, t
 
 
@@ -140,7 +140,7 @@ def test_downfold_random_systems_improve(rng):
     for _ in range(6):
         ints = random_integral_set(rng, 4, noise=0.15)
         spin = ints.to_spin_orbital()
-        t, _ = ccsd_solve(spin, hf_determinant(2))
+        t, _ = ccsd_solve(spin, 2)
         e_fci, _ = exact_ground_state(spin, 2, 0)
         e_ducc, _ = exact_ground_state(downfold(spin, HALF_SPACE, t), 2, 0)
         e_bare, _ = exact_ground_state(
@@ -170,7 +170,7 @@ def test_downfold_matches_unpruned_expansion(rng):
             (5, 2, (1,), (3, 5)), (5, 4, (1, 2), (3, 4))):
         spin = random_integral_set(rng, n_orbitals,
                                    noise=0.15).to_spin_orbital()
-        t, _ = ccsd_solve(spin, hf_determinant(n_electrons))
+        t, _ = ccsd_solve(spin, n_electrons)
         cases.append((spin, t, ActiveSpace.build(n_orbitals, occupied,
                                                  active_virtual)))
     for spin, t, space in cases:
@@ -196,11 +196,10 @@ def test_sigma_ext_tensors_match_operator_oracle(rng):
             n_orbitals, occupied, active_virtual)))
     amplitude_sets = []
     for spin, n_electrons, space in cases:
-        ref = hf_determinant(n_electrons)
-        amplitude_sets += [(ccsd_solve(spin, ref)[0], space),
-                           (mp2_amplitudes(spin, ref), space)]
+        amplitude_sets += [(ccsd_solve(spin, n_electrons)[0], space),
+                           (mp2_amplitudes(spin, n_electrons), space)]
     # pruning: below the threshold, at it, above it, and NaN kept
-    t = ClusterAmplitudes.empty((0, 1), range(2, 8))
+    t = ClusterAmplitudes.empty(2, 8)
     t.set_t1(0, 4, 1e-13)
     t.set_t1(1, 5, -1e-12)
     t.set_t1(0, 6, 2e-12)
@@ -246,7 +245,7 @@ def test_bracket_matches_string_commutator(rng):
 def test_six_orbital_four_electron_downfold_improves(rng):
     space = ActiveSpace.build(6, (1, 2), (3,))
     spin = random_integral_set(rng, 6, noise=0.15).to_spin_orbital()
-    t, _ = ccsd_solve(spin, hf_determinant(4))
+    t, _ = ccsd_solve(spin, 4)
     e_fci, _ = exact_ground_state(spin, 4, 0)
     e_ducc, _ = exact_ground_state(downfold(spin, space, t), 4, 0)
     e_bare, _ = exact_ground_state(bare_restriction(spin, space), 4, 0)
@@ -280,7 +279,7 @@ def _full_tensor_cases():
         rng = np.random.default_rng(10 * n_orbitals + n_electrons)
         spin = random_integral_set(rng, n_orbitals, gap=3.0,
                                    noise=0.15).to_spin_orbital()
-        t, _ = ccsd_solve(spin, hf_determinant(n_electrons))
+        t, _ = ccsd_solve(spin, n_electrons)
         cases.append((spin, t, ActiveSpace.build(n_orbitals, occupied,
                                                  active_virtual)))
     return cases

@@ -9,7 +9,7 @@ from duccvqe.amplitudes import mp2_amplitudes
 from duccvqe.ansatz import (enumerate_excitations, screen_excitations,
                             trotter_circuit)
 from duccvqe.fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
-                             excitation_generator, hf_determinant)
+                             excitation_generator)
 from duccvqe.integrals import FIXTURE_NAMES, SpinIntegralSet, builtin_fixture
 from duccvqe.mapping import (PauliString, PauliSum, jordan_wigner,
                              pauli_multiply)
@@ -207,7 +207,7 @@ def test_jw_circuits_are_the_oracle_circuits(monkeypatch):
         out = []
         for name in FIXTURE_NAMES:
             spin = builtin_fixture(name).to_spin_orbital()
-            t_mp2 = mp2_amplitudes(spin, hf_determinant(2))
+            t_mp2 = mp2_amplitudes(spin, 2)
             for space in (ActiveSpace.build(4, (1,)),
                           ActiveSpace.build(4, (1,), (2,))):
                 exc = enumerate_excitations(space)

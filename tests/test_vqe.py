@@ -33,7 +33,7 @@ def _fixture_problem(name, start="mp2"):
     space = ActiveSpace.build(4, (1,))
     exc = enumerate_excitations(space)
     if start == "mp2":
-        x0 = warm_start(mp2_amplitudes(spin, hf_determinant(2)), exc)
+        x0 = warm_start(mp2_amplitudes(spin, 2), exc)
     else:
         x0 = np.zeros(len(exc))
     return VqeProblem(spin, exc, 2, x0), spin, exc
@@ -96,7 +96,7 @@ def test_determinism():
 
 def test_warm_start_vector_layout():
     _, spin, exc = _fixture_problem("h2_ducc_1.4008")
-    t = mp2_amplitudes(spin, hf_determinant(2))
+    t = mp2_amplitudes(spin, 2)
     x0 = warm_start(t, exc)
     assert x0.shape == (len(exc),)
     # MP2 has no singles; doubles land in their slots with canonical sign
@@ -105,7 +105,7 @@ def test_warm_start_vector_layout():
         if len(key) == 4:
             assert x0[slot] == t.get_t2(*key)
     from duccvqe.amplitudes import ClusterAmplitudes
-    empty = ClusterAmplitudes.empty((0, 1), tuple(range(2, 8)))
+    empty = ClusterAmplitudes.empty(2, 8)
     assert np.all(warm_start(empty, exc) == 0.0)
 
 
@@ -148,7 +148,7 @@ def _oracle_cases():
         cases.append(pytest.param(spin, exc, 4, id=f"random_{n_orb}orb"))
     spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
     screened = screen_excitations(
-        full, mp2_amplitudes(spin, hf_determinant(2)), 1e-2)
+        full, mp2_amplitudes(spin, 2), 1e-2)
     assert 0 < len(screened.doubles) < len(full.doubles)
     cases.append(pytest.param(spin, screened, 2, id="screened"))
     cases.append(pytest.param(spin, ExcitationList(8, (), ()), 2,
