@@ -19,7 +19,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .fermion import DataError, check_finite, fock_matrix, hf_determinant
+from .fermion import (ConvergenceError, DataError, check_finite, fock_matrix,
+                      hf_determinant)
 from .integrals import SpinIntegralSet, data_lines
 
 DENOMINATOR_FLOOR = 1e-8
@@ -34,10 +35,6 @@ G_BLOCKS = "oooo ooov oovo oovv ovoo ovov ovvo ovvv vovv vvoo vvvo vvvv"
 
 class DegenerateReferenceError(DataError):
     """A perturbative energy denominator fell below the floor."""
-
-
-class ConvergenceError(Exception):
-    """CCSD iterations did not reach the residual tolerance."""
 
 
 def _canonical(nv, no):

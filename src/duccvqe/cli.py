@@ -19,10 +19,10 @@ from . import ansatz as ansatz_mod
 from . import ducc as ducc_mod
 from . import integrals as integrals_mod
 from . import vqe
-from .amplitudes import (ConvergenceError, ccsd_solve, check_top,
-                         load_amplitudes, mp2_amplitudes, mp2_energy,
-                         save_amplitudes, top_amplitudes)
-from .fermion import (ActiveSpace, DataError, check_finite,
+from .amplitudes import (ccsd_solve, check_top, load_amplitudes,
+                         mp2_amplitudes, mp2_energy, save_amplitudes,
+                         top_amplitudes)
+from .fermion import (ActiveSpace, ConvergenceError, DataError, check_finite,
                       exact_ground_state, hf_determinant, hf_energy)
 
 EXIT_OK = 0

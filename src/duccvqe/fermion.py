@@ -8,8 +8,9 @@ group by ascending mode; normal ordering itself is a test oracle.
 Sector matrices are built on whole (N, Sz) sectors: H from the integrals
 (``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``, dense
 below ``DENSE_SECTOR_LIMIT`` and CSR above) and the UCC excitations E as
-signed index maps (``excitation_matrix``). SciPy is imported only where a
-CSR matrix or a solver is made. H as operator strings
+signed index maps (``excitation_matrix``). ``exact_ground_state`` solves
+either layout with one NumPy Davidson solver, so SciPy is imported only where
+a CSR matrix is made. H as operator strings
 (``build_hamiltonian``) is the Jordan-Wigner input and the test oracle.
 """
 
@@ -29,25 +30,41 @@ HERMITIAN_TOL = 1e-10
 # sectors of fewer determinants are dense arrays, of more CSR, for both
 # exact_ground_state and VqeProblem. Measured with BLAS on 1 thread on a
 # 2-vCPU VM on seeded systems of 5-8 orbitals, seeds 0 and 1:
-#   determinants   lowest pair: dense eigh / eigsh   one v.Hv: dense / CSR
-#   100            0.44-0.46 / 2.4-2.6 ms            5.0 / 12-13 us
-#   400            7.2-7.5 / 6.1-6.9 ms              30-34 / 46-48 us
-#   560            19-30 / 15-23 ms                  83-94 / 98-101 us
-#   735            37-38 / 15-17 ms                  186-187 / 129-131 us
-#   1225           163-178 / 28-34 ms                551-552 / 241-256 us
-# The solve crosses near 400 determinants and the product between 560 and
-# 735; a VQE takes hundreds of products to one solve, so the limit follows
-# the product.
+#   determinants   lowest pair (Davidson): dense / CSR   one v.Hv: dense / CSR
+#   100            0.50-0.78 / 0.58-1.1 ms               4.8-5.2 / 8.2-12 us
+#   400            1.6 / 1.3-1.5 ms                      26-28 / 33-46 us
+#   560            2.2 / 2.0-2.3 ms                      79-82 / 63-69 us
+#   735            3.3-3.7 / 2.2-2.7 ms                  175-181 / 88-130 us
+#   1225           7.7-8.0 / 4.1-4.6 ms                  488-498 / 221-276 us
+# One solver runs on both layouts and stays within 2x of either, so the
+# limit follows the product alone, which crosses between 400 and 735
+# determinants from run to run; a VQE takes hundreds of products.
 DENSE_SECTOR_LIMIT = 600
-# exact_ground_state costs about 34 B and 0.6 us a non-zero of the sector
+# exact_ground_state costs about 33 B and 0.4 us a non-zero of the sector
 # matrix of H, on top of the integrals: measured with BLAS on 1 thread on
 # a 2-vCPU VM on seeded systems, 14,400 determinants (10 orbitals, 6
-# electrons, 610 non-zeros a row) took 4.6 s at 375 MB peak RSS, 18,496 (17
-# orbitals, 4 electrons, 1171 a row) 13.1 s at 796 MB, and 23,409 (18
-# orbitals, 4 electrons, 1329 a row, the densest sector below the cap)
-# 16-19 s at 942-1156 MB over three runs. The cap keeps one run within
-# about 1.2 GB and half a minute.
+# electrons, 610 non-zeros a row) took 3.0-3.4 s at 295-329 MB peak RSS
+# over two runs, 0.22-0.23 s of it the solve, 18,496 (17 orbitals, 4
+# electrons, 1171 a row) 8.0 s at 703 MB, and 23,409 (18 orbitals, 4
+# electrons, 1329 a row, the densest sector below the cap) 12.3 s at
+# 1069 MB. The build of H sets both; the cap keeps one run within about
+# 1.2 GB and half a minute.
 SECTOR_DIM_CAP = 25_000
+# Davidson's method in exact_ground_state: the start block holds the unit
+# vectors of the DAVIDSON_START lowest diagonal entries and one seeded random
+# vector; each iteration adds the correction r / (theta - H_ii), with
+# |theta - H_ii| floored at DAVIDSON_FLOOR, and the basis restarts from the
+# DAVIDSON_START lowest Ritz vectors at DAVIDSON_MAX_BASIS columns. The pair
+# is converged when ||H x - theta x|| <= DAVIDSON_TOL, or where H is large,
+# DAVIDSON_ULPS ulps of its largest Ritz value: at a core energy of 1e5
+# Hartree, where an ulp is 1.5e-11, rounding in H x alone left 2e-12 to
+# 1.8e-10 on seeded sectors of 100-14,400 determinants.
+DAVIDSON_START = 8
+DAVIDSON_MAX_BASIS = 48
+DAVIDSON_FLOOR = 1e-8
+DAVIDSON_TOL = 1e-11
+DAVIDSON_ULPS = 64
+DAVIDSON_MAX_ITER = 200
 # entries formed at once: candidate excitations by sector_hamiltonian,
 # (string, amplitude) pairs by simulator.expectation, differences by the
 # Hermiticity check of checked_sector_hamiltonian
@@ -56,6 +73,11 @@ CHUNK_EXCITATIONS = 1 << 18
 
 class DataError(Exception):
     """Input data the pipeline cannot use; ``ducc-vqe`` exits 3 on it."""
+
+
+class ConvergenceError(Exception):
+    """An iterative solver ran out of iterations before its tolerance;
+    ``ducc-vqe`` exits 4 on it."""
 
 
 class SpaceError(DataError):
@@ -492,31 +514,77 @@ def checked_sector_hamiltonian(spin_ints, n_electrons: int, ms2: int):
     return mat
 
 
+def _lowest_eigenpair(mat):
+    """The lowest eigenpair of the symmetric ``mat``, a dense array or a
+    CSR matrix, by Davidson's method with the diagonal as preconditioner
+    (E. R. Davidson, J. Comput. Phys. 17, 87 (1975)); see the DAVIDSON_*
+    constants. Every step is fixed, so the pair repeats bit for bit.
+
+    ConvergenceError when the residual is still above its tolerance after
+    ``DAVIDSON_MAX_ITER`` iterations.
+    """
+    n = mat.shape[0]
+    if n <= DAVIDSON_MAX_BASIS:
+        # mat @ I is a dense copy of either layout
+        w, v = np.linalg.eigh(mat @ np.eye(n))
+        return w[0], v[:, 0]
+    diag = mat.diagonal()
+    # basis vectors and their products with mat, one a row
+    basis = np.zeros((DAVIDSON_MAX_BASIS, n))
+    low = np.argsort(diag, kind="stable")[:DAVIDSON_START]
+    basis[np.arange(DAVIDSON_START), low] = 1.0
+    # a random row: the unit vectors can be orthogonal, by symmetry, to the
+    # ground state
+    extra = np.random.default_rng(0).standard_normal(n)
+    extra[low] = 0.0
+    basis[DAVIDSON_START] = extra / np.linalg.norm(extra)
+    k = DAVIDSON_START + 1
+    product = np.zeros_like(basis)
+    product[:k] = (mat @ basis[:k].T).T
+    for _ in range(DAVIDSON_MAX_ITER):
+        theta, s = np.linalg.eigh(basis[:k] @ product[:k].T)
+        x = s[:, 0] @ basis[:k]
+        residual = s[:, 0] @ product[:k] - theta[0] * x
+        # in units of the largest Ritz value, so that no square overflows
+        scale = max(1.0, np.abs(theta).max())
+        norm = scale * np.linalg.norm(residual / scale)
+        if norm <= max(DAVIDSON_TOL, DAVIDSON_ULPS * np.spacing(scale)):
+            return theta[0], x
+        if k == DAVIDSON_MAX_BASIS:
+            keep = s[:, :DAVIDSON_START].T
+            basis[:DAVIDSON_START] = keep @ basis
+            product[:DAVIDSON_START] = keep @ product
+            k = DAVIDSON_START
+        shift = theta[0] - diag
+        shift[np.abs(shift) < DAVIDSON_FLOOR] = DAVIDSON_FLOOR
+        t = residual / shift
+        for _ in range(2):
+            t -= (basis[:k] @ t) @ basis[:k]
+        basis[k] = t / np.linalg.norm(t)
+        product[k] = mat @ basis[k]
+        k += 1
+    raise ConvergenceError(
+        f"ground state not converged after {DAVIDSON_MAX_ITER} iterations; "
+        f"residual norm {norm:.3e}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
     """Lowest eigenpair of H in the (N, Sz) determinant sector, and only
-    that pair: LAPACK's partial ``eigh`` on a dense H, ARPACK's Lanczos
-    ``eigsh`` from a fixed start vector on a CSR H (see
-    ``checked_sector_hamiltonian``), so the energy repeats bit for bit.
+    that pair, from one NumPy Davidson solver on the H of
+    ``checked_sector_hamiltonian``, dense or CSR; a sector of at most
+    ``DAVIDSON_MAX_BASIS`` determinants is diagonalized whole. The start
+    block is fixed, so the energy repeats bit for bit.
 
     SectorError when H is not Hermitian in the sector to
     ``HERMITIAN_TOL``; NonFiniteError when a matrix entry or the energy is
-    inf or NaN.
+    inf or NaN; ConvergenceError when the solver runs out of iterations.
     """
     m = spin_ints.n_spin_orbitals
     if not sector_dimension(m, n_electrons, ms2):
         raise SectorError(
             f"empty sector: N={n_electrons}, MS2={ms2}, modes={m}")
     mat = checked_sector_hamiltonian(spin_ints, n_electrons, ms2)
-    # SciPy's solvers are imported where they run, not with the package
-    if not isinstance(mat, np.ndarray):
-        import scipy.sparse.linalg as spla
-        # a random start: a unit vector can be orthogonal, by symmetry, to
-        # the ground state
-        start = np.random.default_rng(0).standard_normal(mat.shape[0])
-        w, v = spla.eigsh(mat, k=1, which="SA", v0=start)
-    else:
-        import scipy.linalg as sla
-        w, v = sla.eigh(mat, subset_by_index=(0, 0))
-    check_finite(f"ground-state energy overflowed: {w[0]}", w[0])
-    return float(w[0]), v[:, 0]
+    energy, vector = _lowest_eigenpair(mat)
+    check_finite(f"ground-state energy overflowed: {energy}", energy)
+    return float(energy), vector

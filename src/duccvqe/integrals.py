@@ -40,20 +40,23 @@ class IntegralError(DataError):
     """Malformed integral file or inconsistent integral data."""
 
 
+@np.errstate(over="ignore")
 def _orbits(idx, values, n):
     """For 0-based (rows, k) indices into an n^k array and their values, in
     order: the flat index arrays of the rows' orbit members, the canonical
     (least) ones, the rows last in their orbit by canonical index, and the
     (row, earlier row) of the first value off the one before it in its
-    orbit by more than DUPLICATE_TOL, or None."""
+    orbit by more than DUPLICATE_TOL, or None. Only values of one orbit
+    are subtracted; a difference past the float range is inf, a conflict."""
     place = n ** np.arange(idx.shape[1] - 1, -1, -1)
     members = [idx[:, list(p)] @ place for p in ORBITS[idx.shape[1]]]
     keys = np.minimum.reduce(members)
     order = np.argsort(keys, kind="stable")
     later, earlier = order[1:], order[:-1]
     same = keys[later] == keys[earlier]
-    bad = same & (np.abs(values[later] - values[earlier]) > DUPLICATE_TOL)
     last = order[np.append(~same, True)[:len(order)]]
+    later, earlier = later[same], earlier[same]
+    bad = np.abs(values[later] - values[earlier]) > DUPLICATE_TOL
     hit = None
     if bad.any():
         first = np.argmin(later[bad])

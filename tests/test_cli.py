@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import sector_matrix
 
 import duccvqe
-from duccvqe import amplitudes, cli
+from duccvqe import amplitudes, cli, fermion
 from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
@@ -167,8 +167,8 @@ def _fresh_interpreter(*args):
 
 
 def test_eig_repeats_across_processes(tmp_path):
-    # above DENSE_SECTOR_LIMIT eigsh runs from a fixed start vector, so a
-    # new process gives the same bits
+    # above DENSE_SECTOR_LIMIT the Davidson solver runs on a CSR H from a
+    # fixed start block, so a new process gives the same bits
     path = tmp_path / "system.fcidump"
     save_fcidump(random_integral_set(np.random.default_rng([7, 6, 0]), 7),
                  path, nelec=6)
@@ -189,25 +189,28 @@ def test_eig_leaves_scipy_optimize_unloaded():
     assert out.splitlines()[-1] == "False"
 
 
-def test_commands_without_a_solver_load_no_scipy(tmp_path):
-    # below DENSE_SECTOR_LIMIT no sector forms a CSR matrix, so only the
-    # eigensolvers and COBYLA import SciPy, where they run
+def test_commands_without_cobyla_load_no_scipy(tmp_path):
+    # below DENSE_SECTOR_LIMIT no sector forms a CSR matrix and the
+    # ground state is NumPy's, so only COBYLA imports SciPy, where it runs
     script = ("import sys, duccvqe; from duccvqe.cli import main; "
               "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
               "print(code, sorted(m for m in sys.modules "
               "if m.split('.')[0] == 'scipy'))")
-    path = tmp_path / "h2.fcidump"
+    path, sector = tmp_path / "h2.fcidump", tmp_path / "sector.fcidump"
     save_fcidump(builtin_fixture("h2_ducc_1.4008"), path, nelec=2)
+    # 100 determinants, above the sector the solver diagonalizes whole
+    save_fcidump(random_integral_set(np.random.default_rng(5), 5), sector,
+                 nelec=4)
     for argv in ([], ["downfold", "--integrals", str(path), "--active", "1,2",
                       "--out", str(tmp_path / "dressed.fcidump")],
                  ["ccsd", "--integrals", str(path)],
                  ["mp2", "--fixture", "h2_ducc_0.8", "--nelec", "2"],
                  ["resources", "--orbitals", "4", "--electrons", "2",
-                  "--integrals", str(path)]):
+                  "--integrals", str(path)],
+                 ["eig", "--integrals", str(path)],
+                 ["eig", "--integrals", str(sector)]):
         out = _fresh_interpreter("-c", script, *argv)
         assert out.splitlines()[-1] == "0 []", argv
-    out = _fresh_interpreter("-c", script, "eig", "--integrals", str(path))
-    assert "'scipy.linalg'" in out.splitlines()[-1]
 
 
 def test_eig_of_spin_resolved_file_with_spin_flips(capsys, tmp_path):
@@ -301,6 +304,18 @@ def test_ccsd_non_convergence_exits_4(capsys, monkeypatch):
     assert err.startswith("error: CCSD not converged after 1 iterations")
 
 
+def test_ground_state_non_convergence_exits_4(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "system.fcidump"
+    save_fcidump(random_integral_set(np.random.default_rng(5), 5), path,
+                 nelec=4)
+    assert sector_dimension(10, 4, 0) > fermion.DAVIDSON_MAX_BASIS
+    monkeypatch.setattr(fermion, "DAVIDSON_MAX_ITER", 1)
+    code, out, err = run(capsys, "eig", "--integrals", str(path))
+    assert code == EXIT_CONVERGENCE and out == ""
+    assert err.startswith(
+        "error: ground state not converged after 1 iterations")
+
+
 @pytest.mark.parametrize("command", ["mp2", "ccsd"])
 @pytest.mark.parametrize("source", ["fixture", "missing"])
 def test_bad_top_refused_before_loading_or_solving(capsys, tmp_path, command,
@@ -319,7 +334,9 @@ def test_bad_top_refused_before_loading_or_solving(capsys, tmp_path, command,
 # command. "exchange", (12|12) = 1e308, overflows the MP2 energy and the
 # CCSD residuals; vqe reads only the MP2 amplitudes, which stay finite.
 # "all", 1e308 on all four two-body lines, overflows the orbital energies;
-# "scalar", a core energy of 1e308, the total energy.
+# "scalar", a core energy of 1e308, the total energy; "span", one-body
+# values of two orbits 2e308 apart, the energy denominators. eig fails on
+# the sector matrix of each.
 SECTOR = "sector matrix has an inf or NaN entry"
 OVERFLOWING = {
     "exchange": (["1 1 0 0 -1.0", "2 2 0 0 1.0", "1 2 1 2 1e308"],
@@ -339,11 +356,14 @@ OVERFLOWING = {
                 "downfold": "downfold overflowed: a dressed integral is inf "
                             "or NaN",
                 "vqe": SECTOR}),
+    "span": (["1 1 0 0 -1e308", "2 2 0 0 1e308"],
+             dict.fromkeys(["mp2", "ccsd", "downfold", "vqe"],
+                           "an energy denominator is inf or NaN")),
 }
 
 
 @pytest.mark.parametrize("system", list(OVERFLOWING))
-@pytest.mark.parametrize("command", ["mp2", "ccsd", "downfold", "vqe"])
+@pytest.mark.parametrize("command", ["mp2", "ccsd", "downfold", "vqe", "eig"])
 def test_overflowing_integrals_exit_3_without_warnings(capsys, tmp_path,
                                                        command, system):
     lines, messages = OVERFLOWING[system]
@@ -352,12 +372,12 @@ def test_overflowing_integrals_exit_3_without_warnings(capsys, tmp_path,
     extra = {"mp2": ["--amplitudes-out", str(written)],
              "ccsd": ["--amplitudes-out", str(written)],
              "downfold": ["--active", "1", "--out", str(written)],
-             "vqe": []}[command]
+             "vqe": [], "eig": []}[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, command, "--integrals", str(path),
                              *extra)
-    want = f"error: {messages[command]}\n"
+    want = f"error: {messages.get(command, SECTOR)}\n"
     assert (code, out, err) == (EXIT_DATA, "", want)
     assert not written.exists()
 

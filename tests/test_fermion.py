@@ -1,4 +1,6 @@
 import warnings
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
                              excitation_generator, excitation_matrix,
                              hf_determinant, hf_energy, sector_determinants,
                              sector_dimension, sector_hamiltonian)
-from duccvqe.integrals import SpinIntegralSet, builtin_fixture
+from duccvqe.integrals import IntegralSet, SpinIntegralSet, builtin_fixture
 
 # frozen ground-state energies of the bundled fixtures (dense oracle)
 FIXTURE_FCI = {
@@ -384,9 +386,60 @@ def test_exact_ground_state_is_the_lowest_eigenpair(n_orbitals, n_electrons,
     assert e == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(dense @ v - e * v) <= 1e-10
-    # bit for bit: above DENSE_SECTOR_LIMIT eigsh starts from a fixed
-    # vector, where ARPACK's own random start changes the last bits
+    # bit for bit: the Davidson start block, seeded random vector
+    # included, is fixed
     assert again == e
+
+
+def test_restarted_basis_finds_the_same_pair(monkeypatch):
+    # a basis of 10 rows restarts from the 8 lowest Ritz vectors every other
+    # iteration, on a dense and on a CSR H
+    monkeypatch.setattr(fermion, "DAVIDSON_MAX_BASIS", 10)
+    for n_orbitals in (6, 7):
+        spin = random_integral_set(np.random.default_rng(
+            [n_orbitals, 6, 0]), n_orbitals).to_spin_orbital()
+        mat = sector_hamiltonian(spin, 6, 0)
+        dense = ((mat + mat.T) / 2).toarray()
+        e, v = exact_ground_state(spin, 6, 0)
+        assert e == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
+        assert np.linalg.norm(dense @ v - e * v) <= 1e-10
+
+
+def test_ground_state_of_large_integrals_converges():
+    # at a core energy of 1e5 Hartree rounding in H x leaves more in the
+    # residual than DAVIDSON_TOL; integrals of 1e300 would overflow the
+    # squares of a plain residual norm
+    spin = random_integral_set(np.random.default_rng(3), 7).to_spin_orbital()
+    e, _ = exact_ground_state(spin, 6, 0)
+    shifted, _ = exact_ground_state(replace(spin, scalar_shift=1e5), 6, 0)
+    assert shifted - 1e5 == pytest.approx(e, abs=1e-9)
+    big = replace(spin, h1=spin.h1 * 1e300, h2=spin.h2 * 1e300)
+    assert exact_ground_state(big, 6, 0)[0] == pytest.approx(e * 1e300,
+                                                              rel=1e-12)
+
+
+def test_ground_state_outside_the_start_block_is_found():
+    # a Z2 orbital parity: orbitals 1-4 even, 5-8 odd, every integral
+    # even. The 32 determinants with one electron in each class (odd
+    # parity) hold the lowest diagonal entries, -1, and so the unit vectors
+    # of the start block; the ground state, both electrons in the bonding
+    # orbital of 1-4, has even parity, and only the seeded random start
+    # vector reaches it
+    ints = IntegralSet(n_orbitals=8)
+    for p, q in combinations(range(1, 9), 2):
+        if (p <= 4) == (q <= 4):
+            ints.set_h1(p, q, -1.5 if p <= 4 else -0.2)
+        else:
+            ints.set_h2(p, p, q, q, -1.0)
+    spin = ints.to_spin_orbital()
+    mat = sector_hamiltonian(spin, 2, 0).toarray()
+    assert len(mat) > fermion.DAVIDSON_MAX_BASIS
+    w, v = np.linalg.eigh(mat)
+    start = np.argsort(np.diag(mat), kind="stable")[:fermion.DAVIDSON_START]
+    assert np.abs(v[start, 0]).max() < 1e-12
+    e, x = exact_ground_state(spin, 2, 0)
+    assert e == pytest.approx(w[0], abs=1e-10)
+    assert np.linalg.norm(mat @ x - e * x) <= 1e-10
 
 
 def test_non_hermitian_operator_rejected():

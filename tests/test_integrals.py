@@ -63,8 +63,10 @@ def test_spin_index_range_checked(tmp_path, line):
 
 @pytest.mark.parametrize("lines", [
     "1 1 0 0 -1.0\n1 1 0 0 -2.0", "1 2 0 0 0.1\n2 1 0 0 0.2",
-    "1 2 3 4 0.5\n2 1 4 3 0.7", "1 2 3 4 0.5\n3 4 1 2 0.6"],
-    ids=["h1_same", "h1_transposed", "h2_spin_swap", "h2_pair_swap"])
+    "1 2 3 4 0.5\n2 1 4 3 0.7", "1 2 3 4 0.5\n3 4 1 2 0.6",
+    "1 2 0 0 -1e308\n2 1 0 0 1e308"],
+    ids=["h1_same", "h1_transposed", "h2_spin_swap", "h2_pair_swap",
+         "h1_past_the_float_range"])
 def test_spin_conflicting_duplicate_rejected(tmp_path, lines):
     from duccvqe.cli import EXIT_DATA, main
     path = tmp_path / "dup.fcidump"
