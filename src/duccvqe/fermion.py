@@ -8,9 +8,11 @@ group by ascending mode; normal ordering itself is a test oracle.
 Sector matrices are built on whole (N, Sz) sectors: H from the integrals
 (``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``, dense
 below ``DENSE_SECTOR_LIMIT`` and CSR above) and the UCC excitations E as
-signed index maps (``excitation_matrix``). ``exact_ground_state`` solves
-either layout with one NumPy Davidson solver, so SciPy is imported only where
-a CSR matrix is made. H as operator strings
+signed index maps (``excitation_matrix``); H is read off per-spin string
+tables on the grid of alpha by beta strings (Olsen et al., J. Chem. Phys.
+89, 2185 (1988)). ``exact_ground_state`` solves either layout with one
+NumPy Davidson solver, so SciPy is imported only where a CSR matrix is
+made. H as operator strings
 (``build_hamiltonian``) is the Jordan-Wigner input and the test oracle.
 """
 
@@ -30,25 +32,30 @@ HERMITIAN_TOL = 1e-10
 # sectors of fewer determinants are dense arrays, of more CSR, for both
 # exact_ground_state and VqeProblem. Measured with BLAS on 1 thread on a
 # 2-vCPU VM on seeded systems of 5-8 orbitals, seeds 0 and 1:
-#   determinants   lowest pair (Davidson): dense / CSR   one v.Hv: dense / CSR
-#   100            0.50-0.78 / 0.58-1.1 ms               4.8-5.2 / 8.2-12 us
-#   400            1.6 / 1.3-1.5 ms                      26-28 / 33-46 us
-#   560            2.2 / 2.0-2.3 ms                      79-82 / 63-69 us
-#   735            3.3-3.7 / 2.2-2.7 ms                  175-181 / 88-130 us
-#   1225           7.7-8.0 / 4.1-4.6 ms                  488-498 / 221-276 us
-# One solver runs on both layouts and stays within 2x of either, so the
-# limit follows the product alone, which crosses between 400 and 735
-# determinants from run to run; a VQE takes hundreds of products.
+#   determinants  build (ms)            lowest pair (ms)      one v.Hv (us)
+#                 dense / CSR           dense / CSR           dense / CSR
+#   100           0.50-0.53 / 0.81-0.84 0.53-0.60 / 0.61-0.69 2.0-2.1 / 6.0
+#   400           3.5-3.6 / 3.2-3.7     1.6 / 1.7-1.8         19-22 / 28-32
+#   735           10-11 / 9.8-9.9       4.4-4.8 / 3.3-3.5     170-180 / 81-84
+#   784           13-14 / 12-16         5.0-6.3 / 4.0-4.5     190-200 / 110-130
+#   1225          24-33 / 18-20         11-12 / 6.0-9.1       470-560 / 160
+# The build (checked_sector_hamiltonian) and the one solver on either
+# layout stay within 2x of each other, so the limit follows the product
+# alone, which crosses between 400 and 735 determinants from run to run;
+# a VQE takes hundreds of products.
 DENSE_SECTOR_LIMIT = 600
-# exact_ground_state costs about 33 B and 0.4 us a non-zero of the sector
+# exact_ground_state costs about 24 B and 0.12 us a non-zero of the sector
 # matrix of H, on top of the integrals: measured with BLAS on 1 thread on
 # a 2-vCPU VM on seeded systems, 14,400 determinants (10 orbitals, 6
-# electrons, 610 non-zeros a row) took 3.0-3.4 s at 295-329 MB peak RSS
-# over two runs, 0.22-0.23 s of it the solve, 18,496 (17 orbitals, 4
-# electrons, 1171 a row) 8.0 s at 703 MB, and 23,409 (18 orbitals, 4
-# electrons, 1329 a row, the densest sector below the cap) 12.3 s at
-# 1069 MB. The build of H sets both; the cap keeps one run within about
-# 1.2 GB and half a minute.
+# electrons, 610 non-zeros a row) took 1.0-1.1 s at 270-274 MB peak RSS
+# over two seeds, 18,496 (17 orbitals, 4 electrons, 1171 a row) 2.8 s at
+# 585 MB, and 23,409 (18 orbitals, 4 electrons, 1329 a row, the densest
+# sector below the cap) 3.7 s at 814 MB. H and the one transposed copy of
+# its Hermiticity check set the memory; exact zeros cost none, and the
+# same-spin doubles table of a sector with every electron in one spin,
+# about the size of H, is gone before that copy (20 orbitals, 5
+# electrons, MS2 = 5: 15,504 determinants in 3.9 s at +442 MB). The cap
+# keeps one run within about 0.9 GB and 5 s.
 SECTOR_DIM_CAP = 25_000
 # Davidson's method in exact_ground_state: the start block holds the unit
 # vectors of the DAVIDSON_START lowest diagonal entries and one seeded random
@@ -65,9 +72,10 @@ DAVIDSON_FLOOR = 1e-8
 DAVIDSON_TOL = 1e-11
 DAVIDSON_ULPS = 64
 DAVIDSON_MAX_ITER = 200
-# entries formed at once: candidate excitations by sector_hamiltonian,
-# (string, amplitude) pairs by simulator.expectation, differences by the
-# Hermiticity check of checked_sector_hamiltonian
+# entries formed at once: H entries, in whole rows, by the sector builder
+# of sector_hamiltonian, (string, amplitude) pairs by
+# simulator.expectation, differences by the Hermiticity check of
+# checked_sector_hamiltonian
 CHUNK_EXCITATIONS = 1 << 18
 
 
@@ -310,6 +318,13 @@ def sector_determinants(n_modes: int, n_electrons: int, ms2: int):
     SectorError, before any is formed, when there are more than
     ``SECTOR_DIM_CAP`` or more modes than ``MAX_MODES``.
     """
+    alpha, beta = _spin_strings(n_modes, n_electrons, ms2)
+    return np.sort((alpha[:, None] | beta).ravel())
+
+
+def _spin_strings(n_modes: int, n_electrons: int, ms2: int):
+    """The sector's alpha and beta strings, each ascending, as ``uint64``;
+    SectorError as ``sector_determinants``."""
     if n_modes > MAX_MODES:
         raise SectorError(f"{n_modes} modes do not fit a 64-bit determinant")
     dim = sector_dimension(n_modes, n_electrons, ms2)
@@ -317,13 +332,12 @@ def sector_determinants(n_modes: int, n_electrons: int, ms2: int):
         raise SectorError(
             f"sector dimension {dim} exceeds cap {SECTOR_DIM_CAP}")
     if not dim:
-        return np.zeros(0, dtype=np.uint64)
-    alpha, beta = (np.array([sum(1 << p for p in occ) for occ in
-                             combinations(range(spin, n_modes, 2), count)],
-                            dtype=np.uint64)
-                   for spin, count in ((0, (n_electrons + ms2) // 2),
-                                       (1, (n_electrons - ms2) // 2)))
-    return np.sort((alpha[:, None] | beta).ravel())
+        return (np.zeros(0, dtype=np.uint64),) * 2
+    return [np.array(sorted(sum(1 << p for p in occ) for occ in
+                            combinations(range(spin, n_modes, 2), count)),
+                     dtype=np.uint64)
+            for spin, count in ((0, (n_electrons + ms2) // 2),
+                                (1, (n_electrons - ms2) // 2))]
 
 
 _ONE = np.uint64(1)
@@ -361,58 +375,112 @@ def _connected(dets, rows, *modes):
     return np.where(dets[pos] == new, pos, -1)
 
 
-def _sector_entries(spin_ints, dets):
-    """The non-zero entries of H on ``dets``, the whole sector of
-    ``sector_determinants``, one chunk of rows at a time: (first row, row
-    count, rows within the chunk, columns, values); see ``sector_hamiltonian``.
-    Callers iterate it under ``np.errstate(over="ignore", invalid="ignore")``,
-    so that an overflow leaves inf or NaN for their finiteness checks."""
-    m, n = spin_ints.n_spin_orbitals, len(dets)
-    if not n:
+def _string_tables(g, strings, modes, bit, stride):
+    """Each of one spin's ascending ``strings`` over ``modes``: its singles
+    a -> i as grid steps to the new string and a * m + i; the places among
+    them of the a -> i and b -> j of each double a < b -> i < j, the same
+    for every string; and its doubles as grid steps and <ab||ij>
+    sign((i - b)(a - j)), formed for about ``CHUNK_EXCITATIONS`` at once.
+    A grid step is a string step times ``stride``; ``bit`` holds 1 << p
+    for the m modes."""
+    n, m, count = len(strings), len(bit), int(strings[0]).bit_count()
+    occ = modes[np.argsort((strings[:, None] & bit[modes]) == 0, axis=1,
+                           kind="stable")]
+    occ, vir, n_vir = occ[:, :count], occ[:, count:], len(modes) - count
+    at, a, i = np.arange(n)[:, None, None], occ[:, :, None], vir[:, None]
+    new = np.searchsorted(strings, strings[:, None, None] ^ bit[a] ^ bit[i])
+    singles = ((new - at) * stride).reshape(n, -1), (a * m + i).reshape(n, -1)
+    places = np.array([(p * n_vir + r, q * n_vir + t)
+                       for p, q in combinations(range(count), 2)
+                       for r, t in combinations(range(n_vir), 2)],
+                      dtype=int).reshape(-1, 2).T
+    steps = np.empty((n, places.shape[1]), dtype=np.int32)
+    values = np.empty(steps.shape)
+    rows = max(1, CHUNK_EXCITATIONS // max(places.shape[1], 1))
+    # none to form with fewer than two electrons or two holes
+    for start in range(0, n if places.size else 0, rows):
+        s = slice(start, start + rows)
+        # the holes' places in occ and the particles' in vir, as (n2, rows)
+        (p, q), (r, t) = np.divmod(places, n_vir)
+        a, b, i, j = occ[s].T[p], occ[s].T[q], vir[s].T[r], vir[s].T[t]
+        new = strings[s] ^ bit[a] ^ bit[b] ^ bit[i] ^ bit[j]
+        steps[s] = ((np.searchsorted(strings, new) - at[s, 0, 0]) * stride).T
+        values[s] = (_kept(g((a, b, i, j))) * np.sign((i - b) * (a - j))).T
+    return *singles, places, steps, values
+
+
+def _sector_entries(spin_ints, n_electrons: int, ms2: int):
+    """H on the (N, Sz) sector, the grid of its alpha by its beta strings:
+    the dimension, then (first row, columns, values) for runs of rows of
+    about ``CHUNK_EXCITATIONS`` entries, zeros included; see
+    ``sector_hamiltonian``. A row holds its diagonal, the singles and
+    same-spin doubles of both its strings, and each alpha single with each
+    beta single. A single a -> i has the sign (-1)^k, k the occupied modes
+    strictly between a and i, and a double a < b -> i < j the signs of
+    a -> i and b -> j times sign((i - b) (a - j)). Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``."""
+    m = spin_ints.n_spin_orbitals
+    alpha, beta = _spin_strings(m, n_electrons, ms2)
+    if not len(alpha):
+        yield 0
         return
-    n_el = int(np.bitwise_count(dets[0]))
-    h1, g = _kept(spin_ints.h1), spin_ints.antisymmetrized
-    p, q, r = np.ogrid[:m, :m, :m]
-    coulomb = _kept(g((p, q, p, q))[..., 0])    # <pq||pq>
-    single = _kept(g((p, r, q, r)))     # <pr||qr> at [p, q, r]
-    modes = np.arange(m, dtype=np.uint64)
-    holes, particles = np.triu_indices(n_el, 1), np.triu_indices(m - n_el, 1)
-    per_row = 1 + n_el * (m - n_el) + len(holes[0]) * len(particles[0])
-    step = max(1, CHUNK_EXCITATIONS // per_row)
-    for start in range(0, n, step):
-        rows = dets[start:start + step]
-        c = len(rows)
-        filled = (rows[:, None] >> modes & _ONE).astype(bool)
-        occ = np.nonzero(filled)[1].reshape(c, n_el)
-        vir = np.nonzero(~filled)[1].reshape(c, m - n_el)
-
-        diag = np.full(c, float(spin_ints.scalar_shift))
-        for k in range(n_el):
-            diag += h1[occ[:, k], occ[:, k]]
-        for k, l in zip(*holes):
-            diag += coulomb[occ[:, k], occ[:, l]]
-
-        r1, ka, ki = np.nonzero(occ[:, :, None] % 2 == vir[:, None, :] % 2)
-        a, i = occ[r1, ka], vir[r1, ki]
-        col1 = _connected(dets, rows[r1], a, i)
-        val1 = h1[a, i]
-        for k in range(n_el):
-            val1 += single[a, i, occ[r1, k]]
-        val1 *= _string_sign(dets[col1], a, i)
-
-        betas_h = occ[:, holes[0]] % 2 + occ[:, holes[1]] % 2
-        betas_p = vir[:, particles[0]] % 2 + vir[:, particles[1]] % 2
-        r2, kh, kp = np.nonzero(betas_h[:, :, None] == betas_p[:, None, :])
-        a, b = occ[r2, holes[0][kh]], occ[r2, holes[1][kh]]
-        i, j = vir[r2, particles[0][kp]], vir[r2, particles[1][kp]]
-        col2 = _connected(dets, rows[r2], a, b, i, j)
-        val2 = _kept(g((a, b, i, j))) * _string_sign(dets[col2], a, b, j, i)
-
-        row = np.concatenate([np.arange(c), r1, r2])
-        col = np.concatenate([np.arange(start, start + c), col1, col2])
-        val = np.concatenate([diag, val1, val2])
-        kept = val != 0     # NaN is kept
-        yield start, c, row[kept], col[kept], val[kept]
+    g, x, parity = spin_ints.antisymmetrized, np.arange(m), np.array([1, -1.0])
+    h1, bit, r = _kept(spin_ints.h1).ravel(), _bits(x), x[:, None, None]
+    single = _kept(g((x[:, None], r, x, r))).ravel()  # <pr||qr> at [r, p, q]
+    # at [p, q], the modes between p and q, whose count on a row gives the
+    # sign of a single p -> q
+    between = ((bit[:, None] - _ONE ^ bit - _ONE) & ~bit[:, None]).ravel()
+    e, o = x[::2], x[1::2]
+    a, i, b, j = e[:, None, None, None], e[:, None, None], o[:, None], o
+    mixed = (_kept(g((np.minimum(a, b), np.maximum(a, b), np.minimum(i, j),
+                      np.maximum(i, j)))) * np.sign((i - b) * (a - j))).ravel()
+    # at [p, q], the place in mixed of an alpha or a beta single p -> q
+    where = np.zeros((m, m), dtype=int)
+    where[::2, ::2] = (e[:, None] // 2 * len(e) + e // 2) * len(o) ** 2
+    where[1::2, 1::2] = o[:, None] // 2 * len(o) + o // 2
+    tables = [_string_tables(g, strings, x[spin::2], bit, stride)
+              for spin, strings, stride in ((0, alpha, len(beta)),
+                                            (1, beta, 1))]
+    k1a, k1b = (t[0].shape[1] for t in tables)
+    pick = np.concatenate([tables[0][2], tables[1][2] + k1a], axis=1)
+    grid = (alpha[:, None] | beta).ravel()
+    order = np.argsort(grid)
+    pos = np.empty(len(grid), dtype=np.int32)   # int32 below SECTOR_DIM_CAP
+    pos[order] = np.arange(len(grid))
+    per_row = 1 + k1a + k1b + pick.shape[1] + k1a * k1b
+    yield len(grid)
+    lo, hi = np.array(list(combinations(range(n_electrons), 2)),
+                      dtype=int).reshape(-1, 2).T
+    rows = max(1, CHUNK_EXCITATIONS // per_row)
+    for start in range(0, len(grid), rows):
+        cell = order[start:start + rows]
+        det, c = grid[cell], len(cell)
+        occ = np.nonzero(det[:, None] & bit)[1].reshape(c, n_electrons)
+        # shift + sum h_ii + sum <ij||ij>, <ij||ij> at single[j, i, i]
+        diag = np.cumsum(np.concatenate(
+            [np.full((c, 1), float(spin_ints.scalar_shift)),
+             h1[occ * (m + 1)],
+             single[occ[:, hi] * m * m + occ[:, lo] * (m + 1)]], axis=1),
+            axis=1)[:, -1:]
+        (sa, ka, s2a, da), (sb, kb, s2b, db) = (
+            [table[k][row] for k in (0, 1, 3, 4)]
+            for table, row in zip(tables, np.divmod(cell, len(beta))))
+        key = np.concatenate([ka, kb], axis=1)
+        val1 = h1[key]
+        for at in occ.T * (m * m):
+            val1 += single[key + at[:, None]]
+        sign = parity[np.bitwise_count(det[:, None] & between[key]) & 1]
+        val1 *= sign
+        val2 = np.concatenate([da, db], axis=1) * sign[:, pick[0]] \
+            * sign[:, pick[1]]
+        place = where.ravel()[key]
+        mix = mixed[place[:, :k1a, None] + place[:, None, k1a:]] \
+            * sign[:, :k1a, None] * sign[:, None, k1a:]
+        steps = np.concatenate(
+            [np.zeros((c, 1), dtype=int), sa, sb, s2a, s2b,
+             (sa[:, :, None] + sb[:, None]).reshape(c, -1)], axis=1)
+        yield start, pos[cell[:, None] + steps], np.concatenate(
+            [diag, val1, val2, mix.reshape(c, -1)], axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -429,19 +497,28 @@ def sector_hamiltonian(spin_ints, n_electrons: int, ms2: int):
     - D = R with a < b replaced by i < j: s <ab||ij>;
 
     where s is the sign ``_string_sign`` gives a_a^+ a_i, or
-    a_a^+ a_b^+ a_j a_i, on D. Each <pq||rs> is read entry by entry by
-    ``antisymmetrized``, never the whole tensor. Integrals are pruned as in
-    ``build_hamiltonian`` and terms summed in its term order; exact zeros
-    are left out. Only excitations that keep Sz are formed, and each lands
-    in the sector, for chunks of rows with about ``CHUNK_EXCITATIONS`` of
-    them, so that memory follows the non-zero count.
+    a_a^+ a_b^+ a_j a_i, on D. Integrals are pruned as in
+    ``build_hamiltonian`` and terms summed in its term order, i, j and k
+    ascending; exact zeros are left out. The entries, read off per-string
+    tables (``_sector_entries``) in runs of rows of about
+    ``CHUNK_EXCITATIONS``, are appended to one CSR matrix grown in place by
+    their non-zeros, so that memory follows the non-zero count.
     """
     import scipy.sparse as sp
-    dets = sector_determinants(spin_ints.n_spin_orbitals, n_electrons, ms2)
-    blocks = [sp.csr_matrix((val, (row, col)), shape=(c, len(dets)))
-              for _, c, row, col, val in _sector_entries(spin_ints, dets)]
-    return sp.vstack(blocks, format="csr") if blocks \
-        else sp.csr_matrix((0, 0))
+    chunks = _sector_entries(spin_ints, n_electrons, ms2)
+    n = next(chunks)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indices, data = np.empty(0, dtype=np.int32), np.empty(0)
+    for start, cols, vals in chunks:
+        kept, stop = vals != 0, start + len(cols)   # NaN is kept
+        indptr[start + 1:stop + 1] = indptr[start] + np.cumsum(
+            np.count_nonzero(kept, axis=1))
+        for x in (indices, data):
+            x.resize(indptr[stop], refcheck=False)
+        indices[indptr[start]:], data[indptr[start]:] = cols[kept], vals[kept]
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    mat.sort_indices()
+    return mat
 
 
 def excitation_matrix(key, dets):
@@ -484,14 +561,18 @@ def checked_sector_hamiltonian(spin_ints, n_electrons: int, ms2: int):
     SectorError when H is not Hermitian in the sector to
     ``HERMITIAN_TOL``; NonFiniteError when an entry is inf or NaN.
     """
-    dets = sector_determinants(spin_ints.n_spin_orbitals, n_electrons, ms2)
-    if len(dets) < DENSE_SECTOR_LIMIT:
-        mat = np.zeros((len(dets), len(dets)))
-        for start, _, row, col, val in _sector_entries(spin_ints, dets):
-            mat[start + row, col] = val
-        worst = np.abs(mat - mat.T).max(initial=0.0)
-        mat = (mat + mat.T) / 2
-        data = mat
+    if sector_dimension(spin_ints.n_spin_orbitals, n_electrons,
+                        ms2) < DENSE_SECTOR_LIMIT:
+        chunks = _sector_entries(spin_ints, n_electrons, ms2)
+        mat = np.zeros((next(chunks),) * 2)
+        for start, cols, vals in chunks:
+            # + 0.0 leaves -0.0 as the +0.0 of an entry left out
+            mat[np.arange(start, start + len(cols))[:, None], cols] = \
+                vals + 0.0
+        # |H - H^T| and then (H + H^T) / 2 in one buffer
+        data = mat - mat.T
+        worst = np.abs(data, out=data).max(initial=0.0)
+        mat = np.divide(np.add(mat, mat.T, out=data), 2, out=data)
     else:
         mat = sector_hamiltonian(spin_ints, n_electrons, ms2)
         # H is averaged with its one transposed copy; where the two share

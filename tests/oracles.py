@@ -8,6 +8,9 @@ Each is the plain form of a computation the package does another way:
   ``apply_string``, the oracle of ``fermion.sector_hamiltonian`` (on the
   strings of ``build_hamiltonian``) and of ``fermion.excitation_matrix``
   (on those of ``excitation_generator``);
+- ``slater_condon_matrix``, the Slater-Condon rules one determinant and one
+  excitation at a time, summed in the documented order, the bit-for-bit
+  oracle of ``fermion.sector_hamiltonian``;
 - operator-string algebra (vacuum and particle-hole normal ordering,
   products, commutators), the oracle of the tensor downfold and of
   ``build_hamiltonian``;
@@ -192,6 +195,58 @@ def sector_determinants(n_modes, n_electrons, ms2):
         for occ_b in combinations(range(1, n_modes, 2), n_beta):
             dets.append(mask_a + sum(1 << m for m in occ_b))
     return sorted(dets)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def slater_condon_matrix(spin_ints, dets):
+    """Dense H on the determinants ``dets`` by the Slater-Condon rules, one
+    determinant and one excitation at a time, every sum in the order the
+    docstring of ``fermion.sector_hamiltonian`` gives: the shift, then
+    h_ii and <ij||ij> over ascending i < j for the diagonal, h_ai and then
+    <ak||ik> over ascending k for a single. Integrals at or below
+    ``PRUNE_THRESHOLD`` are zero, as in ``build_hamiltonian``; the sign of
+    each excitation is ``apply_string``'s. The bit-for-bit oracle of
+    ``fermion.sector_hamiltonian``."""
+    h2 = spin_ints.h2
+
+    def kept(x):
+        return 0.0 if abs(x) <= PRUNE_THRESHOLD else x
+
+    def g(p, q, r, s):      # <pq||rs> = (pr|qs) - (ps|qr)
+        return kept(h2[p, r, q, s] - h2[p, s, q, r])
+
+    h1 = np.vectorize(kept)(spin_ints.h1)
+    dets = [int(d) for d in dets]
+    index = {d: k for k, d in enumerate(dets)}
+    mat = np.zeros((len(dets), len(dets)))
+    for row, det in enumerate(dets):
+        occ = [p for p in range(spin_ints.n_spin_orbitals) if det >> p & 1]
+        vir = [p for p in range(spin_ints.n_spin_orbitals)
+               if not det >> p & 1]
+        value = float(spin_ints.scalar_shift)
+        for i in occ:
+            value += h1[i, i]
+        for i, j in combinations(occ, 2):
+            value += g(i, j, i, j)
+        entries = [(det, value)]
+        for a in occ:
+            for i in (i for i in vir if (i - a) % 2 == 0):
+                value = h1[a, i]
+                for k in occ:
+                    value += g(a, k, i, k)
+                entries.append((det ^ 1 << a ^ 1 << i, value, (a, 1), (i, 0)))
+        for a, b in combinations(occ, 2):
+            for i, j in combinations(vir, 2):
+                if (a % 2 + b % 2) == (i % 2 + j % 2):
+                    entries.append((det ^ 1 << a ^ 1 << b ^ 1 << i ^ 1 << j,
+                                    g(a, b, i, j), (a, 1), (b, 1), (j, 0),
+                                    (i, 0)))
+        for col, value, *ops in entries:
+            sign, back = apply_string(ops, col)
+            assert back == det
+            if value != 0:  # NaN is kept
+                mat[row, index[col]] = sign * value
+    return mat
 
 
 def sector_matrix(op: FermionOperator, dets):

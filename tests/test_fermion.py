@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import combinations
@@ -10,13 +11,16 @@ from conftest import (FIXTURES, dense_operator, one_body_integrals,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (apply_string, commutator, is_hermitian, multiply,
-                     normal_order, ph_normal_order, sector_matrix)
+                     normal_order, ph_normal_order, sector_matrix,
+                     slater_condon_matrix)
 from oracles import sector_determinants as oracle_sector_determinants
 from oracles import fock_matrix as oracle_fock_matrix
 from oracles import hf_energy as oracle_hf_energy
 
 from duccvqe import fermion
+from duccvqe.amplitudes import ccsd_solve
 from duccvqe.ansatz import enumerate_excitations
+from duccvqe.ducc import downfold
 from duccvqe.fermion import (ActiveSpace, FermionOperator, NonFiniteError,
                              SectorError, SpaceError, build_hamiltonian,
                              checked_sector_hamiltonian, exact_ground_state,
@@ -551,6 +555,118 @@ def test_sector_hamiltonian_prunes_as_build_hamiltonian():
     dets = sector_determinants(4, 2, 0)
     np.testing.assert_array_equal(sector_hamiltonian(spin, 2, 0).toarray(),
                                   _string_path(spin, dets).toarray())
+
+
+def _seeded(n_orbitals, n_electrons, ms2, n_modes=None, shift=0.0):
+    """The seeded set of ``n_orbitals`` on its first ``n_modes`` modes."""
+    spin = random_integral_set(np.random.default_rng(
+        [n_orbitals, n_electrons, abs(ms2)]), n_orbitals).to_spin_orbital()
+    m = n_modes or spin.n_spin_orbitals
+    return SpinIntegralSet(m, spin.h1[:m, :m], spin.h2[:m, :m, :m, :m],
+                           shift), n_electrons, ms2
+
+
+def _dressed(n_electrons, ms2):
+    """A seeded 5-orbital set downfolded onto orbitals 1-4, whose dressed
+    two-body part holds Sz-conserving spin-flip pairs."""
+    spin = random_integral_set(np.random.default_rng([5, 4]),
+                               5).to_spin_orbital()
+    t, _ = ccsd_solve(spin, 4)
+    return downfold(spin, ActiveSpace.build(5, (1, 2), (3, 4)),
+                    t), n_electrons, ms2
+
+
+# seeded sectors of 3-6 orbitals, MS2 != 0, odd mode counts, no electrons
+# and every mode filled, and a dressed set
+SLATER_CONDON_CASES = {
+    "3orb-4e": lambda: _seeded(3, 4, 0),
+    "4orb-3e-ms1": lambda: _seeded(4, 3, 1),
+    "5orb-4e-ms2": lambda: _seeded(5, 4, 2),
+    "5orb-5e-ms-1": lambda: _seeded(5, 5, -1),
+    "6orb-6e": lambda: _seeded(6, 6, 0),
+    "7modes-3e-ms1": lambda: _seeded(4, 3, 1, n_modes=7),
+    "9modes-4e": lambda: _seeded(5, 4, 0, n_modes=9),
+    "4orb-0e": lambda: _seeded(4, 0, 0, shift=0.7),
+    "3orb-6e": lambda: _seeded(3, 6, 0, shift=-0.3),
+    "dressed-4e": lambda: _dressed(4, 0),
+    "dressed-3e-ms1": lambda: _dressed(3, 1),
+}
+
+
+@pytest.mark.parametrize("name", SLATER_CONDON_CASES)
+def test_sector_hamiltonian_is_the_slater_condon_oracle_bit_for_bit(
+        monkeypatch, name):
+    # every entry is the float of the documented sums, to the last bit that
+    # COBYLA's evaluation counts depend on, in the CSR matrix, the dense
+    # checked array and the CSR checked matrix
+    spin, n_electrons, ms2 = SLATER_CONDON_CASES[name]()
+    oracle = slater_condon_matrix(spin, sector_determinants(
+        spin.n_spin_orbitals, n_electrons, ms2))
+    mat = sector_hamiltonian(spin, n_electrons, ms2)
+    assert mat.nnz == np.count_nonzero(oracle)
+    np.testing.assert_array_equal(mat.toarray(), oracle)
+    for limit in (fermion.DENSE_SECTOR_LIMIT, 1):
+        monkeypatch.setattr(fermion, "DENSE_SECTOR_LIMIT", limit)
+        got = checked_sector_hamiltonian(spin, n_electrons, ms2)
+        assert sp.issparse(got) == (limit == 1)
+        np.testing.assert_array_equal(got.toarray() if sp.issparse(got)
+                                      else got, (oracle + oracle.T) / 2)
+
+
+def _parity_zeroed(spin_ints):
+    """``spin_ints`` with the integrals odd under a Z2 orbital parity (odd
+    and even spatial orbitals) set to zero, as a point group does: about
+    half the sector's candidate entries are then exact zeros."""
+    odd = np.arange(spin_ints.n_spin_orbitals) // 2 % 2
+    flip = (odd[:, None, None, None] + odd[:, None, None] + odd[:, None]
+            + odd) % 2
+    return replace(spin_ints, h1=np.where(odd[:, None] == odd, spin_ints.h1,
+                                          0.0),
+                   h2=np.where(flip == 1, 0.0, spin_ints.h2))
+
+
+@pytest.mark.parametrize("parity", [False, True])
+@pytest.mark.parametrize("rows", [None, 150])
+def test_sector_hamiltonian_chunks_join_seamlessly(monkeypatch, rows,
+                                                   parity):
+    # one row at a time, or runs of at most 150 of the 400 rows, build the
+    # CSR arrays of the default single run exactly, also where rows hold
+    # different numbers of exact zeros
+    spin, n_electrons, ms2 = _seeded(6, 6, 0)
+    spin = _parity_zeroed(spin) if parity else spin
+    whole = sector_hamiltonian(spin, n_electrons, ms2)
+    per_row = np.diff(whole.indptr).max()
+    assert parity == (np.diff(whole.indptr).min() < per_row)
+    monkeypatch.setattr(fermion, "CHUNK_EXCITATIONS",
+                        1 if rows is None else rows * per_row)
+    split = sector_hamiltonian(spin, n_electrons, ms2)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(split, part).dtype == getattr(whole, part).dtype
+        np.testing.assert_array_equal(getattr(split, part),
+                                      getattr(whole, part))
+    assert split.has_sorted_indices and whole.has_sorted_indices
+    dense = checked_sector_hamiltonian(spin, n_electrons, ms2)
+    monkeypatch.setattr(fermion, "DENSE_SECTOR_LIMIT", 1)
+    np.testing.assert_array_equal(
+        checked_sector_hamiltonian(spin, n_electrons, ms2).toarray(), dense)
+
+
+@pytest.mark.parametrize("parity", [False, True])
+def test_sector_hamiltonian_peak_memory_is_its_csr(monkeypatch, parity):
+    # the 3136 determinants of 8 orbitals and 6 electrons, built in runs of
+    # 2^12 entries, never hold much more than the CSR matrix they return,
+    # also when about half the candidate entries are exact zeros
+    spin, n_electrons, ms2 = _seeded(8, 6, 0)
+    spin = _parity_zeroed(spin) if parity else spin
+    monkeypatch.setattr(fermion, "CHUNK_EXCITATIONS", 1 << 12)
+    tracemalloc.start()
+    try:
+        mat = sector_hamiltonian(spin, n_electrons, ms2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 1.3 * size
 
 
 _VALUE = st.floats(-2.0, 2.0)
