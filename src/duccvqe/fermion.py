@@ -262,12 +262,15 @@ def build_hamiltonian(spin_ints) -> FermionOperator:
         op.add_term((), spin_ints.scalar_shift)
     for p, q in np.argwhere(~negligible(spin_ints.h1)):
         op.add_term(((int(p), 1), (int(q), 0)), float(spin_ints.h1[p, q]))
-    g = spin_ints.antisymmetrized()
-    pair = np.triu(np.ones((m, m), dtype=bool), 1)
-    kept = pair[:, :, None, None] & pair[None, None, :, :]
-    kept[kept] = ~negligible(g[kept])
-    for (p, q, r, s), c in zip(np.argwhere(kept).tolist(), g[kept].tolist()):
-        op.terms[((p, 1), (q, 1), (r, 0), (s, 0))] = -c
+    # <pq||rs> for p < q and r < s, at [pq, rs] in the order of (p, q, r, s)
+    p, q = np.triu_indices(m, 1)
+    g = spin_ints.antisymmetrized((p[:, None], q[:, None], p, q))
+    pq, rs = np.nonzero(~negligible(g))
+    cre, ann = ([((a, d), (b, d)) for a, b in zip(p.tolist(), q.tolist())]
+                for d in (1, 0))
+    op.terms.update(zip(map(tuple.__add__, map(cre.__getitem__, pq.tolist()),
+                            map(ann.__getitem__, rs.tolist())),
+                        (-g[pq, rs]).tolist()))
     return op
 
 
@@ -432,8 +435,19 @@ def _sector_entries(spin_ints, n_electrons: int, ms2: int):
     between = ((bit[:, None] - _ONE ^ bit - _ONE) & ~bit[:, None]).ravel()
     e, o = x[::2], x[1::2]
     a, i, b, j = e[:, None, None, None], e[:, None, None], o[:, None], o
-    mixed = (_kept(g((np.minimum(a, b), np.maximum(a, b), np.minimum(i, j),
-                      np.maximum(i, j)))) * np.sign((i - b) * (a - j))).ravel()
+    # <ab||ij> sign((i - b)(a - j)) at [a, i, b, j], one a at a time: (PR|QS) -
+    # (PS|QR), P < Q and R < S the sorted (a, b), (i, j), off four views of h2
+    h2, ij = spin_ints.h2, (e[:, None] < o)[:, None]
+    views = [h2[p::2, r::2, 1 - p::2, 1 - r::2].transpose(
+        2 * p, 1 + 2 * r, 2 - 2 * p, 3 - 2 * r) for p, r in np.ndindex(2, 2)]
+    mixed = np.empty(views[0].shape)
+    for k in range(len(e)):     # b > a from the k-th odd mode on
+        for s, p, q in ((slice(k, None), *views[:2]), (slice(k), *views[2:])):
+            p, q = p[k, :, s], q[k, :, s]
+            mixed[k, :, s] = np.where(ij, p, q) - np.where(ij, q, p)
+    mixed[negligible(mixed)] = 0.0
+    mixed *= np.sign(a - j)
+    mixed *= np.sign(i - b)
     # at [p, q], the place in mixed of an alpha or a beta single p -> q
     where = np.zeros((m, m), dtype=int)
     where[::2, ::2] = (e[:, None] // 2 * len(e) + e // 2) * len(o) ** 2
@@ -474,7 +488,7 @@ def _sector_entries(spin_ints, n_electrons: int, ms2: int):
         val2 = np.concatenate([da, db], axis=1) * sign[:, pick[0]] \
             * sign[:, pick[1]]
         place = where.ravel()[key]
-        mix = mixed[place[:, :k1a, None] + place[:, None, k1a:]] \
+        mix = mixed.ravel()[place[:, :k1a, None] + place[:, None, k1a:]] \
             * sign[:, :k1a, None] * sign[:, None, k1a:]
         steps = np.concatenate(
             [np.zeros((c, 1), dtype=int), sa, sb, s2a, s2b,

@@ -1,14 +1,17 @@
 """Jordan-Wigner transformation and Pauli-string algebra.
 
-Pauli strings are stored as X/Z bitmasks (qubit q is bit q; Y means both
-bits set). Qubit k carries spin orbital k; creation maps to
+Pauli strings are (x, z) tuples of X/Z bitmasks (qubit q is bit q; Y means
+both bits set). Qubit k carries spin orbital k; creation maps to
 (X - iY)/2 on the target qubit with a Z string on all lower qubits.
+``jordan_wigner`` expands operator strings one ladder operator at a time,
+on ``np.uint64`` masks, about ``CHUNK_PRODUCTS`` Pauli products at once.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +31,7 @@ _CODE_CHAR = {1: "X", 2: "Z", 3: "Y"}
 _CHAR_CODE = {"X": 1, "Z": 2, "Y": 3}
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(NamedTuple):
     """Tensor product of single-qubit Paulis, phase-free by convention."""
 
     x: int = 0
@@ -111,14 +113,13 @@ class PauliSum(TermSum):
 
     def real(self):
         """Drop sub-tolerance imaginary residue; error on larger ones."""
-        out = {}
-        for s, c in self.terms.items():
-            c = complex(c)
-            if abs(c.imag) > HERMITIAN_TOL:
-                raise ValueError(
-                    f"non-real coefficient {c} on {s.label()}")
-            out[s] = c.real
-        return PauliSum(self.n_qubits, out)
+        coeffs = np.fromiter(self.terms.values(), complex, len(self.terms))
+        bad = np.flatnonzero(np.abs(coeffs.imag) > HERMITIAN_TOL)
+        if len(bad):
+            raise ValueError(f"non-real coefficient {complex(coeffs[bad[0]])} "
+                             f"on {list(self.terms)[bad[0]].label()}")
+        return PauliSum(self.n_qubits,
+                        dict(zip(self.terms, coeffs.real.tolist())))
 
     def to_dense(self):
         dim = 1 << self.n_qubits
@@ -129,54 +130,51 @@ class PauliSum(TermSum):
 
 
 # Pauli products jordan_wigner forms at once: with BLAS on 1 thread on a
-# 2-vCPU VM, chunks of 4096 map H of 6 and 8 seeded orbitals as fast as
-# chunks of 2^18, or faster, with a third less peak memory
-CHUNK_PRODUCTS = 1 << 12
+# 2-vCPU VM, 8192 maps H of 6 and 8 seeded orbitals 2-3% faster than 4096,
+# and 5-15% faster than 2^15 to 2^18, which take up to 1.9x the peak memory
+CHUNK_PRODUCTS = 1 << 13
 _ONE = np.uint64(1)
 _PHASES = np.array(_I_POWERS)
 # JW image of a ladder operator: X string times 1/2 and Y string times i/2
 # (annihilation, row 0) or -i/2 (creation, row 1), both with the Z chain
 # on the lower qubits; the products are those ``pauli_multiply`` forms
 _LADDER = np.array([[0.5, 1j * 0.5], [0.5, -1j * 0.5]])
-
-
-@functools.cache
-def _choices(length):
-    """Which image (0: X, 1: Y) each ladder operator contributes to each of
-    the 2^length products, the first operator in the highest bit."""
-    shifts = np.arange(length - 1, -1, -1)
-    pick = (np.arange(1 << length)[:, None] >> shifts) & 1
-    return pick, pick.astype(np.uint64), pick.astype(np.uint8)
+_PICK = np.array([0, 1], np.uint8)
 
 
 def _products(ops, coeffs):
     """(x, z, coefficient) of the 2^L Pauli products of each of n strings
-    of L ladder operators, string-major, with the phases and the order of
-    multiplication of expanding one operator after the other."""
+    of L ladder operators, string-major, expanded one operator at a time:
+    level k holds the X and the Y child (pick 0, 1) of each product of level
+    k - 1, formed with the phase and the order of ``pauli_multiply``."""
     n, length = ops.shape[:2]
-    if not length:
-        return np.zeros(n, np.uint64), np.zeros(n, np.uint64), coeffs
-    pick, pick_mask, pick_count = _choices(length)
-    bit = (_ONE << ops[:, None, :, 0].astype(np.uint64))     # (n, 1, L)
-    x = np.bitwise_xor.accumulate(bit, axis=2)
+    bits = _ONE << ops[..., 0].astype(np.uint64)
     # the Z chain below the mode, and the mode too for a Y (mode 63 wraps)
-    z = np.bitwise_xor.accumulate((bit << pick_mask) - _ONE, axis=2)
-    # pauli_multiply's exponent of i at each step: |x & z| before, plus
-    # that of the image (its pick), minus that after, plus 2 |z before &
-    # x of the image|; uint8 wraps mod 256, which keeps it right mod 4
-    y = np.bitwise_count(x & z)
-    power = pick_count - y
-    power[..., 1:] += y[..., :-1] + 2 * np.bitwise_count(z[..., :-1]
-                                                         & bit[..., 1:])
-    phase = _PHASES[power & 3]
-    image = _LADDER[(ops[:, None, :, 1] != 0).astype(np.intp), pick]
-    c = coeffs[:, None]
-    with np.errstate(invalid="ignore"):     # inf * 0 is NaN, as in Python
-        for k in range(length):
-            c = (phase[..., k] * c) * image[..., k]
-    return np.repeat(x[:, 0, -1], 1 << length), z[..., -1].ravel(), c.ravel()
+    chains = (bits[..., None] << _PICK) - _ONE
+    z = [np.zeros((n, 1), np.uint64)]
+    for k in range(length):
+        z.append((z[-1][..., None] ^ chains[:, k, None]).reshape(n, -1))
+    # levels 0..L-1 side by side as parents, with x and image x of children
+    z = np.concatenate(z, axis=1)
+    parent, parents = z[:, :-(1 << length), None], 1 << np.arange(length)
+    x, bit = (np.repeat(a, parents, axis=1)[..., None]
+              for a in (np.bitwise_xor.accumulate(bits, axis=1), bits))
+    # pauli_multiply's exponent of i: |x & z| before, plus 2 |z before & x
+    # of the image|, plus that of the image (its pick), minus |x & z|
+    # after; uint8 wraps mod 256, which keeps it right mod 4
+    phase = _PHASES[np.bitwise_count((x ^ bit) & parent)
+                    + 2 * np.bitwise_count(parent & bit) + _PICK
+                    - np.bitwise_count(x & z[:, 1:].reshape(n, -1, 2)) & 3]
+    images, c = _LADDER[(ops[..., 1:] != 0) * 1], coeffs[:, None, None]
+    for k in range(length):
+        c = ((phase[:, (1 << k) - 1:(2 << k) - 1] * c)
+             * images[:, k]).reshape(n, -1, 1)
+    return np.repeat(np.bitwise_xor.reduce(bits, axis=1), 1 << length), \
+        z[:, -(1 << length):].ravel(), c.ravel()
 
 
+# inf * 0 is NaN, as in Python; |c| past the float range is kept, as in prune
+@np.errstate(over="ignore", invalid="ignore")
 def jordan_wigner(op) -> PauliSum:
     """Map a FermionOperator to its qubit PauliSum.
 
@@ -187,27 +185,26 @@ def jordan_wigner(op) -> PauliSum:
     and the result lists each product where it first arises; modes must
     lie in 0..63.
     """
-    out = PauliSum.zero(op.n_modes)
     if not op.terms:
-        return out
+        return PauliSum.zero(op.n_modes)
     strings = list(op.terms)
-    coeffs = np.array(list(op.terms.values()), dtype=complex)
-    lengths = np.array([len(ops) for ops in strings])
-    start = np.zeros(len(strings) + 1, np.intp)
-    np.cumsum(1 << lengths, out=start[1:])
-    xs, zs = np.empty((2, start[-1]), np.uint64)
-    cs = np.empty(start[-1], complex)
+    coeffs = np.fromiter(op.terms.values(), complex, len(strings))
+    lengths = np.fromiter(map(len, strings), np.intp, len(strings))
+    end = np.cumsum(1 << lengths)
+    xs, zs = np.empty((2, end[-1]), np.uint64)
+    cs = np.empty(end[-1], complex)
     for length in set(lengths.tolist()):
-        same = np.nonzero(lengths == length)[0]
+        same = np.flatnonzero(lengths == length)
         step = max(1, CHUNK_PRODUCTS >> length)
         for s0 in range(0, len(same), step):
             idx = same[s0:s0 + step]
-            ops = np.array([strings[i] for i in idx], np.int64)
-            ops = ops.reshape(len(idx), length, 2)
-            if ((ops[..., 0] < 0) | (ops[..., 0] >= MAX_MODES)).any():
+            ops = np.fromiter(chain.from_iterable(chain.from_iterable(
+                map(strings.__getitem__, idx.tolist()))), np.int64,
+                len(idx) * length * 2).reshape(len(idx), length, 2)
+            if (ops[..., 0] // MAX_MODES).any():
                 raise ValueError("modes outside 0..63 do not fit a 64-bit "
                                  "Pauli mask")
-            pos = (start[idx, None] + np.arange(1 << length)).ravel()
+            pos = (end[idx, None] - np.arange(1 << length, 0, -1)).ravel()
             xs[pos], zs[pos], cs[pos] = _products(ops, coeffs[idx])
     order = np.lexsort((zs, xs))
     sx, sz = xs[order], zs[order]
@@ -219,11 +216,9 @@ def jordan_wigner(op) -> PauliSum:
     by_first = np.argsort(first)
     re = np.bincount(group, cs.real)[by_first]
     im = np.bincount(group, cs.imag)[by_first]
-    with np.errstate(over="ignore"):    # pruned as PauliSum.prune prunes
-        kept = ~negligible(np.hypot(re, im))
+    kept = ~negligible(np.hypot(re, im))
     first = first[by_first][kept]
-    values = np.empty(len(first), complex)
-    values.real, values.imag = re[kept], im[kept]
-    out.terms = dict(zip(map(PauliString, xs[first].tolist(),
-                             zs[first].tolist()), values.tolist()))
-    return out
+    values = np.stack((re, im), axis=1)[kept].view(complex)[:, 0]
+    return PauliSum(op.n_modes, dict(zip(
+        map(tuple.__new__, repeat(PauliString),
+            zip(xs[first].tolist(), zs[first].tolist())), values.tolist())))

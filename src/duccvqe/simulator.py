@@ -8,6 +8,7 @@ without forming dense operators, so there is no shot noise anywhere.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -101,8 +102,8 @@ def expectation(h, amp) -> float:
         raise SimulatorError("PauliSum has non-real coefficients")
     kets = np.flatnonzero(amp)
     n = len(h.terms)
-    x = np.fromiter((s.x for s in h.terms), np.uint64, n)
-    z = np.fromiter((s.z for s in h.terms), np.uint64, n)
+    x, z = np.fromiter(chain.from_iterable(h.terms), np.uint64,
+                       2 * n).reshape(n, 2).T
     coeffs = np.fromiter(h.terms.values(), complex, n)
     weights = coeffs * _PHASES[np.bitwise_count(x & z) & 3]
     rows = max(1, CHUNK_EXCITATIONS // max(1, len(kets)))

@@ -14,6 +14,8 @@ Each is the plain form of a computation the package does another way:
 - operator-string algebra (vacuum and particle-hole normal ordering,
   products, commutators), the oracle of the tensor downfold and of
   ``build_hamiltonian``;
+- ``build_hamiltonian``, one dict entry per two-body term, the bit-for-bit
+  oracle of ``fermion.build_hamiltonian``'s one ``dict.update``;
 - the downfold on operator strings: ``sigma_ext_operator``,
   ``commutator_expand`` and ``project_active``, with ``_tensors`` reading
   an operator back as (scalar, X1, X2);
@@ -59,7 +61,7 @@ from duccvqe.ducc import (_active_block, _integral_set, _reference,
                           _sigma_ext)
 from duccvqe.fermion import (HERMITIAN_TOL, PRUNE_THRESHOLD, ActiveSpace,
                              FermionOperator, NonFiniteError,
-                             excitation_generator, hf_determinant,
+                             excitation_generator, hf_determinant, negligible,
                              sector_dimension)
 from duccvqe.integrals import (DUPLICATE_TOL, SPIN_ORBITAL_CAP, IntegralError,
                                SpinIntegralSet, _header_int, _is_uhf,
@@ -160,6 +162,23 @@ def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
 def is_hermitian(op: FermionOperator) -> bool:
     diff = normal_order(op - op.dagger())
     return all(abs(c) <= HERMITIAN_TOL for c in diff.terms.values())
+
+
+def build_hamiltonian(spin_ints) -> FermionOperator:
+    """H of ``fermion.build_hamiltonian``, one two-body term at a time."""
+    m = spin_ints.n_spin_orbitals
+    op = FermionOperator.zero(m)
+    if spin_ints.scalar_shift:
+        op.add_term((), spin_ints.scalar_shift)
+    for p, q in np.argwhere(~negligible(spin_ints.h1)):
+        op.add_term(((int(p), 1), (int(q), 0)), float(spin_ints.h1[p, q]))
+    g = spin_ints.antisymmetrized()
+    pair = np.triu(np.ones((m, m), dtype=bool), 1)
+    kept = pair[:, :, None, None] & pair[None, None, :, :]
+    kept[kept] = ~negligible(g[kept])
+    for (p, q, r, s), c in zip(np.argwhere(kept).tolist(), g[kept].tolist()):
+        op.terms[((p, 1), (q, 1), (r, 0), (s, 0))] = -c
+    return op
 
 
 def apply_string(ops, det: int):

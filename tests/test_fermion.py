@@ -16,6 +16,7 @@ from oracles import (apply_string, commutator, is_hermitian, multiply,
 from oracles import sector_determinants as oracle_sector_determinants
 from oracles import fock_matrix as oracle_fock_matrix
 from oracles import hf_energy as oracle_hf_energy
+from oracles import build_hamiltonian as oracle_build_hamiltonian
 
 from duccvqe import fermion
 from duccvqe.amplitudes import ccsd_solve
@@ -345,6 +346,43 @@ def test_build_hamiltonian_is_the_normal_ordered_expansion(rng):
 def test_build_hamiltonian_string_count(rng):
     h = build_hamiltonian(random_integral_set(rng, 6).to_spin_orbital())
     assert len(h) == 1818
+
+
+def _assert_same_terms(got, want):
+    """The same keys in the same order and the same value bits."""
+    assert got.n_modes == want.n_modes
+    assert list(got.terms) == list(want.terms)
+    np.testing.assert_array_equal(
+        *(np.array(list(op.terms.values())).view(np.uint64)
+          for op in (got, want)))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_build_hamiltonian_is_the_per_term_fill_on_fixtures(name):
+    spin = builtin_fixture(name).to_spin_orbital()
+    _assert_same_terms(build_hamiltonian(spin), oracle_build_hamiltonian(spin))
+
+
+def test_build_hamiltonian_is_the_per_term_fill_on_seeded_sets(rng):
+    for n_orbitals in range(2, 8):
+        spin = random_integral_set(rng, n_orbitals).to_spin_orbital()
+        _assert_same_terms(build_hamiltonian(spin),
+                           oracle_build_hamiltonian(spin))
+    # no spin or index symmetry, and values that overflow, vanish, are NaN
+    # or sit at the prune threshold; 0 and 1 modes leave no pair
+    for m in (0, 1, 5):
+        h2 = rng.normal(size=(m,) * 4)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-12, -1e-12,
+                   1.0000000000000002e-12, 1e308, -1e308]
+        h2.flat[:len(special)] = special[:h2.size]
+        rng.shuffle(h2.reshape(-1))
+        if m == 5:
+            # kept terms <01||23> = NaN and <01||34> = inf
+            h2[0, 2, 1, 3], h2[0, 3, 1, 4] = np.nan, np.inf
+        spin = SpinIntegralSet(m, rng.normal(size=(m, m)), h2, -0.75)
+        h = build_hamiltonian(spin)
+        _assert_same_terms(h, oracle_build_hamiltonian(spin))
+    assert np.isnan(h.terms[(0, 1), (1, 1), (2, 0), (3, 0)])
 
 
 def test_exact_ground_state_averages_as_the_sparse_sum(monkeypatch, rng):

@@ -13,6 +13,7 @@ from duccvqe.fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
 from duccvqe.integrals import FIXTURE_NAMES, SpinIntegralSet, builtin_fixture
 from duccvqe.mapping import (PauliString, PauliSum, jordan_wigner,
                              pauli_multiply)
+from duccvqe.simulator import expectation
 
 X = PauliString.single(0, "X")
 Y = PauliString.single(0, "Y")
@@ -38,6 +39,25 @@ def test_multiply_matches_dense(rng):
         phase, c = pauli_multiply(a, b)
         np.testing.assert_allclose(phase * c.to_dense(3),
                                    a.to_dense(3) @ b.to_dense(3), atol=1e-12)
+
+
+def test_pauli_string_contract():
+    s = PauliString(0b101, 0b110)
+    with pytest.raises(AttributeError):
+        s.x = 0
+    assert hash(s) == hash(PauliString(0b101, 0b110))
+    assert {s: 1.0}[PauliString(5, 6)] == 1.0
+    assert s == (5, 6) and s != PauliString(6, 5)
+    identity = PauliString()
+    assert (identity.x, identity.z) == (0, 0)
+    assert identity.label() == "I" and identity.weight() == 0
+    np.testing.assert_array_equal(identity.to_dense(2), np.eye(4))
+    image = jordan_wigner(excitation_generator((0, 1, 2, 3), 4))
+    assert all(type(s.x) is int and type(s.z) is int for s in image.terms)
+    # a Z mask with bit 63 set reads as uint64 and leaves qubit 0 to set
+    # the sign: <1|Z0|1> = -1
+    top = PauliSum(1, {PauliString(0, (1 << 63) | 1): 1.0})
+    assert expectation(top, np.array([0.0, 1.0])) == -1.0
 
 
 def test_label_round_trip():
@@ -89,6 +109,16 @@ def test_real_raises_on_imaginary():
     s = PauliSum.from_terms(1, [(Z, 0.5 + 1e-3j)])
     with pytest.raises(ValueError, match="non-real"):
         s.real()
+    # the first term past the tolerance is named; residue below it and a
+    # NaN imaginary part pass, and the real parts keep their bits
+    s = PauliSum(1, {Z: 0.5 + 1e-11j, X: complex(-0.0, np.nan),
+                     Y: -2.0 - 1e-3j, PauliString(): 1j})
+    with pytest.raises(ValueError) as err:
+        s.real()
+    assert str(err.value) == "non-real coefficient (-2-0.001j) on Y0"
+    del s.terms[Y], s.terms[PauliString()]
+    assert s.real().terms == {Z: 0.5, X: -0.0}
+    assert np.signbit(s.real().terms[X])
 
 
 from hypothesis import example, given, settings
@@ -155,17 +185,28 @@ def test_jw_is_the_oracle_on_fixtures(name):
                                                     space.n_active_spin))
 
 
-@pytest.mark.parametrize("chunk", [mapping.CHUNK_PRODUCTS, 40])
+@pytest.mark.parametrize("chunk", [mapping.CHUNK_PRODUCTS, 40, 1],
+                         ids=["default", "40", "1"])
 def test_jw_is_the_oracle_on_seeded_systems(rng, monkeypatch, chunk):
-    # at 40, the strings of 4 operators are expanded 2 at a time
+    # at 40, the strings of 4 operators are expanded 2 at a time and those
+    # of 6 or more one at a time; at 1 every length group is split into
+    # single strings, so each chunk join is crossed
     monkeypatch.setattr(mapping, "CHUNK_PRODUCTS", chunk)
-    for n_orbitals, n_electrons in ((2, 2), (3, 4), (4, 2), (5, 6), (6, 6)):
+    for n_orbitals, n_electrons in ((2, 2), (3, 4), (4, 2), (5, 6), (6, 6),
+                                    (7, 6), (8, 6)):
         spin = random_integral_set(rng, n_orbitals).to_spin_orbital()
         _assert_same_image(build_hamiltonian(spin))
         space = ActiveSpace.build(n_orbitals,
                                   tuple(range(1, n_electrons // 2 + 1)))
         for key in enumerate_excitations(space).entries:
             _assert_same_image(excitation_generator(key, 2 * n_orbitals))
+        # strings of up to 8 operators, at least one of each length 0..8
+        op = random_fermion_operator(rng, 2 * n_orbitals, 60, max_len=8)
+        for length in range(9):
+            op.add_term([(int(p), int(d)) for p, d in zip(
+                rng.integers(2 * n_orbitals, size=length),
+                rng.integers(2, size=length))], rng.normal())
+        _assert_same_image(op)
 
 
 def test_jw_edge_operators():
@@ -232,7 +273,7 @@ coefficients = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6),
-       st.lists(st.tuples(st.lists(ladder, max_size=6), coefficients),
+       st.lists(st.tuples(st.lists(ladder, max_size=8), coefficients),
                 max_size=8))
 # a modulus just past the float range: abs() raised OverflowError in prune
 @example(1, [([], complex(1.2711610061536462e308, 1.2711610061536464e308))])
