@@ -128,9 +128,16 @@ def check_top(k):
 
 
 def top_amplitudes(t: ClusterAmplitudes, k: int):
-    """The k largest-magnitude amplitudes as (label, |amplitude|) pairs."""
+    """The k largest-magnitude amplitudes as (label, |amplitude|) pairs,
+    ties by label; only those at or above the k-th (all, if one is NaN)
+    are labelled and sorted."""
     check_top(k)
-    entries = [(excitation_label(key), abs(v)) for key, v in t.items()]
+    items = list(t.items())
+    size = np.abs([v for _, v in items])
+    if k < len(items) and not np.isnan(size).any():
+        cut = np.partition(size, -k)[-k]
+        items = [items[i] for i in np.flatnonzero(size >= cut)]
+    entries = [(excitation_label(key), abs(v)) for key, v in items]
     entries.sort(key=lambda e: (-e[1], e[0]))
     return entries[:k]
 

@@ -108,8 +108,8 @@ class PauliSum(TermSum):
         return out
 
     def is_hermitian(self):
-        return all(abs(c.imag if isinstance(c, complex) else 0.0)
-                   <= HERMITIAN_TOL for c in self.terms.values())
+        coeffs = np.fromiter(self.terms.values(), complex, len(self.terms))
+        return bool((np.abs(coeffs.imag) <= HERMITIAN_TOL).all())
 
     def real(self):
         """Drop sub-tolerance imaginary residue; error on larger ones."""

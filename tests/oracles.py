@@ -24,12 +24,17 @@ Each is the plain form of a computation the package does another way:
 - ``mp2_amplitudes`` and ``mp2_energy`` read off the full <pq||rs>, the
   energy summed double by double, the oracles of the package's forms on
   the occupied-virtual block of (pq|rs);
+- ``top_amplitudes``, every amplitude labelled and sorted, the oracle of
+  ``amplitudes.top_amplitudes``, which sorts only the entries at or above
+  the k-th largest magnitude;
 - the downfold on full tensors: ``half``, ``bracket`` and
   ``full_tensor_downfold`` form every bracket on all m^4 entries with
   ``np.einsum`` and occupation weight tensors, the oracle of the brackets
   that ``ducc.downfold`` cuts to the active block;
 - ``jordan_wigner``, which expands one ladder operator after the other
   with ``pauli_multiply``, the oracle of ``mapping.jordan_wigner``;
+- ``pauli_is_hermitian``, a test of one coefficient at a time, the
+  oracle of ``PauliSum.is_hermitian``;
 - ``expectation``, one full gather of the state per Pauli string, the
   oracle of ``simulator.expectation``;
 - ``objective``, each UCC factor applied as v + sin(theta) kappa v +
@@ -56,7 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from duccvqe.amplitudes import (ClusterAmplitudes, _antisymmetric,
-                                _denominators)
+                                _denominators, excitation_label)
 from duccvqe.ducc import (_active_block, _integral_set, _reference,
                           _sigma_ext)
 from duccvqe.fermion import (HERMITIAN_TOL, PRUNE_THRESHOLD, ActiveSpace,
@@ -398,6 +403,14 @@ def mp2_energy(spin_ints, t: ClusterAmplitudes):
     return sum(v * g[key] for key, v in t.items() if len(key) == 4)
 
 
+def top_amplitudes(t: ClusterAmplitudes, k):
+    """Every amplitude labelled and sorted, by magnitude down and then by
+    label, the first k kept."""
+    entries = [(excitation_label(key), abs(v)) for key, v in t.items()]
+    entries.sort(key=lambda e: (-e[1], e[0]))
+    return entries[:k]
+
+
 def half(a, b, n):
     """The IMSRG(2) commutator terms with A on the left; n: occupations.
 
@@ -492,6 +505,13 @@ def _string_expectation(string, amp):
     signs = 1.0 - 2.0 * (np.bitwise_count(k & np.uint64(string.z)) & 1)
     bra = np.conj(amp)[k ^ np.uint64(string.x)]
     return (1j ** n_y) * np.dot(bra, signs * amp)
+
+
+def pauli_is_hermitian(h: PauliSum) -> bool:
+    """Term by term: only a complex coefficient has an imaginary part, and
+    none may pass HERMITIAN_TOL."""
+    return all(abs(c.imag if isinstance(c, complex) else 0.0)
+               <= HERMITIAN_TOL for c in h.terms.values())
 
 
 def expectation(h, amp) -> float:

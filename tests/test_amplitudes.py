@@ -153,6 +153,24 @@ def test_top_amplitudes_strong_correlation_limit():
         top_amplitudes(t, 0)
 
 
+@pytest.mark.parametrize("n_electrons,n_modes", [(2, 4), (2, 6), (4, 8),
+                                                 (6, 12), (0, 3), (3, 3)])
+def test_top_amplitudes_is_the_sort_of_all(n_electrons, n_modes):
+    # magnitudes tied across signs and kinds, signed zeros, a subnormal,
+    # then a NaN, and counts k up to past the number of amplitudes
+    rng = np.random.default_rng([n_electrons, n_modes])
+    values = [0.0, -0.0, 0.25, -0.25, 0.5, 5e-324, -5e-324, 0.125, -0.5]
+    for extra in ([], [np.nan]):
+        t = ClusterAmplitudes.empty(n_electrons, n_modes)
+        t.t1[:] = rng.choice(values + extra, size=t.t1.shape)
+        t.t2[:] = rng.choice(values + extra, size=t.t2.shape)
+        size = len(list(t.items()))
+        for k in {1, 2, 3, 5, 17, max(size, 1), size + 3}:
+            got = top_amplitudes(t, k)
+            assert repr(got) == repr(oracles.top_amplitudes(t, k))
+            assert all(type(m) is float for _, m in got)
+
+
 def test_partition_and_recombine():
     t = ClusterAmplitudes.empty(2, 6)
     t.set_t1(0, 2, 0.1)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import sector_matrix
 
 import duccvqe
-from duccvqe import amplitudes, cli, fermion
+from duccvqe import amplitudes, cli, fermion, integrals
 from duccvqe.amplitudes import ccsd_solve
 from duccvqe.cli import (EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                          main)
@@ -157,6 +157,26 @@ def test_eig_matches_string_path(capsys, tmp_path, nelec, ms2):
     want = _string_path_energy(load_fcidump(path).to_spin_orbital(), nelec,
                                ms2)
     assert json.loads(out)["energy"] == pytest.approx(want, abs=1e-12)
+
+
+def test_eig_of_annotated_file_is_that_of_the_plain_file(capsys, tmp_path):
+    # the plain file is read by np.loadtxt, the annotated one by the loop
+    plain, annotated = tmp_path / "plain.fcidump", tmp_path / "notes.fcidump"
+    save_fcidump(random_integral_set(np.random.default_rng([3, 5]), 5), plain,
+                 nelec=4)
+    header, *body = plain.read_text().splitlines()
+    lines = ["# seeded five-orbital system", "", f"{header}  # header", "/"]
+    for k, line in enumerate(body):
+        lines += [f" {line}\t# entry {k}", "" if k % 7 else " \t"]
+    annotated.write_text("\n".join(lines + ["&END", ""]))
+    assert integrals._read_plain(plain) is not None
+    assert integrals._read_plain(annotated) is None
+    outs = []
+    for path in (plain, annotated):
+        code, out, err = run(capsys, "eig", "--integrals", str(path))
+        assert code == EXIT_OK and not err
+        outs.append(out.encode())
+    assert outs[0] == outs[1]
 
 
 def _fresh_interpreter(*args):

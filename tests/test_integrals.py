@@ -436,9 +436,9 @@ def _outcome(read, path):
     return [*out, ints.h1, ints.h2, ints.scalar_shift, nelec, ms2]
 
 
-def _assert_same_outcome(path):
+def _assert_same_outcome(path, oracle_path=None):
     got = _outcome(integrals.read_fcidump, path)
-    want = _outcome(oracles.read_fcidump, path)
+    want = _outcome(oracles.read_fcidump, oracle_path or path)
     if isinstance(want, str):
         assert got == want
     else:
@@ -532,3 +532,165 @@ def test_parse_is_the_dict_oracle_on_any_file(tmp_path_factory, norb, flag,
     path = tmp_path_factory.mktemp("fcidump") / "any.fcidump"
     path.write_text("\n".join([f"&FCI NORB={norb} NELEC=2{flag}", *lines]))
     _assert_same_outcome(path)
+
+
+# A body whose every line after the header is 'i j k l value' is read by one
+# np.loadtxt pass (``_read_plain``), any other by the line loop; the tests
+# of the two routes lift PLAIN_MIN_BYTES, below which the loop reads any
+# file. Each body below follows '&FCI NORB=2 NELEC=2 MS2=0' and separates
+# the two routes; the flag says whether np.loadtxt reads it.
+_BIG = 1 << 62
+_ROUTE_BODIES = [
+    ("1 1 0 0 0.5\n2 1 0 0 0.1\n2 2 1 1 0.25\n", True),
+    ("1 1 0 0 0.5\n \n2 2 0 0 0.25\n", False),
+    ("1 1 0 0 0.5\n\t\n2 2 0 0 0.25\n", False),
+    ("1 1 0 0 0.5\n\x0c\n2 2 0 0 0.25\n", False),
+    ("1\t1\t0 0\t0.5\n2 2 0 0\t0.25\n", True),
+    ("  1 1 0 0 0.5  \n\t2 2 0 0 0.25 \n", True),
+    ("1 1 0 0 0.5\r\n2 2 0 0 0.25\r\n", True),
+    ("1 1 0 0 0.5\n2 2 0 0 0.25", True),
+    ("1 1 0 0 0.5\n2 2 0 0 0.25\n\n\n", False),
+    ("1 1 0 0 0.5\n2 2 0 0 0.25\n \n", False),
+    ("+1 1 0 0 +0.5\n-0 0 0 0 -1\n", True),
+    ("١ 1 0 0 0.5\n", False),            # an Arabic-Indic one
+    (f"1 1 0 0 0.5\n{_BIG} 1 0 0 0.5\n", True),
+    (f"{2 * _BIG - 1} 1 0 0 0.5\n", True),
+    (f"1 1 0 0 0.5\n{_BIG} 1 1 1 0.5\n{2 * _BIG} 1 0 0 1\n", False),
+    (f"{-2 * _BIG} 1 0 0 0.5\n", True),
+    ("1 1 0 0 1_0\n", False),
+    ("1_0 1 0 0 0.5\n", False),
+    ("1.0 1 0 0 0.5\n", False),
+    ("1 1 0 0 0.5\n2 2 0 0 nan\n", False),
+    ("1 1 0 0 1e400\n", False),
+    ("1 1 0 0 -inf\n", False),
+    ("1 2 1 2 0.5\n2 1 2 1 0.5000000001\n", True),   # a conflict
+    ("1 1 0 0 0.5\n1 1 0 0\n", False),
+    ("1 1 0 0 0.5 # c\n", False),
+    ("1 1 0 0 0.5\n/\n", False),
+    ("1 1 0 0 0.5\n&END\n", False),
+    ("1 1 0 0 0.5\n&FCI NORB=2\n", False),
+    ("", False),
+    ("\n \n", False),
+]
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    monkeypatch.setattr(integrals, "PLAIN_MIN_BYTES", 0)
+
+
+def _write_route_file(path, body, header="&FCI NORB=2 NELEC=2 MS2=0"):
+    # bytes, so that CRLF endings and a missing final newline are kept
+    path.write_bytes(f"{header}\n{body}".encode())
+    return path
+
+
+def _assert_same_routes(path):
+    """The np.loadtxt route gives the line loop's header and body: equal
+    line numbers, integers and value bits."""
+    fast = integrals._read_plain(path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrals, "_read_plain", lambda path: None)
+        header, (linenos, idx, values, flat) = integrals._read_lines(path)
+    assert fast[0] == header
+    got_linenos, got_idx, got_values, got_flat = fast[1]
+    assert list(got_linenos) == linenos
+    assert got_idx.dtype == idx.dtype and np.array_equal(got_idx, idx)
+    assert got_values.view(np.int64).tolist() == values.view(np.int64).tolist()
+    assert list(map(int, got_flat)) == flat
+
+
+@pytest.mark.filterwarnings("error")   # np.loadtxt warns on an empty body
+@pytest.mark.parametrize("body,plain", _ROUTE_BODIES)
+def test_routes_are_the_dict_oracle(tmp_path, any_size, body, plain):
+    for header in ("&FCI NORB=2 NELEC=2 MS2=0",
+                   "&FCI NORB=4 NELEC=2 UHF=.TRUE.  # spin orbitals"):
+        path = _write_route_file(tmp_path / "route.fcidump", body, header)
+        assert (integrals._read_plain(path) is not None) == plain
+        _assert_same_outcome(path)
+        if plain:
+            _assert_same_routes(path)
+
+
+def test_plain_files_take_the_loadtxt_route(tmp_path, monkeypatch):
+    # every file the writers make is plain, the commented ones are not, and
+    # np.loadtxt reads those of PLAIN_MIN_BYTES or more
+    paths, routes = _oracle_files(tmp_path, monkeypatch), set()
+    for least in (integrals.PLAIN_MIN_BYTES, 0):
+        monkeypatch.setattr(integrals, "PLAIN_MIN_BYTES", least)
+        for path in paths:
+            plain = integrals._read_plain(path)
+            routes.add((least, plain is None))
+            assert (plain is None) == ("commented" in Path(path).name
+                                       or os.path.getsize(path) < least)
+            # the loadtxt route keeps the integers in idx, not in a list
+            flat = integrals._read_lines(path)[1][3]
+            assert isinstance(flat, list) == (plain is None)
+            if plain is not None:
+                _assert_same_routes(path)
+    assert len(routes) == 4
+
+
+@pytest.mark.parametrize("header,plain", [
+    ("# a comment first\n&FCI NORB=2", True), ("\n \n&FCI NORB=2", True),
+    ("&END\n&FCI NORB=2", False), ("/\n&FCI NORB=2", False),
+    ("1 1 0 0 0.5\n&FCI NORB=2", False), ("&END", False)])
+def test_lines_before_the_header(tmp_path, any_size, header, plain):
+    # comments and blanks before the header shift the line numbers
+    path = _write_route_file(tmp_path / "late.fcidump",
+                             "1 1 0 0 0.5\n3 1 0 0 0.5\n", header)
+    assert (integrals._read_plain(path) is not None) == plain
+    _assert_same_outcome(path)
+    if plain:
+        _assert_same_routes(path)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_names_read_as_text(tmp_path, any_size, suffix):
+    # np.loadtxt would decompress a file of such a name; the loop reads text
+    path = _write_route_file(tmp_path / f"plain.fcidump{suffix}",
+                             "1 1 0 0 0.5\n2 2 1 1 0.25\n")
+    assert integrals._read_plain(path) is None
+    _assert_same_outcome(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_is_read_once(tmp_path, any_size):
+    # a pipe cannot be read twice, so it takes the loop
+    text = "# piped\n&FCI NORB=2 NELEC=2\n1 1 0 0 0.5\n2 2 1 1 0.25\n"
+    path = tmp_path / "file.fcidump"
+    path.write_text(text)
+    read, write = os.pipe()
+    try:
+        os.write(write, text.encode())
+        os.close(write)
+        _assert_same_outcome(f"/dev/fd/{read}", path)
+    finally:
+        os.close(read)
+
+
+_BLANK = st.sampled_from(["", " ", "\t", "\x0c"])
+_PLAIN_LINE = st.tuples(
+    _BLANK, st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3),
+    st.integers(-1, 3), st.sampled_from(["0.5", "0.5000000000001", "-0.3",
+                                         "0.0", "+1", "1e-320", "nan"]),
+    _BLANK).map(lambda f: " ".join(map(str, f[1:6])).join(f[::6]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(norb=st.integers(1, 3), flag=st.sampled_from(["", " UHF=.TRUE."]),
+       lines=st.lists(st.one_of(_PLAIN_LINE, _PLAIN_LINE, _PLAIN_LINE, _BLANK,
+                                _LINE), max_size=8),
+       newline=st.sampled_from(["\n", "\r\n"]), last=st.booleans())
+@example(norb=1, flag="", lines=[" ", " 0 0 0 1 0.5 "], newline="\n",
+         last=True)
+def test_both_routes_are_the_dict_oracle(tmp_path_factory, norb, flag, lines,
+                                         newline, last):
+    path = tmp_path_factory.mktemp("fcidump") / "plain.fcidump"
+    body = newline.join(lines) + (newline if last else "")
+    _write_route_file(path, body, f"&FCI NORB={norb} NELEC=2{flag}")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrals, "PLAIN_MIN_BYTES", 0)
+        _assert_same_outcome(path)
+        if integrals._read_plain(path) is not None:
+            _assert_same_routes(path)

@@ -89,6 +89,23 @@ def test_jw_matches_dense_oracle(rng):
                                    dense_operator(op), atol=1e-10)
 
 
+@pytest.mark.parametrize("coeff,hermitian", [
+    (0.5, True), (-2, True), (np.float64(0.5), True), (float("nan"), True),
+    (float("inf"), True), (1 + 0j, True), (np.complex128(1e-10j), True),
+    (complex(float("nan"), 0.0), True), (2e-10j, False), (-2e-10j, False),
+    (complex(0.0, float("nan")), False), (complex(1.0, float("inf")), False),
+    (np.complex128(1j), False)])
+def test_is_hermitian_is_the_per_term_test(coeff, hermitian):
+    # one coefficient among real ones, first, in between or last
+    for at in (0, 2, 4):
+        terms = [0.25, 1e-3 + 1e-12j, 3, -0.5]
+        terms.insert(at, coeff)
+        h = PauliSum(3, {PauliString(p, p >> 1): c
+                         for p, c in enumerate(terms)})
+        assert h.is_hermitian() is oracles.pauli_is_hermitian(h) is hermitian
+    assert PauliSum(3, {}).is_hermitian() is True
+
+
 def test_jw_preserves_fixture_spectrum():
     h = build_hamiltonian(builtin_fixture("h2_ducc_1.4008").to_spin_orbital())
     hp = jordan_wigner(h)
