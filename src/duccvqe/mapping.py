@@ -4,7 +4,8 @@ Pauli strings are (x, z) tuples of X/Z bitmasks (qubit q is bit q; Y means
 both bits set). Qubit k carries spin orbital k; creation maps to
 (X - iY)/2 on the target qubit with a Z string on all lower qubits.
 ``jordan_wigner`` expands operator strings one ladder operator at a time,
-on ``np.uint64`` masks, about ``CHUNK_PRODUCTS`` Pauli products at once.
+on ``np.uint64`` masks, about ``CHUNK_PRODUCTS`` Pauli products at once,
+and merges equal products by one sort of a packed key x << w | z.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ class PauliSum(TermSum):
 
 
 # Pauli products jordan_wigner forms at once: with BLAS on 1 thread on a
-# 2-vCPU VM, 8192 maps H of 6 and 8 seeded orbitals 2-3% faster than 4096,
-# and 5-15% faster than 2^15 to 2^18, which take up to 1.9x the peak memory
+# 2-vCPU VM, 8192 maps H of 6 and 8 seeded orbitals 5-33% faster than 1024
+# to 4096 and within 5% of 2^14 and 2^15; from 2^16 on, 8 orbitals take
+# 18-31% longer, and the traced peak grows up to 2x (7.1 to 14.2 MB)
 CHUNK_PRODUCTS = 1 << 13
 _ONE = np.uint64(1)
 _PHASES = np.array(_I_POWERS)
@@ -181,6 +183,8 @@ def jordan_wigner(op) -> PauliSum:
     A string of L ladder operators expands into 2^L Pauli products, formed
     on ``np.uint64`` X/Z masks for the strings of one length together,
     about ``CHUNK_PRODUCTS`` products at a time.
+    Equal products meet in one stable sort of the key x << w | z (w the
+    bit width of all masks, at most 32), or in a lexsort of (x, z) past it.
     Equal products are summed in the order they arise, string by string,
     and the result lists each product where it first arises; modes must
     lie in 0..63.
@@ -206,19 +210,27 @@ def jordan_wigner(op) -> PauliSum:
                                  "Pauli mask")
             pos = (end[idx, None] - np.arange(1 << length, 0, -1)).ravel()
             xs[pos], zs[pos], cs[pos] = _products(ops, coeffs[idx])
-    order = np.lexsort((zs, xs))
-    sx, sz = xs[order], zs[order]
+    width = int(np.bitwise_or.reduce(xs | zs)).bit_length()
     new = np.ones(len(cs), bool)
-    new[1:] = (sx[1:] != sx[:-1]) | (sz[1:] != sz[:-1])
+    if width <= 32:
+        key = xs << width | zs
+        order = key.argsort(kind="stable")
+        key = key[order]
+        new[1:] = key[1:] != key[:-1]
+    else:
+        order = np.lexsort((zs, xs))
+        sx, sz = xs[order], zs[order]
+        new[1:] = (sx[1:] != sx[:-1]) | (sz[1:] != sz[:-1])
     group = np.empty(len(cs), np.intp)
     group[order] = np.cumsum(new) - 1
     first = order[new]
-    by_first = np.argsort(first)
+    by_first = first.argsort()
     re = np.bincount(group, cs.real)[by_first]
     im = np.bincount(group, cs.imag)[by_first]
     kept = ~negligible(np.hypot(re, im))
     first = first[by_first][kept]
-    values = np.stack((re, im), axis=1)[kept].view(complex)[:, 0]
+    values = re[kept].astype(complex)
+    values.imag = im[kept]
     return PauliSum(op.n_modes, dict(zip(
         map(tuple.__new__, repeat(PauliString),
             zip(xs[first].tolist(), zs[first].tolist())), values.tolist())))

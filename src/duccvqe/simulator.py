@@ -96,15 +96,18 @@ def expectation(h, amp) -> float:
 
     P|k> = i^{nY} (-1)^{|k & z|} |k ^ x> for a string P, summed over the
     non-zero amplitudes only, about ``CHUNK_EXCITATIONS`` (string,
-    amplitude) pairs at a time.
+    amplitude) pairs at a time. An X or a Y past the state is an error.
     """
-    if not h.is_hermitian():
-        raise SimulatorError("PauliSum has non-real coefficients")
-    kets = np.flatnonzero(amp)
     n = len(h.terms)
+    coeffs = np.fromiter(h.terms.values(), complex, n)
+    if not (np.abs(coeffs.imag) <= HERMITIAN_TOL).all():
+        raise SimulatorError("PauliSum has non-real coefficients")
     x, z = np.fromiter(chain.from_iterable(h.terms), np.uint64,
                        2 * n).reshape(n, 2).T
-    coeffs = np.fromiter(h.terms.values(), complex, n)
+    if (x >= len(amp)).any():
+        raise SimulatorError(f"X or Y on qubit {int(x.max()).bit_length() - 1}"
+                             f" of a {len(amp).bit_length() - 1}-qubit state")
+    kets = np.flatnonzero(amp)
     weights = coeffs * _PHASES[np.bitwise_count(x & z) & 3]
     rows = max(1, CHUNK_EXCITATIONS // max(1, len(kets)))
     val = 0.0 + 0.0j

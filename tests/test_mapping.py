@@ -259,6 +259,36 @@ def test_jw_reaches_the_top_bit():
             jordan_wigner(FermionOperator.from_term(65, ((mode, 1),)))
 
 
+def _reaching(top):
+    """Mode top paired with modes 0, 1 and top - 1, with repeats that merge
+    products; top sets bit top of x, so the masks are top + 1 bits wide."""
+    return FermionOperator(top + 1, {
+        ((top, 1), (0, 0)): 0.25, ((0, 1), (top, 0)): 0.25,
+        ((top, 1), (top, 0)): -1.5, ((top, 1),): 0.5,
+        ((top - 1, 1), (top, 1), (1, 0), (0, 0)): 0.125,
+        ((top, 1), (top - 1, 0), (top, 0), (top - 1, 1)): 2.0})
+
+
+@pytest.mark.parametrize("op,width", [
+    # modes past n_modes: a key x << 2 | z sized by n_modes = 2 would
+    # merge X2 Z1 Z0 (x = 4, z = 3) with Z4 Z1 Z0 (x = 0, z = 19)
+    (FermionOperator(2, {((4, 1), (4, 0), (1, 1), (1, 0), (0, 1), (0, 0)):
+                         1.0, ((2, 1),): 0.5, ((2, 0),): 0.5}), 5),
+    # 32-bit masks: x << 32 | z uses bit 63 of the key
+    (_reaching(31), 32),
+    # 33-bit masks do not fit one key and take the lexsort
+    (_reaching(32), 33)], ids=["past-n_modes", "32-bit", "33-bit"])
+def test_jw_sort_key_width(monkeypatch, op, width):
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys: lexsorts.append(1) or lexsort(keys))
+    _assert_same_image(op)
+    assert len(lexsorts) == (width > 32)
+    masks = [s.x | s.z for s in jordan_wigner(op).terms]
+    assert max(masks).bit_length() == width
+
+
 def test_jw_circuits_are_the_oracle_circuits(monkeypatch):
     # the Trotter gate order follows the order of the image's strings
     def texts():
@@ -281,7 +311,7 @@ def test_jw_circuits_are_the_oracle_circuits(monkeypatch):
     assert got == texts()
 
 
-ladder = st.tuples(st.integers(0, 5), st.integers(0, 1))
+ladder = st.tuples(st.integers(0, 40), st.integers(0, 1))
 coefficients = st.one_of(
     st.floats(width=64),
     st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -289,13 +319,17 @@ coefficients = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6),
+@given(st.one_of(st.integers(1, 6), st.integers(30, 34)),
        st.lists(st.tuples(st.lists(ladder, max_size=8), coefficients),
                 max_size=8))
 # a modulus just past the float range: abs() raised OverflowError in prune
 @example(1, [([], complex(1.2711610061536462e308, 1.2711610061536464e308))])
 def test_jw_property(n_modes, terms):
+    # 1-6 modes fold the modes into the register, so products often merge;
+    # 30-34 modes keep them, past n_modes and past 32-bit masks, so both
+    # the packed key and the lexsort are drawn
     op = FermionOperator.zero(n_modes)
     for ops, c in terms:
-        op.add_term(tuple((m % n_modes, d) for m, d in ops), c)
+        op.add_term(tuple((m % n_modes if n_modes <= 6 else m, d)
+                          for m, d in ops), c)
     _assert_same_image(op)

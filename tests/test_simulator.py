@@ -142,6 +142,20 @@ def test_expectation_rejects_nonreal():
         expectation(s, prepare_reference(1, set()))
 
 
+def test_expectation_rejects_x_beyond_the_state():
+    # an X or a Y on a missing qubit has no amplitude to move to, whatever
+    # the state; a Z there reads as the identity
+    for state in (prepare_reference(2, [0]), np.zeros(4, dtype=complex)):
+        for x, z in ((4, 0), (4, 4), (5, 1), (1 << 63, 0)):
+            top = x.bit_length() - 1
+            with pytest.raises(SimulatorError,
+                               match=f"X or Y on qubit {top} of a 2-qubit"):
+                expectation(PauliSum(2, {PauliString(x, z): 1.0}), state)
+    state = prepare_reference(2, [0])
+    assert expectation(PauliSum(2, {PauliString(0, 5): 1.0}), state) == -1.0
+    assert expectation(PauliSum(2, {PauliString(1, 4): 1.0}), state) == 0.0
+
+
 def test_hf_expectation_cross_module():
     spin = builtin_fixture("h2_ducc_1.4008").to_spin_orbital()
     hp = jordan_wigner(build_hamiltonian(spin))
