@@ -6,13 +6,13 @@ writes H in the canonical vacuum normal form, creation operators first, each
 group by ascending mode; normal ordering itself is a test oracle.
 
 Sector matrices are built on whole (N, Sz) sectors: H from the integrals
-(``sector_hamiltonian``, checked by ``checked_sector_hamiltonian``, dense
-below ``DENSE_SECTOR_LIMIT`` and CSR above) and the UCC excitations E as
-signed index maps (``excitation_matrix``); H is read off per-spin string
-tables on the grid of alpha by beta strings (Olsen et al., J. Chem. Phys.
-89, 2185 (1988)). ``exact_ground_state`` solves either layout with one
-NumPy Davidson solver, so SciPy is imported only where a CSR matrix is
-made. H as operator strings
+(``sector_hamiltonian``, or ``checked_sector_hamiltonian`` on integrals
+checked Hermitian, dense below ``DENSE_SECTOR_LIMIT`` and CSR above) and
+the UCC excitations E as signed index maps (``excitation_matrix``); H is
+read off per-spin string tables on the grid of alpha by beta strings
+(Olsen et al., J. Chem. Phys. 89, 2185 (1988)). ``exact_ground_state``
+solves either layout with one NumPy Davidson solver, so SciPy is imported
+only where a CSR matrix is made. H as operator strings
 (``build_hamiltonian``) is the Jordan-Wigner input and the test oracle.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 PRUNE_THRESHOLD = 1e-12
 # modes a uint64 determinant or Pauli mask holds
 MAX_MODES = 64
-# largest |H - H^+| entry accepted as rounding in a Hermiticity check
+# largest difference accepted as rounding by a Hermiticity check
 HERMITIAN_TOL = 1e-10
 # sectors of fewer determinants are dense arrays, of more CSR, for both
 # exact_ground_state and VqeProblem. Measured with BLAS on 1 thread on a
@@ -44,18 +44,16 @@ HERMITIAN_TOL = 1e-10
 # alone, which crosses between 400 and 735 determinants from run to run;
 # a VQE takes hundreds of products.
 DENSE_SECTOR_LIMIT = 600
-# exact_ground_state costs about 24 B and 0.12 us a non-zero of the sector
-# matrix of H, on top of the integrals: measured with BLAS on 1 thread on
-# a 2-vCPU VM on seeded systems, 14,400 determinants (10 orbitals, 6
-# electrons, 610 non-zeros a row) took 1.0-1.1 s at 270-274 MB peak RSS
-# over two seeds, 18,496 (17 orbitals, 4 electrons, 1171 a row) 2.8 s at
-# 585 MB, and 23,409 (18 orbitals, 4 electrons, 1329 a row, the densest
-# sector below the cap) 3.7 s at 814 MB. H and the one transposed copy of
-# its Hermiticity check set the memory; exact zeros cost none, and the
-# same-spin doubles table of a sector with every electron in one spin,
-# about the size of H, is gone before that copy (20 orbitals, 5
-# electrons, MS2 = 5: 15,504 determinants in 3.9 s at +442 MB). The cap
-# keeps one run within about 0.9 GB and 5 s.
+# exact_ground_state costs about 13-15 B and 0.1 us a non-zero of the
+# sector matrix of H, on top of the integrals; exact zeros cost none. With
+# BLAS on 1 thread on a 2-vCPU VM, seeded systems, seeds 0 and 1, peak RSS
+# over a fresh process's start: 14,400 determinants (10 orbitals, 6
+# electrons, 610 non-zeros a row) took 0.77-0.96 s at +133 MB, 18,496 (17
+# orbitals, 4 electrons, 1171 a row) 1.7-2.3 s at +285 MB and 23,409 (18
+# orbitals, 4 electrons, 1329 a row, the densest below the cap) 2.3-2.6 s at
+# +398 MB. With every electron in one spin a same-spin doubles table about
+# the size of H adds to that (20 orbitals, 5 electrons, MS2 = 5: 15,504
+# determinants in 2.4-2.8 s at +450 MB). One run stays within 0.5 GB and 3 s.
 SECTOR_DIM_CAP = 25_000
 # Davidson's method in exact_ground_state: the start block holds the unit
 # vectors of the DAVIDSON_START lowest diagonal entries and one seeded random
@@ -73,9 +71,7 @@ DAVIDSON_TOL = 1e-11
 DAVIDSON_ULPS = 64
 DAVIDSON_MAX_ITER = 200
 # entries formed at once: H entries, in whole rows, by the sector builder
-# of sector_hamiltonian, (string, amplitude) pairs by
-# simulator.expectation, differences by the Hermiticity check of
-# checked_sector_hamiltonian
+# of sector_hamiltonian, (string, amplitude) pairs by simulator.expectation
 CHUNK_EXCITATIONS = 1 << 18
 
 
@@ -558,54 +554,49 @@ def excitation_matrix(key, dets):
     return row, col, _string_sign(dets[col], *string)
 
 
-def _max_difference(a, b):
-    """max |a - b| of two arrays of one length, NaN if a term is NaN,
-    ``CHUNK_EXCITATIONS`` entries at a time."""
-    step = CHUNK_EXCITATIONS
-    return np.max([np.abs(a[i:i + step] - b[i:i + step]).max()
-                   for i in range(0, len(a), step)], initial=0.0)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def checked_sector_hamiltonian(spin_ints, n_electrons: int, ms2: int):
-    """(H + H^T) / 2 on the (N, Sz) sector, H the matrix of
-    ``sector_hamiltonian``: a dense array, filled straight from the
-    entries, below ``DENSE_SECTOR_LIMIT`` determinants and CSR above.
+    """H on the (N, Sz) sector, as ``sector_hamiltonian`` gives it, built
+    once: a dense array below ``DENSE_SECTOR_LIMIT`` determinants, else CSR.
 
-    SectorError when H is not Hermitian in the sector to
-    ``HERMITIAN_TOL``; NonFiniteError when an entry is inf or NaN.
+    h1 is tested against h1^T and h2 against (qp|sr), (rs|pq) and (sr|qp);
+    integrals off by at most ``HERMITIAN_TOL`` are averaged over these
+    mirrors first, so that H is symmetric to the bit. SectorError when one
+    is off by more; NonFiniteError when an entry of H is inf or NaN, or
+    past half the float range, where a sum of two entries overflows.
     """
+    from .integrals import ORBITS
+    worst = 0.0
+    for x in (spin_ints.h1, spin_ints.h2):
+        # rows i..i+k along axis p[0] from i on meet every entry-mirror pair,
+        # ~2^14 at a time, 3-4x faster than slabs; fmax leaves NaN to H's check
+        k = max(1, (1 << 14) // x[0].size)
+        for p in ORBITS[x.ndim][1:]:
+            a, b = (np.moveaxis(y, p[0], 1) for y in (x, x.transpose(p)))
+            for i in range(0, len(x), k):
+                d = np.abs(a[i:i + k, i:] - b[i:i + k, i:])
+                worst = np.fmax.reduce(d, axis=None, initial=worst)
+    if worst > HERMITIAN_TOL:
+        raise SectorError(f"integrals not Hermitian: {worst:.3e} off a mirror")
+    if worst:
+        h2 = [spin_ints.h2.transpose(p) for p in ORBITS[4]]
+        # summed in pairs, so that every member of an orbit gets one sum
+        spin_ints = replace(spin_ints, h1=(spin_ints.h1 + spin_ints.h1.T) / 2,
+                            h2=(h2[0] + h2[1] + (h2[2] + h2[3])) / 4)
     if sector_dimension(spin_ints.n_spin_orbitals, n_electrons,
                         ms2) < DENSE_SECTOR_LIMIT:
         chunks = _sector_entries(spin_ints, n_electrons, ms2)
-        mat = np.zeros((next(chunks),) * 2)
+        mat = data = np.zeros((next(chunks),) * 2)
         for start, cols, vals in chunks:
             # + 0.0 leaves -0.0 as the +0.0 of an entry left out
             mat[np.arange(start, start + len(cols))[:, None], cols] = \
                 vals + 0.0
-        # |H - H^T| and then (H + H^T) / 2 in one buffer
-        data = mat - mat.T
-        worst = np.abs(data, out=data).max(initial=0.0)
-        mat = np.divide(np.add(mat, mat.T, out=data), 2, out=data)
     else:
         mat = sector_hamiltonian(spin_ints, n_electrons, ms2)
-        # H is averaged with its one transposed copy; where the two share
-        # a pattern, as they do unless an entry's mirror is an exact zero,
-        # entry by entry and in place, without a third matrix
-        mat_t = mat.T.tocsr()
-        if (np.array_equal(mat.indptr, mat_t.indptr)
-                and np.array_equal(mat.indices, mat_t.indices)):
-            worst = _max_difference(mat.data, mat_t.data)
-            mat.data += mat_t.data
-        else:
-            worst = abs(mat - mat_t).max()
-            mat = mat + mat_t
-        del mat_t
-        mat.data /= 2
         data = mat.data
-    if worst > HERMITIAN_TOL:
-        raise SectorError("Hamiltonian is not Hermitian in the sector")
-    check_finite("sector matrix has an inf or NaN entry", data)
+    # one pass each over H's values, no copy; NaN makes big NaN
+    big = max(data.max(initial=0.0), -data.min(initial=0.0))
+    check_finite("sector matrix has an inf or NaN entry", big + big)
     return mat
 
 
@@ -671,9 +662,8 @@ def exact_ground_state(spin_ints, n_electrons: int, ms2: int = 0):
     ``DAVIDSON_MAX_BASIS`` determinants is diagonalized whole. The start
     block is fixed, so the energy repeats bit for bit.
 
-    SectorError when H is not Hermitian in the sector to
-    ``HERMITIAN_TOL``; NonFiniteError when a matrix entry or the energy is
-    inf or NaN; ConvergenceError when the solver runs out of iterations.
+    Errors as ``checked_sector_hamiltonian``; NonFiniteError for an inf or
+    NaN energy, ConvergenceError when the solver runs out of iterations.
     """
     m = spin_ints.n_spin_orbitals
     if not sector_dimension(m, n_electrons, ms2):

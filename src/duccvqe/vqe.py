@@ -46,8 +46,8 @@ class VqeProblem:
     every excitation E_k, by ``excitation_matrix``, once over the
     (n_electrons, Sz = 0) determinants; ``objective`` then only rotates and
     multiplies sector vectors. A sector above ``SECTOR_DIM_CAP``
-    determinants or a non-Hermitian H raises SectorError, an inf or NaN
-    entry NonFiniteError.
+    determinants or non-Hermitian integrals raise SectorError, an inf or
+    NaN entry NonFiniteError.
     """
 
     integrals: SpinIntegralSet

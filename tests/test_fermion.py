@@ -385,10 +385,11 @@ def test_build_hamiltonian_is_the_per_term_fill_on_seeded_sets(rng):
     assert np.isnan(h.terms[(0, 1), (1, 1), (2, 0), (3, 0)])
 
 
-def test_exact_ground_state_averages_as_the_sparse_sum(monkeypatch, rng):
-    # the H exact_ground_state diagonalizes: in place where H and its
-    # transpose share a pattern, by sparse sums where an entry's mirror is
-    # missing; either way (H + H^T) / 2 exactly, dense or CSR
+def test_checked_sector_hamiltonian_is_symmetric_dense_or_csr(monkeypatch,
+                                                               rng):
+    # the H exact_ground_state diagonalizes, dense or CSR: (H + H^T) / 2 of
+    # the unchecked H, and symmetric to the bit; the one-body case misses a
+    # mirror inside HERMITIAN_TOL, so its integrals are averaged
     h1 = np.diag([-1.0, -1.0, 0.5, 0.5])
     h1[2, 0] = 5e-11      # kept by the pruning, inside HERMITIAN_TOL
     cases = [(builtin_fixture(name).to_spin_orbital(), 2, 0)
@@ -406,8 +407,47 @@ def test_exact_ground_state_averages_as_the_sparse_sum(monkeypatch, rng):
             if sp.issparse(got):
                 got = got.toarray()
             assert np.array_equal(got, ((mat + mat.T) / 2).toarray())
-    # the last case has a missing mirror, so it took the sparse sums
+            assert np.array_equal(got, got.T)
+    # in the last case the unchecked H misses a mirror entry
     assert not np.array_equal(mat.indices, mat.T.tocsr().indices)
+
+
+def _moved(spin, delta, *members):
+    """``spin`` with these members of the orbit of (pq|rs) = (02|13) moved
+    by ``delta`` off the others."""
+    h2 = spin.h2.copy()
+    for member in members:
+        h2[member] += delta
+    return replace(spin, h2=h2)
+
+
+# (rs|pq) and (sr|qp) of (02|13): they keep (qp|sr) = (pq|rs) and break
+# only the (rs|pq) symmetry; (qp|sr) and (sr|qp) break (qp|sr), which H reads
+RS_PQ, QP_SR = ((1, 3, 0, 2), (3, 1, 2, 0)), ((2, 0, 3, 1), (3, 1, 2, 0))
+
+
+def test_hermiticity_is_checked_on_the_integrals(monkeypatch):
+    # a non-Hermitian two-body entry fails the check even where the sector,
+    # of one electron, never reads it
+    spin = one_body_integrals(np.diag([-1.0, -1.0, 0.5, 0.5]))
+    spin.h2[0, 2, 1, 3] = 0.3
+    with pytest.raises(SectorError, match="not Hermitian"):
+        checked_sector_hamiltonian(spin, 1, 1)
+    seeded = random_integral_set(np.random.default_rng(4),
+                                 3).to_spin_orbital()
+    with pytest.raises(SectorError, match="not Hermitian"):
+        exact_ground_state(_moved(seeded, 1e-6, *RS_PQ), 2, 0)
+    # within HERMITIAN_TOL the integrals are averaged over their mirrors,
+    # and H, asymmetric before, is symmetric to the bit in either layout
+    spin = _moved(seeded, 5e-11, *QP_SR)
+    raw = sector_hamiltonian(spin, 2, 0).toarray()
+    assert not np.array_equal(raw, raw.T)
+    for limit in (fermion.DENSE_SECTOR_LIMIT, 1):
+        monkeypatch.setattr(fermion, "DENSE_SECTOR_LIMIT", limit)
+        got = checked_sector_hamiltonian(spin, 2, 0)
+        got = got.toarray() if sp.issparse(got) else got
+        assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
+        assert np.abs(got - raw).max() <= 5e-11
 
 
 # (orbitals, electrons, 2 Sz): 100, 300, 400, 735, 784 and 1225
@@ -530,17 +570,23 @@ def _string_path(spin, dets):
     return sector_matrix(build_hamiltonian(spin), dets)
 
 
-def _integrals(m, one_body, two_body, shift=0.0):
+def _integrals(m, one_body, two_body, shift=0.0, hermitian=False):
     """SpinIntegralSet from (p, q, value) and (p, q, r, s, value) entries.
 
     Each two-body entry is copied to (rs|pq), the one symmetry that makes
-    <pq||rs> antisymmetric; neither h1 nor h2 need be Hermitian.
+    <pq||rs> antisymmetric; neither h1 nor h2 need be Hermitian. With
+    ``hermitian``, each entry is copied to h1^T, or to (qp|sr) and (sr|qp)
+    as well, so that the integrals are Hermitian exactly.
     """
     h1, h2 = np.zeros((m, m)), np.zeros((m,) * 4)
     for p, q, value in one_body:
         h1[p, q] = value
+        if hermitian:
+            h1[q, p] = value
     for p, q, r, s, value in two_body:
         h2[p, q, r, s] = h2[r, s, p, q] = value
+        if hermitian:
+            h2[q, p, s, r] = h2[s, r, q, p] = value
     return SpinIntegralSet(m, h1, h2, shift)
 
 
@@ -693,18 +739,21 @@ def test_sector_hamiltonian_chunks_join_seamlessly(monkeypatch, rows,
 def test_sector_hamiltonian_peak_memory_is_its_csr(monkeypatch, parity):
     # the 3136 determinants of 8 orbitals and 6 electrons, built in runs of
     # 2^12 entries, never hold much more than the CSR matrix they return,
-    # also when about half the candidate entries are exact zeros
+    # also when about half the candidate entries are exact zeros, and the
+    # checked build holds no second copy of H
     spin, n_electrons, ms2 = _seeded(8, 6, 0)
     spin = _parity_zeroed(spin) if parity else spin
     monkeypatch.setattr(fermion, "CHUNK_EXCITATIONS", 1 << 12)
-    tracemalloc.start()
-    try:
-        mat = sector_hamiltonian(spin, n_electrons, ms2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    assert peak <= 1.3 * size
+    monkeypatch.setattr(fermion, "DENSE_SECTOR_LIMIT", 1)
+    for build in (sector_hamiltonian, checked_sector_hamiltonian):
+        tracemalloc.start()
+        try:
+            mat = build(spin, n_electrons, ms2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        assert peak <= 1.3 * size, build.__name__
 
 
 _VALUE = st.floats(-2.0, 2.0)
@@ -714,16 +763,21 @@ _VALUE = st.floats(-2.0, 2.0)
 @given(data=st.data(), m=st.integers(1, 6))
 def test_sector_hamiltonian_property(data, m):
     """Random integral sets, spin-flipping and non-Hermitian entries
-    included, in every (N, Sz) sector."""
+    included, in every (N, Sz) sector; from exactly Hermitian integrals H
+    is symmetric to the bit, as the byte-identical outputs of the checked
+    build rest on."""
     mode = st.integers(0, m - 1)
     one = data.draw(st.lists(st.tuples(mode, mode, _VALUE), max_size=8))
     two = data.draw(st.lists(st.tuples(mode, mode, mode, mode, _VALUE),
                              max_size=12))
-    spin = _integrals(m, one, two, data.draw(_VALUE))
+    hermitian = data.draw(st.booleans())
+    spin = _integrals(m, one, two, data.draw(_VALUE), hermitian)
     n = data.draw(st.integers(0, m))
     ms2 = data.draw(st.sampled_from(range(-n, n + 1, 2)))
     dets = sector_determinants(m, n, ms2)
     if len(dets):
-        np.testing.assert_allclose(
-            sector_hamiltonian(spin, n, ms2).toarray(),
-            _string_path(spin, dets).toarray(), rtol=0, atol=1e-12)
+        mat = sector_hamiltonian(spin, n, ms2).toarray()
+        np.testing.assert_allclose(mat, _string_path(spin, dets).toarray(),
+                                   rtol=0, atol=1e-12)
+        if hermitian:
+            assert np.array_equal(mat.view(np.uint64), mat.T.view(np.uint64))
