@@ -3,9 +3,10 @@
 Pauli strings are (x, z) tuples of X/Z bitmasks (qubit q is bit q; Y means
 both bits set). Qubit k carries spin orbital k; creation maps to
 (X - iY)/2 on the target qubit with a Z string on all lower qubits.
-``jordan_wigner`` expands operator strings one ladder operator at a time,
-on ``np.uint64`` masks, about ``CHUNK_PRODUCTS`` Pauli products at once,
-and merges equal products by one sort of a packed key x << w | z.
+``jordan_wigner`` forms the 2^L Pauli products of a string of L ladder
+operators on ``np.uint64`` masks, each with one closed-form phase, about
+``CHUNK_PRODUCTS`` products at once, and merges equal products by one sort
+of a packed key holding x, z and the product's position.
 """
 
 from __future__ import annotations
@@ -91,13 +92,6 @@ class PauliSum(TermSum):
     n_qubits: int
     terms: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_terms(cls, n_qubits, pairs):
-        out = cls(n_qubits, {})
-        for string, coeff in pairs:
-            out.add_term(string, coeff)
-        return out
-
     def __mul__(self, factor):
         if not isinstance(factor, PauliSum):
             return super().__mul__(factor)
@@ -107,10 +101,6 @@ class PauliSum(TermSum):
                 phase, s = pauli_multiply(s1, s2)
                 out.add_term(s, phase * c1 * c2)
         return out
-
-    def is_hermitian(self):
-        coeffs = np.fromiter(self.terms.values(), complex, len(self.terms))
-        return bool((np.abs(coeffs.imag) <= HERMITIAN_TOL).all())
 
     def real(self):
         """Drop sub-tolerance imaginary residue; error on larger ones."""
@@ -131,48 +121,48 @@ class PauliSum(TermSum):
 
 
 # Pauli products jordan_wigner forms at once: with BLAS on 1 thread on a
-# 2-vCPU VM, 8192 maps H of 6 and 8 seeded orbitals 5-33% faster than 1024
-# to 4096 and within 5% of 2^14 and 2^15; from 2^16 on, 8 orbitals take
-# 18-31% longer, and the traced peak grows up to 2x (7.1 to 14.2 MB)
+# 2-vCPU VM, 8192 maps H of 6 and 8 seeded orbitals 18-43% faster than 1024
+# and 2048 and within 5% of 4096, 2^14 and 2^15; 2^16 and 2^17 take 12-17%
+# longer at 8 orbitals, and the traced peak grows from 7.9 to 9.8 MB
 CHUNK_PRODUCTS = 1 << 13
 _ONE = np.uint64(1)
 _PHASES = np.array(_I_POWERS)
-# JW image of a ladder operator: X string times 1/2 and Y string times i/2
-# (annihilation, row 0) or -i/2 (creation, row 1), both with the Z chain
-# on the lower qubits; the products are those ``pauli_multiply`` forms
-_LADDER = np.array([[0.5, 1j * 0.5], [0.5, -1j * 0.5]])
-_PICK = np.array([0, 1], np.uint8)
 
 
-def _products(ops, coeffs):
+def _products(modes, dags, coeffs):
     """(x, z, coefficient) of the 2^L Pauli products of each of n strings
-    of L ladder operators, string-major, expanded one operator at a time:
-    level k holds the X and the Y child (pick 0, 1) of each product of level
-    k - 1, formed with the phase and the order of ``pauli_multiply``."""
-    n, length = ops.shape[:2]
-    bits = _ONE << ops[..., 0].astype(np.uint64)
-    # the Z chain below the mode, and the mode too for a Y (mode 63 wraps)
-    chains = (bits[..., None] << _PICK) - _ONE
-    z = [np.zeros((n, 1), np.uint64)]
-    for k in range(length):
-        z.append((z[-1][..., None] ^ chains[:, k, None]).reshape(n, -1))
-    # levels 0..L-1 side by side as parents, with x and image x of children
-    z = np.concatenate(z, axis=1)
-    parent, parents = z[:, :-(1 << length), None], 1 << np.arange(length)
-    x, bit = (np.repeat(a, parents, axis=1)[..., None]
-              for a in (np.bitwise_xor.accumulate(bits, axis=1), bits))
-    # pauli_multiply's exponent of i: |x & z| before, plus 2 |z before & x
-    # of the image|, plus that of the image (its pick), minus |x & z|
-    # after; uint8 wraps mod 256, which keeps it right mod 4
-    phase = _PHASES[np.bitwise_count((x ^ bit) & parent)
-                    + 2 * np.bitwise_count(parent & bit) + _PICK
-                    - np.bitwise_count(x & z[:, 1:].reshape(n, -1, 2)) & 3]
-    images, c = _LADDER[(ops[..., 1:] != 0) * 1], coeffs[:, None, None]
-    for k in range(length):
-        c = ((phase[:, (1 << k) - 1:(2 << k) - 1] * c)
-             * images[:, k]).reshape(n, -1, 1)
-    return np.repeat(np.bitwise_xor.reduce(bits, axis=1), 1 << length), \
-        z[:, -(1 << length):].ravel(), c.ravel()
+    of L ladder operators, from (L, n) arrays of modes m_k and dagger flags
+    d_k; x comes back as (n,), z and the coefficients as (2^L, n).
+
+    Product P takes the Y string of op k where bit L-1-k of P is set, the
+    X string elsewhere. All share x = XOR 1<<m_k; z(P) = XOR((1<<m_k) - 1)
+    ^ (the picked mode bits), and the coefficient is c 2^-L i^E with
+    E = 2 (inv + |P & q|) - |x & z(P)| mod 4: inv counts the pairs j < k
+    with m_j > m_k, and bit L-1-j of q is 1 - (d_j XOR r_j), r_j counting
+    the ops after j on mode m_j. c is halved once per op, as a complex
+    product, so subnormal parts round and non-finite ones turn NaN as when
+    the ops are multiplied in one at a time; a string of no ops keeps c."""
+    length, n = modes.shape
+    if not length:
+        return np.zeros(n, np.uint64), np.zeros((1, n), np.uint64), coeffs
+    bits = _ONE << modes
+    upto = np.bitwise_xor.accumulate(bits)
+    x = upto[-1]
+    # only parities count: inv from the mode bits of the ops before k above
+    # m_k (none above 63), r_j from bit m_j of the XOR of the ops after j
+    inv = np.bitwise_count((upto ^ bits) & -(bits << 1)).sum(axis=0)
+    q = (((x ^ upto) >> modes ^ dags ^ 1) & 1) << 1
+    z, twice = np.empty((2, 1 << length, n), np.uint64)
+    z[0] = np.bitwise_xor.reduce(bits - 1, axis=0)
+    twice[0] = (inv & 1) << 1
+    for k in range(length):  # z and 2 |P & q|, one pick at a time
+        h, op = 1 << k, length - 1 - k
+        np.bitwise_xor(z[:h], bits[op], out=z[h:2 * h])
+        np.bitwise_xor(twice[:h], q[op], out=twice[h:2 * h])
+    for _ in range(length):
+        coeffs = coeffs * 0.5
+    twice -= np.bitwise_count(x & z)
+    return x, z, coeffs * _PHASES[(twice & 3).view(np.intp)]
 
 
 # inf * 0 is NaN, as in Python; |c| past the float range is kept, as in prune
@@ -180,42 +170,51 @@ def _products(ops, coeffs):
 def jordan_wigner(op) -> PauliSum:
     """Map a FermionOperator to its qubit PauliSum.
 
-    A string of L ladder operators expands into 2^L Pauli products, formed
-    on ``np.uint64`` X/Z masks for the strings of one length together,
-    about ``CHUNK_PRODUCTS`` products at a time.
-    Equal products meet in one stable sort of the key x << w | z (w the
-    bit width of all masks, at most 32), or in a lexsort of (x, z) past it.
-    Equal products are summed in the order they arise, string by string,
-    and the result lists each product where it first arises; modes must
-    lie in 0..63.
+    All ladder operators are read in one ``np.fromiter``. A string of L of
+    them expands into 2^L Pauli products, formed by ``_products`` on
+    ``np.uint64`` X/Z masks for the strings of one length together, about
+    ``CHUNK_PRODUCTS`` products at a time. Equal products meet in one
+    ``np.sort`` of the key (x << w | z) << b | position, w = 1 + the largest
+    mode and b the bits of the last position, when 2w + b <= 64; a wider
+    key takes a stable lexsort of (x, z). Equal products are summed in the
+    order they arise, string by string, and the result lists each product
+    where it first arises; modes must lie in 0..63.
     """
     if not op.terms:
         return PauliSum.zero(op.n_modes)
     strings = list(op.terms)
     coeffs = np.fromiter(op.terms.values(), complex, len(strings))
     lengths = np.fromiter(map(len, strings), np.intp, len(strings))
+    stops = np.cumsum(lengths)
+    # a negative mode reads as a uint64 past 63
+    modes, dags = np.fromiter(
+        chain.from_iterable(chain.from_iterable(strings)), np.int64,
+        2 * stops[-1]).view(np.uint64).reshape(-1, 2).T
+    width = int(modes.max(initial=0)) + 1
+    if width > MAX_MODES:
+        raise ValueError("modes outside 0..63 do not fit a 64-bit Pauli mask")
+    dags = dags != 0
     end = np.cumsum(1 << lengths)
     xs, zs = np.empty((2, end[-1]), np.uint64)
     cs = np.empty(end[-1], complex)
     for length in set(lengths.tolist()):
         same = np.flatnonzero(lengths == length)
         step = max(1, CHUNK_PRODUCTS >> length)
+        ops = np.arange(-length, 0)[:, None]
+        picks = np.arange(-(1 << length), 0)[:, None]
         for s0 in range(0, len(same), step):
             idx = same[s0:s0 + step]
-            ops = np.fromiter(chain.from_iterable(chain.from_iterable(
-                map(strings.__getitem__, idx.tolist()))), np.int64,
-                len(idx) * length * 2).reshape(len(idx), length, 2)
-            if (ops[..., 0] // MAX_MODES).any():
-                raise ValueError("modes outside 0..63 do not fit a 64-bit "
-                                 "Pauli mask")
-            pos = (end[idx, None] - np.arange(1 << length, 0, -1)).ravel()
-            xs[pos], zs[pos], cs[pos] = _products(ops, coeffs[idx])
-    width = int(np.bitwise_or.reduce(xs | zs)).bit_length()
+            rows, pos = stops[idx] + ops, end[idx] + picks
+            xs[pos], zs[pos], cs[pos] = _products(modes[rows], dags[rows],
+                                                  coeffs[idx])
+    shift = (len(cs) - 1).bit_length()
     new = np.ones(len(cs), bool)
-    if width <= 32:
-        key = xs << width | zs
-        order = key.argsort(kind="stable")
-        key = key[order]
+    if 2 * width + shift <= 64:
+        key = (xs << width | zs) << shift
+        key |= np.arange(len(cs), dtype=np.uint64)
+        key.sort()
+        order = (key & (1 << shift) - 1).view(np.intp)
+        key >>= shift
         new[1:] = key[1:] != key[:-1]
     else:
         order = np.lexsort((zs, xs))

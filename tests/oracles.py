@@ -34,7 +34,7 @@ Each is the plain form of a computation the package does another way:
 - ``jordan_wigner``, which expands one ladder operator after the other
   with ``pauli_multiply``, the oracle of ``mapping.jordan_wigner``;
 - ``pauli_is_hermitian``, a test of one coefficient at a time, the
-  oracle of ``PauliSum.is_hermitian``;
+  oracle of the Hermiticity check in ``simulator.expectation``;
 - ``expectation``, one full gather of the state per Pauli string, the
   oracle of ``simulator.expectation``;
 - ``objective``, each UCC factor applied as v + sin(theta) kappa v +
@@ -516,7 +516,7 @@ def pauli_is_hermitian(h: PauliSum) -> bool:
 
 def expectation(h, amp) -> float:
     """Exact <psi|H|psi> for a Hermitian PauliSum and amplitudes ``amp``."""
-    if not h.is_hermitian():
+    if not pauli_is_hermitian(h):
         raise SimulatorError("PauliSum has non-real coefficients")
     val = 0.0 + 0.0j
     for string, c in h.terms.items():

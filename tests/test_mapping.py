@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import oracles
 import pytest
@@ -13,7 +15,8 @@ from duccvqe.fermion import (ActiveSpace, FermionOperator, build_hamiltonian,
 from duccvqe.integrals import FIXTURE_NAMES, SpinIntegralSet, builtin_fixture
 from duccvqe.mapping import (PauliString, PauliSum, jordan_wigner,
                              pauli_multiply)
-from duccvqe.simulator import expectation
+from duccvqe.simulator import (SimulatorError, expectation,
+                               prepare_reference)
 
 X = PauliString.single(0, "X")
 Y = PauliString.single(0, "Y")
@@ -96,20 +99,28 @@ def test_jw_matches_dense_oracle(rng):
     (complex(0.0, float("nan")), False), (complex(1.0, float("inf")), False),
     (np.complex128(1j), False)])
 def test_is_hermitian_is_the_per_term_test(coeff, hermitian):
-    # one coefficient among real ones, first, in between or last
+    # one coefficient among real ones, first, in between or last; the
+    # expectation value rejects the sum exactly when the oracle does
+    state = prepare_reference(3, ())
     for at in (0, 2, 4):
         terms = [0.25, 1e-3 + 1e-12j, 3, -0.5]
         terms.insert(at, coeff)
         h = PauliSum(3, {PauliString(p, p >> 1): c
                          for p, c in enumerate(terms)})
-        assert h.is_hermitian() is oracles.pauli_is_hermitian(h) is hermitian
-    assert PauliSum(3, {}).is_hermitian() is True
+        assert oracles.pauli_is_hermitian(h) is hermitian
+        with np.errstate(invalid="ignore"):
+            if hermitian:
+                expectation(h, state)
+            else:
+                with pytest.raises(SimulatorError, match="non-real"):
+                    expectation(h, state)
+    assert oracles.pauli_is_hermitian(PauliSum(3, {})) is True
 
 
 def test_jw_preserves_fixture_spectrum():
     h = build_hamiltonian(builtin_fixture("h2_ducc_1.4008").to_spin_orbital())
     hp = jordan_wigner(h)
-    assert hp.is_hermitian()
+    assert oracles.pauli_is_hermitian(hp)
     w_qubit = np.linalg.eigvalsh(hp.to_dense())
     w_fermi = np.linalg.eigvalsh(dense_operator(h))
     np.testing.assert_allclose(w_qubit, w_fermi, atol=1e-9)
@@ -123,7 +134,7 @@ def test_number_operator_image():
 
 
 def test_real_raises_on_imaginary():
-    s = PauliSum.from_terms(1, [(Z, 0.5 + 1e-3j)])
+    s = PauliSum(1, {Z: 0.5 + 1e-3j})
     with pytest.raises(ValueError, match="non-real"):
         s.real()
     # the first term past the tolerance is named; residue below it and a
@@ -226,6 +237,17 @@ def test_jw_is_the_oracle_on_seeded_systems(rng, monkeypatch, chunk):
         _assert_same_image(op)
 
 
+def test_jw_is_the_oracle_on_every_short_string():
+    # every string of 0-4 ladder operators on 3 modes, with every dagger
+    # pattern, so repeated modes reach every r_j, and a real and a complex
+    # coefficient
+    ladders = list(product(range(3), (0, 1)))
+    for length in range(5):
+        for ops in product(ladders, repeat=length):
+            for coeff in (-0.7, complex(0.3, -1.1)):
+                _assert_same_image(FermionOperator.from_term(3, ops, coeff))
+
+
 def test_jw_edge_operators():
     _assert_same_image(FermionOperator.zero(3))
     assert len(jordan_wigner(FermionOperator.zero(3))) == 0
@@ -243,6 +265,23 @@ def test_jw_edge_operators():
                               ((2, 1), (0, 0)): 1.0, (): float("nan")})
     _assert_same_image(nan)
     assert all(np.isnan(c) for c in jordan_wigner(nan).terms.values())
+    # a string of no operators keeps a non-finite coefficient as it is;
+    # every product of a longer one is NaN in both parts
+    for c in (float("inf"), float("-inf"), complex(2, float("inf"))):
+        edge = FermionOperator(3, {((0, 1), (2, 0)): c, ((2, 1), (0, 0)): 1.0,
+                                   (): c, ((1, 1),): c})
+        _assert_same_image(edge)
+        image = jordan_wigner(edge)
+        assert image.terms.pop(PauliString()) == c
+        assert all(np.isnan(v.real) and np.isnan(v.imag)
+                   for v in image.terms.values())
+    # a subnormal part rounds at each halving: 11 units of 5e-324 halve
+    # to 6, 3 and 2 units (one scaling by 1/8 would round 1.375 to 1)
+    tiny = FermionOperator.from_term(3, ((0, 1), (2, 0), (1, 1)),
+                                     complex(1.0, 11 * 5e-324))
+    _assert_same_image(tiny)
+    assert {min(abs(c.real), abs(c.imag))
+            for c in jordan_wigner(tiny).terms.values()} == {2 * 5e-324}
 
 
 def test_jw_reaches_the_top_bit():
@@ -269,22 +308,28 @@ def _reaching(top):
         ((top, 1), (top - 1, 0), (top, 0), (top - 1, 1)): 2.0})
 
 
-@pytest.mark.parametrize("op,width", [
+@pytest.mark.parametrize("op,width,lexsorted", [
     # modes past n_modes: a key x << 2 | z sized by n_modes = 2 would
     # merge X2 Z1 Z0 (x = 4, z = 3) with Z4 Z1 Z0 (x = 0, z = 19)
     (FermionOperator(2, {((4, 1), (4, 0), (1, 1), (1, 0), (0, 1), (0, 0)):
-                         1.0, ((2, 1),): 0.5, ((2, 0),): 0.5}), 5),
-    # 32-bit masks: x << 32 | z uses bit 63 of the key
-    (_reaching(31), 32),
-    # 33-bit masks do not fit one key and take the lexsort
-    (_reaching(32), 33)], ids=["past-n_modes", "32-bit", "33-bit"])
-def test_jw_sort_key_width(monkeypatch, op, width):
+                         1.0, ((2, 1),): 0.5, ((2, 0),): 0.5}), 5, False),
+    # 46 products take 6 position bits: 2 * 29 + 6 = 64 bits fit one key
+    (_reaching(28), 29, False),
+    # 66 products take 7: 65 bits do not, and take the lexsort
+    (_reaching(28) + FermionOperator(29, {
+        ((27, 1), (28, 0), (2, 1), (3, 0)): 0.5, ((28, 1), (5, 0)): 0.25}),
+     29, True),
+    # 32-bit and 33-bit masks take the lexsort too
+    (_reaching(31), 32, True),
+    (_reaching(32), 33, True)],
+    ids=["past-n_modes", "64-bit", "65-bit", "32-bit", "33-bit"])
+def test_jw_sort_key_width(monkeypatch, op, width, lexsorted):
     lexsorts = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort",
                         lambda keys: lexsorts.append(1) or lexsort(keys))
     _assert_same_image(op)
-    assert len(lexsorts) == (width > 32)
+    assert len(lexsorts) == lexsorted
     masks = [s.x | s.z for s in jordan_wigner(op).terms]
     assert max(masks).bit_length() == width
 

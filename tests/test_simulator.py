@@ -118,11 +118,11 @@ def test_register_mismatch_rejected():
 
 def test_expectation_basics():
     st = prepare_reference(3, {0})
-    ident = PauliSum.from_terms(3, [(PauliString(), 2.5)])
+    ident = PauliSum(3, {PauliString(): 2.5})
     assert expectation(ident, st) == pytest.approx(2.5)
-    z0 = PauliSum.from_terms(3, [(PauliString.single(0, "Z"), 1.0)])
+    z0 = PauliSum(3, {PauliString.single(0, "Z"): 1.0})
     assert expectation(z0, st) == pytest.approx(-1.0)
-    z1 = PauliSum.from_terms(3, [(PauliString.single(1, "Z"), 1.0)])
+    z1 = PauliSum(3, {PauliString.single(1, "Z"): 1.0})
     assert expectation(z1, st) == pytest.approx(1.0)
 
 
@@ -137,7 +137,7 @@ def test_expectation_matches_dense(rng):
 
 
 def test_expectation_rejects_nonreal():
-    s = PauliSum.from_terms(1, [(PauliString.single(0, "Z"), 1.0 + 0.1j)])
+    s = PauliSum(1, {PauliString.single(0, "Z"): 1.0 + 0.1j})
     with pytest.raises(SimulatorError, match="non-real"):
         expectation(s, prepare_reference(1, set()))
 
@@ -203,11 +203,10 @@ def test_expectation_checks_still_fire(monkeypatch, chunk):
     monkeypatch.setattr(simulator, "CHUNK_EXCITATIONS", chunk)
     z0 = PauliString.single(0, "Z")
     with pytest.raises(SimulatorError, match="non-real"):
-        expectation(PauliSum.from_terms(1, [(z0, 1.0 + 0.1j)]),
+        expectation(PauliSum(1, {z0: 1.0 + 0.1j}),
                     prepare_reference(1, set()))
     # an imaginary part inside HERMITIAN_TOL, scaled up by <psi|psi> = 1e6
-    tilted = PauliSum.from_terms(1, [(PauliString(), 1.0 + 5e-11j),
-                                     (z0, 0.5)])
+    tilted = PauliSum(1, {PauliString(): 1.0 + 5e-11j, z0: 0.5})
     unnormalized = np.array([1e3, 0j])
     with pytest.raises(SimulatorError, match="imaginary residue"):
         expectation(tilted, unnormalized)
